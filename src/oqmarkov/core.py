@@ -123,6 +123,27 @@ def ket(index: int, dim: int) -> np.ndarray:
     return v
 
 
+def hermitian_basis(d: int) -> list[np.ndarray]:
+    """Generalized Gell-Mann basis of d x d Hermitian operators: the
+    identity, then the symmetric and antisymmetric pair for every j < k,
+    then the traceless diagonals. Every non-identity element has
+    Tr(A^2) = 2, so for d = 2 the list is exactly I, X, Y, Z."""
+    basis = [np.eye(d, dtype=complex)]
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0
+            anti = np.zeros((d, d), dtype=complex)
+            anti[j, k], anti[k, j] = -1j, 1j
+            basis += [sym, anti]
+    for m in range(1, d):
+        diag = np.zeros(d, dtype=complex)
+        diag[:m] = 1.0
+        diag[m] = -m
+        basis.append(np.diag(np.sqrt(2.0 / (m * (m + 1))) * diag))
+    return basis
+
+
 def plus_state() -> np.ndarray:
     return np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 

@@ -19,9 +19,9 @@ from typing import Callable
 import numpy as np
 import scipy.optimize
 
-from .core import (DensityOperator, PAULIS, ket, negativity,
-                   negativity_pure_from_marginal, purity, trace_norm,
-                   vn_entropy, random_pure)
+from .core import (DensityOperator, ID2, PAULIS, SX, SY, SZ, hermitian_basis,
+                   ket, negativity, negativity_pure_from_marginal, purity,
+                   trace_norm, vn_entropy, random_pure)
 from .models import JointModel, MapFamilyModel, dd_apply
 from .superop import (SuperOperator, compose, intermediate_map, is_cptp,
                       vec, unvec)
@@ -201,7 +201,7 @@ def _env_marginal_vectors(model: JointModel, branches):
     for w, v in branches:
         m = v.reshape(ds, de)
         for k in range(ds):
-            vs.append(m[k].conj() if False else m[k].copy())
+            vs.append(m[k].copy())
             ws.append(w)
     return vs, ws
 
@@ -333,7 +333,8 @@ def check_qrf(model: JointModel, op_pairs=None, time_pairs=((0.5, 1.0),),
                                reason="model exposes no environment frame")
     ds = model.dim_s
     if op_pairs is None:
-        op_pairs = [(a, b) for a in PAULIS.values() for b in PAULIS.values()]
+        basis = hermitian_basis(ds)
+        op_pairs = [(a, b) for a in basis for b in basis]
     rho_s0 = _default_rho0(ds) if rho_s0 is None else rho_s0
     ident = np.eye(ds, dtype=complex)
     worst, worst_at = 0.0, None
@@ -359,9 +360,10 @@ def check_qrf(model: JointModel, op_pairs=None, time_pairs=((0.5, 1.0),),
 
 def default_gqrf_op_sets(ds: int, n_steps: int, n_sets: int = 40,
                          seed: int = 11) -> list:
-    """Deterministic sample of weight-<=1 Pauli-pair sequences."""
+    """Deterministic sample of sequences of Hermitian-basis operator pairs
+    (the Paulis for a qubit)."""
     rng = np.random.default_rng(seed)
-    letters = list(PAULIS.values())
+    letters = hermitian_basis(ds)
     sets = []
     ident = np.eye(ds, dtype=complex)
     sets.append([(ident, ident)] * (n_steps + 1))
@@ -429,12 +431,7 @@ def check_composability(model: JointModel, time_triples, tol: float = 1e-9,
     return CriterionReport("composability", verdict, witnesses, tol, grid)
 
 
-def _bloch_state(r: np.ndarray) -> np.ndarray:
-    from .core import SX, SY, SZ
-    return (np.eye(2) + r[0] * SX + r[1] * SY + r[2] * SZ) / 2.0
-
-
-def _nib_candidate_states(model: JointModel, t1: float, grid_points: int = 17):
+def _nib_candidate_states(model: JointModel, t1: float) -> list:
     cands = list(model.nib_candidates(t1))
     if model.has_env_frame:
         # the frame-evolved initial bath state is always worth trying
@@ -444,70 +441,166 @@ def _nib_candidate_states(model: JointModel, t1: float, grid_points: int = 17):
             cands.append(sum(p * np.outer(v, v.conj()) for p, v in frame_evolved))
         else:
             cands.append(frame_evolved)
-    if model.env_kind == "qubit":
-        axis = np.linspace(-1.0, 1.0, grid_points)
-        for rx, ry, rz in itertools.product(axis, repeat=3):
-            r = np.array([rx, ry, rz])
-            if np.linalg.norm(r) <= 1.0 + 1e-12:
-                cands.append(_bloch_state(r))
-    elif model.env_kind == "register":
-        de = model.dim_e
-        steps = 12
-        for comb in itertools.combinations_with_replacement(range(de), steps):
-            w = np.bincount(comb, minlength=de) / steps
-            cands.append(np.diag(w).astype(complex))
     return cands
 
 
+def _signed_branches(h: np.ndarray) -> list:
+    """Spectral branches [(weight, vector)] of a Hermitian operator; the
+    weights may be negative, which _branch_tomograph accepts."""
+    w, v = np.linalg.eigh(h)
+    return [(float(w[i]), v[:, i]) for i in range(len(w)) if abs(w[i]) > 1e-12]
+
+
+def _nib_coordinates(model: JointModel):
+    """Affine coordinates sigma(x) = base + sum_k x_k ops[k] of the bath
+    replacement states, with x in the unit ball (qubit bath: the Bloch
+    vector) or in the probability simplex (register bath: the register
+    populations, the only part of the state its dynamics passes on)."""
+    if model.env_kind == "qubit":
+        return ID2 / 2, [SX / 2, SY / 2, SZ / 2], "ball"
+    de = model.dim_e
+    units = [np.outer(ket(j, de), ket(j, de).conj()) for j in range(de)]
+    return np.zeros((de, de), dtype=complex), units, "simplex"
+
+
+def _unvec_columns(m: np.ndarray, d: int) -> np.ndarray:
+    """Unvectorise every column of a (..., d*d, n) array into (..., n, d, d)."""
+    n = m.shape[-1]
+    return np.swapaxes(m, -1, -2).reshape(m.shape[:-2] + (n, d, d)).swapaxes(-1, -2)
+
+
+class _AffineResidual:
+    """The map_residual of E2 against Q(sigma(x)) E1 as a function of the
+    coordinates x, which range over the unit ball or the probability
+    simplex: the difference R(x) = r0 - sum_k x_k D_k is affine in x, so the
+    residual, a maximum of norms of affine functions (the pieces: every
+    Liouville entry and every probe output), is convex."""
+
+    def __init__(self, r0: np.ndarray, dirs: list, d: int, feasible: str):
+        self.r0, self.dirs, self.d, self.feasible = r0, np.stack(dirs), d, feasible
+        self.probes = np.stack([vec(rho) for rho in _probe_states(d)], axis=1)
+        # minus the derivative of each probe output along each coordinate
+        self.d_out = _unvec_columns(self.dirs @ self.probes, d)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Euclidean projection onto the feasible set."""
+        if self.feasible == "ball":
+            return x / max(1.0, float(np.linalg.norm(x)))
+        u = np.sort(x)[::-1]
+        css = np.cumsum(u) - 1.0
+        k = np.nonzero(u - css / np.arange(1, len(x) + 1) > 0)[0][-1]
+        return np.maximum(x - css[k] / (k + 1), 0.0)
+
+    def _pieces(self, x: np.ndarray):
+        diff = self.r0 - np.tensordot(x, self.dirs, 1)
+        return diff, _unvec_columns(diff @ self.probes, self.d)
+
+    def value(self, x: np.ndarray) -> float:
+        diff, outs = self._pieces(x)
+        action = 0.5 * np.linalg.svd(outs, compute_uv=False).sum(-1)
+        return max(float(np.max(np.abs(diff))), float(np.max(action)))
+
+    def subgradients(self, x: np.ndarray):
+        """Value f_p(x) of every piece and a subgradient g_p of each, so
+        that f_p(y) >= f_p(x) + g_p.(y - x) for every y."""
+        diff, outs = self._pieces(x)
+        z = diff.reshape(-1)
+        az = np.abs(z)
+        # |z|: Re(conj z dz)/|z|, with dz = -D_k; zero is a subgradient at z = 0
+        phase = np.divide(z, az, out=np.zeros_like(z), where=az > 0)
+        g_entry = -np.real(phase.conj() * self.dirs.reshape(len(x), -1))
+        # 0.5 ||O||_1 with O = U S V^dag: 0.5 Re Tr(V U^dag dO)
+        u, s, vh = np.linalg.svd(outs)
+        g_action = -0.5 * np.real(np.einsum("pij,kpij->kp", (u @ vh).conj(), self.d_out))
+        return (np.concatenate([az, 0.5 * s.sum(-1)]),
+                np.concatenate([g_entry, g_action], axis=1).T)
+
+    def lower_bound(self, x: np.ndarray) -> float:
+        """Largest subgradient cut at x over all pieces: the residual is at
+        least f_p(y), so its minimum over the ball is >= f_p(x) - g_p.x - |g_p|
+        and over the simplex >= f_p(x) - g_p.x + min_j (g_p)_j."""
+        f, g = self.subgradients(x)
+        floor = -np.linalg.norm(g, axis=1) if self.feasible == "ball" else np.min(g, axis=1)
+        return float(np.max(f - g @ x + floor))
+
+
+def _check_nib_convex(model: JointModel, time_triple, cands, tol: float) -> CriterionReport:
+    _, t1, t2 = time_triple
+    e2 = map_family(model, [t2])[0][1]
+    e1 = map_family(model, [t1])[0][1]
+    base, ops, feasible = _nib_coordinates(model)
+
+    def chained(op):
+        return _branch_tomograph(model, t1, t2, _signed_branches(op)).mat @ e1.mat
+
+    res = _AffineResidual(e2.mat - chained(base), [chained(op) for op in ops],
+                          model.dim_s, feasible)
+    norms = [float(np.real(np.trace(op @ op))) for op in ops]
+    centre = np.zeros(len(ops)) if feasible == "ball" else np.full(len(ops), 1.0 / len(ops))
+    seeds = [centre]
+    for sigma in cands:
+        if isinstance(sigma, list):
+            sigma = sum(p * np.outer(v, v.conj()) for p, v in sigma)
+        x = [np.real(np.trace(sigma @ op)) / n for op, n in zip(ops, norms)]
+        seeds.append(res.project(np.array(x)))
+    values = [res.value(x) for x in seeds]
+    best = int(np.argmin(values))
+    x, fx, n_evals = seeds[best], values[best], len(seeds)
+    cut = res.lower_bound(x)
+    # search only while the seed fails and the cut leaves a gap to close
+    searched = fx > tol and fx - cut > 1e-12
+    if searched:
+        opt = scipy.optimize.minimize(lambda y: res.value(res.project(y)), x,
+                                      method="Nelder-Mead",
+                                      options={"xatol": 1e-6, "fatol": 1e-12,
+                                               "maxiter": 400})
+        n_evals += opt.nfev
+        y = res.project(opt.x)
+        fy = res.value(y)
+        if fy < fx:
+            x, fx, cut = y, fy, res.lower_bound(y)
+    sigma = base + sum(c * op for c, op in zip(x, ops))
+    best_res = map_residual(e2, compose(replacement_map(model, t1, t2, sigma), e1))
+    lower = max(0.0, min(cut, best_res["residual"]))
+    verdict = PASS if best_res["residual"] <= tol else FAIL
+    witnesses = {"min_residual": best_res["residual"],
+                 "max_entry": best_res["max_entry"],
+                 "action_norm": best_res["action_norm"],
+                 "lower_bound": lower,
+                 "best_sigma_diag": [float(np.real(sigma[i, i])) for i in range(len(sigma))]}
+    where = "Bloch ball" if feasible == "ball" else "population simplex"
+    grid = (f"triple={list(time_triple)}, convex residual over the {where}: "
+            f"{len(seeds)} seeds{' + Nelder-Mead' if searched else ''}, "
+            f"{n_evals} evaluations")
+    if verdict == FAIL:
+        grid += ("; fail certified by a subgradient lower bound above tolerance"
+                 if lower > tol else "; fail not certified: lower bound within tolerance")
+    return CriterionReport("nib", verdict, witnesses, tol, grid)
+
+
 def check_nib(model: JointModel, time_triple=(0.0, 1.0, 2.0),
-              search_config: dict | None = None,
               tol: float = 1e-8) -> CriterionReport:
     """Search for a bath replacement state at t1 that reproduces the map to
-    t2. A pass is exact up to tolerance; a fail is certified only up to the
-    resolution of the candidate grid plus local refinement, and the report
-    says so."""
+    t2. For qubit and register baths the residual is convex in the state:
+    it is minimised from a few seeds, and a subgradient cut at the minimiser
+    gives the witness lower_bound, which certifies a fail when it exceeds
+    the tolerance. Other baths try only the model's candidate states, so
+    their fails are not certified, and the report says so."""
+    cands = _nib_candidate_states(model, time_triple[1])
+    if model.env_kind in ("qubit", "register"):
+        return _check_nib_convex(model, time_triple, cands, tol)
     t0, t1, t2 = time_triple
-    cfg = search_config or {}
-    cands = _nib_candidate_states(model, t1, cfg.get("grid_points", 17))
     if not cands:
         return CriterionReport("nib", INCONCLUSIVE, {}, tol,
                                f"triple={list(time_triple)}",
                                reason="environment too large to search")
     e2 = map_family(model, [t2])[0][1]
     e1 = map_family(model, [t1])[0][1]
-
-    probe_plus = _probe_states(model.dim_s)
-
-    def residual_of(sigma):
-        q = replacement_map(model, t1, t2, sigma)
-        chained = compose(q, e1)
-        res = map_residual(e2, chained)
-        return res
-
     best_res, best_sigma = None, None
     for sigma in cands:
-        res = residual_of(sigma)
+        res = map_residual(e2, compose(replacement_map(model, t1, t2, sigma), e1))
         if best_res is None or res["residual"] < best_res["residual"]:
             best_res, best_sigma = res, sigma
-
-    if model.env_kind == "qubit" and best_res["residual"] > tol:
-        def objective(r):
-            r = np.asarray(r)
-            n = np.linalg.norm(r)
-            if n > 1.0:
-                r = r / n
-            return residual_of(_bloch_state(r))["residual"]
-        from .core import SX, SY, SZ
-        r0 = np.real(np.array([np.trace(best_sigma @ SX), np.trace(best_sigma @ SY),
-                               np.trace(best_sigma @ SZ)]))
-        opt = scipy.optimize.minimize(objective, r0, method="Nelder-Mead",
-                                      options={"xatol": 1e-6, "fatol": 1e-12,
-                                               "maxiter": 400})
-        if opt.fun < best_res["residual"]:
-            r = opt.x / max(1.0, np.linalg.norm(opt.x))
-            best_sigma = _bloch_state(r)
-            best_res = residual_of(best_sigma)
-
     witnesses = {"min_residual": best_res["residual"],
                  "max_entry": best_res["max_entry"],
                  "action_norm": best_res["action_norm"],

@@ -120,6 +120,11 @@ class IdentityFrameModel(JointModel):
     def apply_env_frame(self, t0: float, t: float, env_vec: np.ndarray) -> np.ndarray:
         return env_vec
 
+    @property
+    def has_env_frame(self) -> bool:
+        # known without building the dim_e x dim_e identity
+        return True
+
 
 class MapFamilyModel:
     """Dynamics specified by the family of maps from t0 alone."""

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from oqmarkov.core import (DensityOperator, Operator, PureState, ID2, SX,
-                           SZ, helstrom_norm, ket, kron, matrix_exp,
+from oqmarkov.core import (DensityOperator, Operator, PAULIS, PureState, ID2,
+                           SX, SZ, helstrom_norm, hermitian_basis, ket, kron,
+                           matrix_exp,
                            mutual_information, negativity, partial_trace,
                            plus_state, trace_distance, random_density,
                            random_hermitian)
@@ -42,6 +43,24 @@ class TestOperatorTypes:
         with pytest.raises(ValueError):
             PureState([1.0, 1.0])
         PureState(plus_state())
+
+
+class TestHermitianBasis:
+    def test_qubit_basis_is_the_paulis_in_order(self):
+        basis = hermitian_basis(2)
+        assert len(basis) == 4
+        for a, b in zip(basis, PAULIS.values()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [1, 3, 4])
+    def test_hermitian_orthogonal_and_complete(self, d):
+        basis = hermitian_basis(d)
+        assert len(basis) == d * d
+        for a in basis:
+            assert np.array_equal(a, a.conj().T)
+        gram = np.array([[np.trace(a @ b) for b in basis] for a in basis])
+        expected = np.diag([float(d)] + [2.0] * (d * d - 1))
+        assert np.max(np.abs(gram - expected)) < 1e-12
 
 
 class TestKronAndPartialTrace:

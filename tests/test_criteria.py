@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oqmarkov.core import PAULIS, SX, plus_state
 from oqmarkov.criteria import (CriterionReport, check_composability,
@@ -12,7 +13,7 @@ from oqmarkov.criteria import (CriterionReport, check_composability,
                                multitime_correlation, regression_prediction,
                                tomograph)
 from oqmarkov.models import (afl, collision, eternal_me, nqib_qubit,
-                             static_dephasing, tam)
+                             partial_swap, static_dephasing, tam)
 from oqmarkov.superop import is_cptp
 
 
@@ -165,6 +166,134 @@ class TestEnvironmentInterventions:
         rep = check_nib(model, (0.0, 2.0, 4.0), tol=1e-10)
         assert rep.verdict == "pass"
         assert rep.witnesses["min_residual"] < 1e-10
+
+
+# check_nib on the parent of the convex rewrite, where a 17^3 Bloch grid
+# (or a 12-step register enumeration) plus Nelder-Mead was searched:
+# (model, triple, tolerance, verdict, min_residual).
+NIB_SEED_VALUES = [
+    ("tam", (0.0, 1.0, 2.0), 1e-4, "fail", 0.221914500876698),
+    ("nqib", (0.0, math.pi, 2 * math.pi), 1e-6, "fail", 1.0),
+    ("static-dephasing", (0.0, 0.7, 1.3), 1e-6, "fail", 0.9184776656050946),
+    ("tam", (0.0, 0.0, 1.0), 1e-4, "pass", 2.220446049250313e-16),
+    ("tam", (0.0, 0.3, 1.0), 1e-4, "fail", 0.306374448747438),
+    ("tam", (0.0, 0.5, 3.0), 1e-4, "fail", 0.4501588629622585),
+    ("nqib", (0.0, 0.0, 1.0), 1e-6, "pass", 1.2901102036597931e-17),
+    ("nqib", (0.0, 1.0, 2.5), 1e-6, "fail", 0.3267950296576876),
+]
+NIB_MODELS = {"tam": tam, "nqib": nqib_qubit, "static-dephasing": static_dephasing}
+
+bloch_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(
+    lambda r: np.array(r) / max(1.0, float(np.linalg.norm(r))))
+
+
+def _bloch_state(r):
+    from oqmarkov.core import SY, SZ
+    return (np.eye(2) + r[0] * SX + r[1] * SY + r[2] * SZ) / 2.0
+
+
+def _nib_residual(model, t1, t2, sigma):
+    from oqmarkov.criteria import compose, map_residual, replacement_map
+    e2 = map_family(model, [t2])[0][1]
+    e1 = map_family(model, [t1])[0][1]
+    q = replacement_map(model, t1, t2, sigma)
+    return map_residual(e2, compose(q, e1))["residual"]
+
+
+class TestNibConvex:
+    @settings(max_examples=40, deadline=None)
+    @given(factory=st.sampled_from([tam, nqib_qubit]), r=bloch_vectors,
+           t1=st.floats(0.0, 3.0), dt=st.floats(0.0, 3.0))
+    def test_basis_maps_rebuild_replacement_map(self, factory, r, t1, dt):
+        from oqmarkov.criteria import (_branch_tomograph, _nib_coordinates,
+                                       _signed_branches, replacement_map)
+        model = factory()
+        base, ops, feasible = _nib_coordinates(model)
+        assert feasible == "ball"
+        q = [_branch_tomograph(model, t1, t1 + dt, _signed_branches(op)).mat
+             for op in [base] + ops]
+        combined = q[0] + sum(c * qk for c, qk in zip(r, q[1:]))
+        direct = replacement_map(model, t1, t1 + dt, _bloch_state(r)).mat
+        assert np.max(np.abs(combined - direct)) < 1e-12
+
+    @pytest.mark.parametrize("name,triple,tol,verdict,seed_value", NIB_SEED_VALUES)
+    def test_no_worse_than_grid_search(self, name, triple, tol, verdict, seed_value):
+        rep = check_nib(NIB_MODELS[name](), triple, tol=tol)
+        w = rep.witnesses
+        assert rep.verdict == verdict
+        assert w["min_residual"] <= seed_value + 1e-12
+        assert 0.0 <= w["lower_bound"] <= w["min_residual"]
+        assert len(w["best_sigma_diag"]) == 2
+
+    @pytest.mark.parametrize("name,triple,tol,verdict,seed_value", NIB_SEED_VALUES[:3])
+    def test_preset_fails_are_certified(self, name, triple, tol, verdict, seed_value):
+        rep = check_nib(NIB_MODELS[name](), triple, tol=tol)
+        assert rep.witnesses["lower_bound"] >= rep.witnesses["min_residual"] - 1e-9
+        assert "fail certified" in rep.grid
+
+    @settings(max_examples=30, deadline=None)
+    @given(factory=st.sampled_from([tam, nqib_qubit]), x=bloch_vectors,
+           y=bloch_vectors, t1=st.floats(0.05, 2.0), dt=st.floats(0.1, 2.0))
+    def test_cut_at_any_point_bounds_every_state(self, factory, x, y, t1, dt):
+        from oqmarkov.criteria import (_AffineResidual, _branch_tomograph,
+                                       _nib_coordinates, _signed_branches)
+        model = factory()
+        t2 = t1 + dt
+        e1 = map_family(model, [t1])[0][1].mat
+        e2 = map_family(model, [t2])[0][1].mat
+        base, ops, feasible = _nib_coordinates(model)
+
+        def chained(op):
+            return _branch_tomograph(model, t1, t2, _signed_branches(op)).mat @ e1
+
+        res = _AffineResidual(e2 - chained(base), [chained(op) for op in ops], 2, feasible)
+        direct = _nib_residual(model, t1, t2, _bloch_state(y))
+        assert abs(res.value(y) - direct) < 1e-12
+        assert res.lower_bound(x) <= direct + 1e-12
+        # every piece's subgradient inequality, entry pieces and probe pieces
+        fx, gx = res.subgradients(x)
+        fy, _ = res.subgradients(y)
+        assert np.all(fy >= fx + gx @ (y - x) - 1e-12)
+        rep = check_nib(model, (0.0, t1, t2), tol=1e-6)
+        assert rep.witnesses["lower_bound"] <= rep.witnesses["min_residual"]
+        assert rep.witnesses["lower_bound"] <= direct + 1e-12
+
+    def test_register_search_beats_population_grid(self):
+        # three register levels with unrelated Hamiltonians: the seeds leave a
+        # gap, so Nelder-Mead runs on the population simplex
+        rng = np.random.default_rng(5)
+        hams = []
+        for _ in range(3):
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            hams.append((a + a.conj().T) / 2)
+        model = static_dephasing([0.2, 0.3, 0.5], hams)
+        t1, t2 = 0.8, 1.7
+        rep = check_nib(model, (0.0, t1, t2), tol=1e-6)
+        w = rep.witnesses
+        assert rep.verdict == "fail" and "Nelder-Mead" in rep.grid
+        assert abs(sum(w["best_sigma_diag"]) - 1.0) < 1e-12
+        assert min(w["best_sigma_diag"]) >= 0.0
+        assert 0.0 < w["lower_bound"] <= w["min_residual"]
+        steps = 8
+        for i in range(steps + 1):
+            for j in range(steps + 1 - i):
+                p = np.array([i, j, steps - i - j]) / steps
+                value = _nib_residual(model, t1, t2, np.diag(p).astype(complex))
+                assert value >= w["lower_bound"] - 1e-12
+                assert value >= w["min_residual"] - 1e-9
+
+
+class TestNonQubitSystems:
+    def test_qrf_gqrf_defaults_for_qutrit_collisions(self):
+        # the default operator sets follow dim_s (9 Gell-Mann operators here)
+        model = collision(n_slots=3, pair_unitary=partial_swap(math.pi / 4, d=3))
+        assert model.dim_s == 3
+        qrf = check_qrf(model, time_pairs=((1.0, 2.0),), tol=1e-9)
+        assert qrf.verdict == "pass"
+        assert qrf.grid.startswith("81 operator pairs")
+        gqrf = check_gqrf(model, time_sets=((1.0, 2.0, 3.0),), tol=1e-9)
+        assert gqrf.verdict == "pass"
+        assert gqrf.witnesses["max_residual"] < 1e-9
 
 
 class TestMapFamilyCriteria:
