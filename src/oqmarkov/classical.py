@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .criteria import CriterionReport, PASS, FAIL, INCONCLUSIVE
+from .unravel import _prepare_grid, _traj_rng
 
 TABLE_CAP = 2 ** 20
 
@@ -437,40 +438,29 @@ class MCSMResult:
     seed: int
 
 
-def _path_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index | (1 << 32))],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def mcsm(spec: SDESpec, x0, grid, M: int, seed: int, dt: float = 1e-3,
          jobs: int = 1) -> MCSMResult:
     """Euler-Maruyama with Bernoulli-thinned jumps, evolved in lockstep over
     the sample paths. Per-path random streams keyed by (seed, path index)
     make results bitwise seed-reproducible and independent of chunking."""
-    grid = np.asarray(grid, dtype=float)
-    t0 = grid[0]
-    n_steps = int(round((grid[-1] - t0) / dt))
-    if abs(n_steps * dt - (grid[-1] - t0)) > 1e-9:
-        raise ValueError("dt must divide the grid span")
-    sample_idx = np.array([int(round((t - t0) / dt)) for t in grid])
-    if np.max(np.abs(t0 + sample_idx * dt - grid)) > 1e-9:
-        raise ValueError("grid times must sit on the integration grid")
+    grid, step_times, sample_idx = _prepare_grid(grid, dt)
+    n_steps = len(step_times) - 1
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n_jump = len(spec.jump_rates)
     sqrt_dt = math.sqrt(dt)
 
     def run_chunk(idxs) -> np.ndarray:
         m = len(idxs)
-        normals = np.stack([_path_rng(seed, int(i)).normal(size=(n_steps, spec.n_noise))
-                            for i in idxs])
-        jumps = np.stack([_path_rng(seed, int(i) + (1 << 40)).random(size=(n_steps, n_jump))
-                          for i in idxs]) if n_jump else None
+        # path streams are keyed apart from the trajectory streams of unravel
+        normals = np.stack([_traj_rng(seed, int(i) | (1 << 32)).normal(
+            size=(n_steps, spec.n_noise)) for i in idxs])
+        jumps = np.stack([_traj_rng(seed, (int(i) + (1 << 40)) | (1 << 32)).random(
+            size=(n_steps, n_jump)) for i in idxs]) if n_jump else None
         x = np.tile(x0, (m, 1))
         out = np.empty((m, len(grid), spec.dim))
         out[:, 0] = x
         for s in range(n_steps):
-            t = t0 + s * dt
+            t = step_times[s]
             drift = np.asarray(spec.drift(x, t), dtype=float)
             bmat = np.asarray(spec.diffusion(x, t), dtype=float)
             if bmat.ndim == 2:

@@ -230,6 +230,16 @@ def negativity(rho: DensityOperator, split: int = 1) -> float:
     return float(-eigs[eigs < 0].sum())
 
 
+def branch_negativity(branches, dims: Sequence[int], psd_tol: float = 1e-7) -> float:
+    """Negativity across the first split of the mixture sum_k w_k |v_k><v_k|
+    of joint vectors given as branches [(w_k, v_k)]."""
+    d = int(np.prod(dims))
+    rho = np.zeros((d, d), dtype=complex)
+    for w, v in branches:
+        rho += w * np.outer(v, v.conj())
+    return negativity(DensityOperator(rho, dims, psd_tol=psd_tol), 1)
+
+
 def negativity_pure_from_marginal(marginal_eigs: np.ndarray) -> float:
     """Negativity of a pure bipartite state from its reduced-state spectrum.
 

@@ -19,10 +19,11 @@ from typing import Callable
 import numpy as np
 import scipy.optimize
 
-from .core import (DensityOperator, ID2, PAULIS, SX, SY, SZ, hermitian_basis,
-                   ket, negativity, negativity_pure_from_marginal, purity,
+from .core import (DensityOperator, ID2, PAULIS, SX, SY, SZ, branch_negativity,
+                   hermitian_basis, ket, negativity_pure_from_marginal, purity,
                    trace_norm, vn_entropy, random_pure)
-from .models import JointModel, MapFamilyModel, dd_apply
+from .models import (JointModel, MapFamilyModel, _apply_cop, _eig_branches,
+                     assemble_map, dd_apply, evolve)
 from .superop import (SuperOperator, compose, intermediate_map, is_cptp,
                       vec, unvec)
 
@@ -71,32 +72,12 @@ class CriterionReport:
 # Map extraction
 # ---------------------------------------------------------------------------
 
-def _branch_tomograph(model: JointModel, t1: float, t2: float,
-                      env_branches) -> SuperOperator:
-    ds, de = model.dim_s, model.dim_e
-    evolved = []
-    for p, phi in env_branches:
-        vecs = [model.apply_propagator(t1, t2, np.kron(ket(i, ds), phi))
-                for i in range(ds)]
-        evolved.append((p, vecs))
-    m = np.zeros((ds * ds, ds * ds), dtype=complex)
-    for i in range(ds):
-        for j in range(ds):
-            out = np.zeros((ds, ds), dtype=complex)
-            for p, vecs in evolved:
-                um = vecs[i].reshape(ds, de)
-                wm = vecs[j].reshape(ds, de)
-                out += p * (um @ wm.conj().T)
-            m[:, i + ds * j] = vec(out)
-    return SuperOperator(m, ds)
-
-
 def tomograph(model: JointModel, t0: float, t: float) -> SuperOperator:
     """Dynamical map from t0 to t, reconstructed by evolving the matrix-unit
     basis tensored with the initial bath state and tracing the bath out."""
     if abs(t0 - model.t0) > 1e-12:
         raise ValueError(f"maps are defined from the model's initial time {model.t0}")
-    return _branch_tomograph(model, t0, t, model.env_branches())
+    return assemble_map(model, model.env_branches(), (t0, t), (None, None))
 
 
 def generalized_map(model: JointModel, t1: float, t2: float) -> SuperOperator:
@@ -106,7 +87,7 @@ def generalized_map(model: JointModel, t1: float, t2: float) -> SuperOperator:
         raise ValueError(f"{model.name}: no environment frame available")
     branches = [(p, model.apply_env_frame(model.t0, t1, phi))
                 for p, phi in model.env_branches()]
-    return _branch_tomograph(model, t1, t2, branches)
+    return assemble_map(model, branches, (t1, t2), (None, None))
 
 
 def replacement_map(model: JointModel, t1: float, t2: float,
@@ -116,12 +97,8 @@ def replacement_map(model: JointModel, t1: float, t2: float,
     The state may be a dense matrix or a pre-decomposed list of
     (weight, vector) branches; the latter keeps huge product or grid baths
     tractable."""
-    if isinstance(sigma_e, list):
-        branches = sigma_e
-    else:
-        w, v = np.linalg.eigh((sigma_e + sigma_e.conj().T) / 2)
-        branches = [(float(w[i]), v[:, i]) for i in range(len(w)) if w[i] > 1e-12]
-    return _branch_tomograph(model, t1, t2, branches)
+    branches = sigma_e if isinstance(sigma_e, list) else _eig_branches(sigma_e)
+    return assemble_map(model, branches, (t1, t2), (None, None))
 
 
 def map_family(model, grid, analytic: bool | None = None):
@@ -236,10 +213,7 @@ def check_fa(model: JointModel, initial_states=None, times=(0.5, 1.0),
             if len(branches) == 1 and abs(sum(weights) - 1) < 1e-9:
                 neg = negativity_pure_from_marginal(np.linalg.eigvalsh(rho_s))
             elif ds * de <= 4096:
-                joint = np.zeros((ds * de, ds * de), dtype=complex)
-                for w, v in branches:
-                    joint += w * np.outer(v, v.conj())
-                neg = negativity(DensityOperator(joint, (ds, de), psd_tol=1e-7), 1)
+                neg = branch_negativity(branches, (ds, de))
             else:
                 neg = 0.0
             max_neg = max(max_neg, neg)
@@ -264,10 +238,6 @@ def check_fa(model: JointModel, initial_states=None, times=(0.5, 1.0),
 # Multi-time correlation functions
 # ---------------------------------------------------------------------------
 
-def _apply_sys(op: np.ndarray, joint: np.ndarray, ds: int, de: int) -> np.ndarray:
-    return (op @ joint.reshape(ds, de)).reshape(-1)
-
-
 def multitime_correlation(model: JointModel, c_ops, times, rho_s0) -> complex:
     """Exact time-ordered correlation Tr[C_n U ... C_1 U C_0 rho_se(t0)]
     with C_j X = B_j X A_j inserted on the system at times[j].
@@ -277,24 +247,14 @@ def multitime_correlation(model: JointModel, c_ops, times, rho_s0) -> complex:
     """
     if abs(times[0] - model.t0) > 1e-12:
         raise ValueError("times[0] must be the model's initial time")
-    ds, de = model.dim_s, model.dim_e
-    rho_s0 = np.asarray(rho_s0, dtype=complex)
-    sw, sv = np.linalg.eigh((rho_s0 + rho_s0.conj().T) / 2)
+    kets = [b for _, b in c_ops]
+    bras = [np.asarray(a, dtype=complex).conj().T for a, _ in c_ops]
     total = 0.0 + 0.0j
-    for q, s in [(sw[i], sv[:, i]) for i in range(ds) if sw[i] > 1e-14]:
+    for q, s in _eig_branches(np.asarray(rho_s0, dtype=complex), 1e-14):
         for p, phi in model.env_branches():
-            u = np.kron(s, phi)
-            v = u.copy()
-            a0, b0 = c_ops[0]
-            u = _apply_sys(np.asarray(b0, dtype=complex), u, ds, de)
-            v = _apply_sys(np.asarray(a0, dtype=complex).conj().T, v, ds, de)
-            for j in range(1, len(times)):
-                u = model.apply_propagator(times[j - 1], times[j], u)
-                v = model.apply_propagator(times[j - 1], times[j], v)
-                aj, bj = c_ops[j]
-                u = _apply_sys(np.asarray(bj, dtype=complex), u, ds, de)
-                v = _apply_sys(np.asarray(aj, dtype=complex).conj().T, v, ds, de)
-            total += q * p * np.vdot(v, u)
+            start = np.kron(s, phi)
+            total += q * p * np.vdot(evolve(model, start, times, bras),
+                                     evolve(model, start, times, kets))
     return complex(total)
 
 
@@ -313,11 +273,6 @@ def regression_prediction(model: JointModel, c_ops, times, rho_s0,
         x = emap(x)
         x = _apply_cop(c_ops[j], x)
     return complex(np.trace(x))
-
-
-def _apply_cop(c_op, x: np.ndarray) -> np.ndarray:
-    a, b = c_op
-    return np.asarray(b, dtype=complex) @ x @ np.asarray(a, dtype=complex)
 
 
 def _default_rho0(ds: int) -> np.ndarray:
@@ -446,7 +401,7 @@ def _nib_candidate_states(model: JointModel, t1: float) -> list:
 
 def _signed_branches(h: np.ndarray) -> list:
     """Spectral branches [(weight, vector)] of a Hermitian operator; the
-    weights may be negative, which _branch_tomograph accepts."""
+    weights may be negative, which assemble_map accepts."""
     w, v = np.linalg.eigh(h)
     return [(float(w[i]), v[:, i]) for i in range(len(w)) if abs(w[i]) > 1e-12]
 
@@ -531,7 +486,7 @@ def _check_nib_convex(model: JointModel, time_triple, cands, tol: float) -> Crit
     base, ops, feasible = _nib_coordinates(model)
 
     def chained(op):
-        return _branch_tomograph(model, t1, t2, _signed_branches(op)).mat @ e1.mat
+        return assemble_map(model, _signed_branches(op), (t1, t2), (None, None)).mat @ e1.mat
 
     res = _AffineResidual(e2.mat - chained(base), [chained(op) for op in ops],
                           model.dim_s, feasible)
@@ -615,6 +570,17 @@ def check_nib(model: JointModel, time_triple=(0.0, 1.0, 2.0),
     return report
 
 
+def _intervened_map(model: JointModel, time_triple, povm, states) -> SuperOperator:
+    """Map to t2 when the bath is measured with the POVM {F_k} at t1 and
+    re-prepared in s_k: the sum over outcomes of the replacement map of s_k
+    after the map to t1 read through the effect F_k."""
+    t0, t1, t2 = time_triple
+    m = sum(replacement_map(model, t1, t2, np.asarray(s, dtype=complex)).mat
+            @ assemble_map(model, model.env_branches(), (t0, t1), (None, None), f).mat
+            for f, s in zip(povm, states))
+    return SuperOperator(m, model.dim_s)
+
+
 def check_nqib(model: JointModel, time_triple, breaking_channel,
                tol: float = 1e-9) -> CriterionReport:
     """Verify that a supplied measure-and-prepare intervention on the bath
@@ -643,25 +609,8 @@ def check_nqib(model: JointModel, time_triple, breaking_channel,
     for s in states:
         DensityOperator(np.asarray(s), psd_tol=1e-8)
 
-    ds = model.dim_s
-    u1 = model.propagator(t0, t1).mat
-    u2 = model.propagator(t1, t2).mat
-    rho_e = model.rho_e0_matrix()
     e_target = tomograph(model, t0, t2)
-    m = np.zeros((ds * ds, ds * ds), dtype=complex)
-    for i in range(ds):
-        for j in range(ds):
-            x = np.outer(ket(i, ds), ket(j, ds).conj())
-            joint = u1 @ np.kron(x, rho_e) @ u1.conj().T
-            interrupted = np.zeros_like(joint)
-            for f, s in zip(povm, states):
-                sel = np.kron(np.eye(ds), np.asarray(f, dtype=complex)) @ joint
-                m_sys = sel.reshape(ds, de, ds, de).trace(axis1=1, axis2=3)
-                interrupted += np.kron(m_sys, np.asarray(s, dtype=complex))
-            final = u2 @ interrupted @ u2.conj().T
-            out = final.reshape(ds, de, ds, de).trace(axis1=1, axis2=3)
-            m[:, i + ds * j] = vec(out)
-    res = map_residual(e_target, SuperOperator(m, ds))
+    res = map_residual(e_target, _intervened_map(model, time_triple, povm, states))
     witnesses = {"residual": res["residual"], "max_entry": res["max_entry"],
                  "action_norm": res["action_norm"]}
     grid = f"triple={list(time_triple)}, supplied channel with {len(povm)} outcomes"
@@ -865,18 +814,6 @@ def hierarchy_report(model, seed: int = 23) -> HierarchyReport:
     return HierarchyReport(name, reports, implications, consistent, extras)
 
 
-def _family_checks(family, map_at, seed, tol) -> dict:
-    out = {"divisibility": check_divisibility(family, tol)}
-    if map_at is not None:
-        pts = [t for t, _ in family if t > 0]
-        pairs = [(r, s) for r, s in itertools.combinations(pts[:3], 2)]
-        pairs += [(t, t) for t in pts[:2]]
-        pairs = [p for p in pairs if map_at(p[0] + p[1]) is not None]
-        out["semigroup"] = check_semigroup(map_at, pairs, tol)
-    out["distinguishability"] = check_distinguishability(family, seed=seed, tol=max(tol, 1e-9))
-    return out
-
-
 def _hier_collision(model, seed):
     tol = 1e-9
     bounds = list(model.slot_times)
@@ -983,11 +920,7 @@ def _hier_nqib(model, seed):
     negs = []
     plus = _default_rho0(2)
     for t in times:
-        branches = model.joint_branches(plus, t)
-        joint = np.zeros((4, 4), dtype=complex)
-        for w, v in branches:
-            joint += w * np.outer(v, v.conj())
-        negs.append(negativity(DensityOperator(joint, (2, 2), psd_tol=1e-8), 1))
+        negs.append(branch_negativity(model.joint_branches(plus, t), (2, 2), psd_tol=1e-8))
     reports["fa"] = check_fa(model, times=(math.pi / 2, math.pi), tol=1e-7)
     reports["qrf"] = check_qrf(model, time_pairs=((math.pi, two_pi),), tol=tol)
     reports["composability"] = check_composability(

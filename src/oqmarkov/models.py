@@ -88,12 +88,9 @@ class JointModel:
 
     def joint_branches(self, rho_s0: np.ndarray, t: float):
         """Branches [(weight, joint vector at time t)] from a factorized start."""
-        out = []
-        for q, s in _eig_branches(np.asarray(rho_s0, dtype=complex)):
-            for p, e in self.env_branches():
-                v = np.kron(s, e)
-                out.append((q * p, self.apply_propagator(self.t0, t, v)))
-        return out
+        return [(q * p, evolve(self, np.kron(s, e), (self.t0, t), (None, None)))
+                for q, s in _eig_branches(np.asarray(rho_s0, dtype=complex))
+                for p, e in self.env_branches()]
 
     def reduced_state(self, rho_s0: np.ndarray, t: float) -> np.ndarray:
         ds, de = self.dim_s, self.dim_e
@@ -139,6 +136,47 @@ class MapFamilyModel:
 
     def generator(self, t: float) -> SuperOperator | None:
         return None
+
+
+# ---------------------------------------------------------------------------
+# Evolve-and-trace kernel
+# ---------------------------------------------------------------------------
+
+def evolve(model: JointModel, joint: np.ndarray, times: Sequence[float],
+           ops: Sequence) -> np.ndarray:
+    """Joint vector after a schedule: the system operator ops[k] acts at
+    times[k] (None acts as the identity), with the joint propagation
+    between consecutive times."""
+    ds, de = model.dim_s, model.dim_e
+    for k, op in enumerate(ops):
+        if k:
+            joint = model.apply_propagator(times[k - 1], times[k], joint)
+        if op is not None:
+            joint = (np.asarray(op, dtype=complex) @ joint.reshape(ds, de)).reshape(-1)
+    return joint
+
+
+def assemble_map(model: JointModel, branches, times: Sequence[float], ops: Sequence,
+                 effect: np.ndarray | None = None) -> SuperOperator:
+    """System map X -> Tr_E[(1 (x) F) K (X (x) sigma) K^dag] of a schedule K
+    (see evolve) started from the bath state sigma = sum_b w_b |e_b><e_b|,
+    given as branches [(w_b, e_b)] whose weights may be negative. The bath
+    effect F defaults to the identity, the plain partial trace."""
+    ds, de = model.dim_s, model.dim_e
+    ft = None if effect is None else np.asarray(effect, dtype=complex).T
+    evolved = []
+    for p, phi in branches:
+        mats = [evolve(model, np.kron(ket(i, ds), phi), times, ops).reshape(ds, de)
+                for i in range(ds)]
+        evolved.append((p, mats if ft is None else [u @ ft for u in mats], mats))
+    m = np.zeros((ds * ds, ds * ds), dtype=complex)
+    for i in range(ds):
+        for j in range(ds):
+            out = np.zeros((ds, ds), dtype=complex)
+            for p, left, mats in evolved:
+                out += p * (left[i] @ mats[j].conj().T)
+            m[:, i + ds * j] = vec(out)
+    return SuperOperator(m, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -781,30 +819,12 @@ def dd_apply(model: JointModel, pulses: Sequence[np.ndarray],
             raise ValueError("pulse is not unitary")
     if t_end is None:
         t_end = times[-1] if times else model.t0
-    ds, de = model.dim_s, model.dim_e
-    basis_vecs = []
-    for p, e in model.env_branches():
-        for i in range(ds):
-            basis_vecs.append((p, i, np.kron(ket(i, ds), e)))
-    evolved = {}
-    for p, i, v in basis_vecs:
-        tcur = model.t0
-        for pulse, tk in zip(pulses, times):
-            v = model.apply_propagator(tcur, tk, v)
-            v = (np.asarray(pulse, dtype=complex) @ v.reshape(ds, de)).reshape(-1)
-            tcur = tk
-        if t_end > tcur + 1e-15:
-            v = model.apply_propagator(tcur, t_end, v)
-        evolved.setdefault(i, []).append((p, v))
-    m = np.zeros((ds * ds, ds * ds), dtype=complex)
-    for i in range(ds):
-        for j in range(ds):
-            out = np.zeros((ds, ds), dtype=complex)
-            for (p1, u), (p2, w) in zip(evolved[i], evolved[j]):
-                um, wm = u.reshape(ds, de), w.reshape(ds, de)
-                out += p1 * (um @ wm.conj().T)
-            m[:, i + ds * j] = vec(out)
-    return SuperOperator(m, ds)
+    sched = [model.t0] + times
+    ops = [None] + list(pulses)
+    if t_end > sched[-1] + 1e-15:
+        sched.append(t_end)
+        ops.append(None)
+    return assemble_map(model, model.env_branches(), sched, ops)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oqmarkov.core import PAULIS, SX, plus_state
+from oqmarkov.core import (PAULIS, SX, ket, plus_state, random_density,
+                           random_pure, random_unitary)
 from oqmarkov.criteria import (CriterionReport, check_composability,
                                check_distinguishability, check_divisibility,
                                check_fa, check_fdd, check_gqrf, check_nib,
                                check_nqib, check_qrf, check_semigroup,
                                dd_effectiveness, hierarchy_report, map_family,
-                               multitime_correlation, regression_prediction,
-                               tomograph)
+                               map_residual, multitime_correlation,
+                               regression_prediction, tomograph)
 from oqmarkov.models import (afl, collision, eternal_me, nqib_qubit,
                              partial_swap, static_dephasing, tam)
-from oqmarkov.superop import is_cptp
+from oqmarkov.superop import SuperOperator, is_cptp, vec
 
 
 class TestCriterionReport:
@@ -168,6 +169,77 @@ class TestEnvironmentInterventions:
         assert rep.witnesses["min_residual"] < 1e-10
 
 
+def _dense_intervened_map(model, time_triple, povm, states):
+    """Reference for the measure-and-prepare map of check_nqib, built from
+    dense joint density matrices: U1 (X (x) rho_E) U1^dag, then
+    sum_k Tr_E[(1 (x) F_k) .] (x) s_k, then U2 . U2^dag and Tr_E."""
+    t0, t1, t2 = time_triple
+    ds, de = model.dim_s, model.dim_e
+    u1 = model.propagator(t0, t1).mat
+    u2 = model.propagator(t1, t2).mat
+    rho_e = model.rho_e0_matrix()
+    m = np.zeros((ds * ds, ds * ds), dtype=complex)
+    for i in range(ds):
+        for j in range(ds):
+            x = np.outer(ket(i, ds), ket(j, ds).conj())
+            joint = u1 @ np.kron(x, rho_e) @ u1.conj().T
+            interrupted = np.zeros_like(joint)
+            for f, s in zip(povm, states):
+                sel = np.kron(np.eye(ds), np.asarray(f, dtype=complex)) @ joint
+                m_sys = sel.reshape(ds, de, ds, de).trace(axis1=1, axis2=3)
+                interrupted += np.kron(m_sys, np.asarray(s, dtype=complex))
+            final = u2 @ interrupted @ u2.conj().T
+            out = final.reshape(ds, de, ds, de).trace(axis1=1, axis2=3)
+            m[:, i + ds * j] = vec(out)
+    return m
+
+
+def _assert_nqib_matches_dense(model, triple, povm, states):
+    from oqmarkov.criteria import _intervened_map
+    dense = _dense_intervened_map(model, triple, povm, states)
+    assert np.max(np.abs(_intervened_map(model, triple, povm, states).mat - dense)) < 1e-12
+    rep = check_nqib(model, triple, (povm, states), tol=1e-9)
+    ref = map_residual(tomograph(model, triple[0], triple[2]), SuperOperator(dense, model.dim_s))
+    for key in ("residual", "max_entry", "action_norm"):
+        assert abs(rep.witnesses[key] - ref[key]) < 1e-12
+
+
+class TestNqibAgainstDense:
+    @settings(max_examples=25, deadline=None)
+    @given(levels=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1),
+           t1=st.floats(0.0, 2.0), dt=st.floats(0.0, 2.0), rotated=st.booleans())
+    def test_register_measure_and_prepare(self, levels, seed, t1, dt, rotated):
+        # computational measurement, or (rotated) one in a random basis whose
+        # complex effects are not their own transposes
+        rng = np.random.default_rng(seed)
+        hams = []
+        for _ in range(levels):
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            hams.append((a + a.conj().T) / 2)
+        model = static_dephasing(rng.dirichlet(np.ones(levels)), hams)
+        basis = random_unitary(levels, rng) if rotated else np.eye(levels)
+        povm = [np.outer(basis[:, j], basis[:, j].conj()) for j in range(levels)]
+        states = [random_density(levels, rng) for _ in range(levels)]
+        _assert_nqib_matches_dense(model, (0.0, t1, t1 + dt), povm, states)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), t1=st.sampled_from([1.0, 2.0]),
+           frac=st.floats(0.0, 1.0), rotated=st.booleans())
+    def test_collision_past_channel(self, seed, t1, frac, rotated):
+        # the past channel as built, or (rotated) conjugated by a random bath
+        # unitary so that bath coherences reach the effects
+        from oqmarkov.criteria import _collision_past_channel
+        rng = np.random.default_rng(seed)
+        model = collision(3, random_unitary(4, rng), random_pure(2, rng))
+        povm, states = _collision_past_channel(model, t1)
+        if rotated:
+            v = random_unitary(model.dim_e, rng)
+            povm = [v @ f @ v.conj().T for f in povm]
+            states = [v @ s @ v.conj().T for s in states]
+        t2 = t1 + frac * (3.0 - t1)
+        _assert_nqib_matches_dense(model, (0.0, t1, t2), povm, states)
+
+
 # check_nib on the parent of the convex rewrite, where a 17^3 Bloch grid
 # (or a 12-step register enumeration) plus Nelder-Mead was searched:
 # (model, triple, tolerance, verdict, min_residual).
@@ -205,12 +277,12 @@ class TestNibConvex:
     @given(factory=st.sampled_from([tam, nqib_qubit]), r=bloch_vectors,
            t1=st.floats(0.0, 3.0), dt=st.floats(0.0, 3.0))
     def test_basis_maps_rebuild_replacement_map(self, factory, r, t1, dt):
-        from oqmarkov.criteria import (_branch_tomograph, _nib_coordinates,
-                                       _signed_branches, replacement_map)
+        from oqmarkov.criteria import (_nib_coordinates, _signed_branches,
+                                       replacement_map)
         model = factory()
         base, ops, feasible = _nib_coordinates(model)
         assert feasible == "ball"
-        q = [_branch_tomograph(model, t1, t1 + dt, _signed_branches(op)).mat
+        q = [replacement_map(model, t1, t1 + dt, _signed_branches(op)).mat
              for op in [base] + ops]
         combined = q[0] + sum(c * qk for c, qk in zip(r, q[1:]))
         direct = replacement_map(model, t1, t1 + dt, _bloch_state(r)).mat
@@ -235,8 +307,8 @@ class TestNibConvex:
     @given(factory=st.sampled_from([tam, nqib_qubit]), x=bloch_vectors,
            y=bloch_vectors, t1=st.floats(0.05, 2.0), dt=st.floats(0.1, 2.0))
     def test_cut_at_any_point_bounds_every_state(self, factory, x, y, t1, dt):
-        from oqmarkov.criteria import (_AffineResidual, _branch_tomograph,
-                                       _nib_coordinates, _signed_branches)
+        from oqmarkov.criteria import (_AffineResidual, _nib_coordinates,
+                                       _signed_branches, replacement_map)
         model = factory()
         t2 = t1 + dt
         e1 = map_family(model, [t1])[0][1].mat
@@ -244,7 +316,7 @@ class TestNibConvex:
         base, ops, feasible = _nib_coordinates(model)
 
         def chained(op):
-            return _branch_tomograph(model, t1, t2, _signed_branches(op)).mat @ e1
+            return replacement_map(model, t1, t2, _signed_branches(op)).mat @ e1
 
         res = _AffineResidual(e2 - chained(base), [chained(op) for op in ops], 2, feasible)
         direct = _nib_residual(model, t1, t2, _bloch_state(y))
