@@ -14,13 +14,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .criteria import CriterionReport, PASS, FAIL, INCONCLUSIVE
-from .unravel import _prepare_grid, _traj_rng
+from .unravel import _chunked, _prepare_grid, _Streams
 
 TABLE_CAP = 2 ** 20
 
@@ -448,13 +447,14 @@ def mcsm(spec: SDESpec, x0, grid, M: int, seed: int, dt: float = 1e-3,
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n_jump = len(spec.jump_rates)
     sqrt_dt = math.sqrt(dt)
+    streams = _Streams(seed)
 
     def run_chunk(idxs) -> np.ndarray:
         m = len(idxs)
         # path streams are keyed apart from the trajectory streams of unravel
-        normals = np.stack([_traj_rng(seed, int(i) | (1 << 32)).normal(
+        normals = np.stack([streams(i | (1 << 32)).normal(
             size=(n_steps, spec.n_noise)) for i in idxs])
-        jumps = np.stack([_traj_rng(seed, (int(i) + (1 << 40)) | (1 << 32)).random(
+        jumps = np.stack([streams((i + (1 << 40)) | (1 << 32)).random(
             size=(n_steps, n_jump)) for i in idxs]) if n_jump else None
         x = np.tile(x0, (m, 1))
         out = np.empty((m, len(grid), spec.dim))
@@ -487,13 +487,7 @@ def mcsm(spec: SDESpec, x0, grid, M: int, seed: int, dt: float = 1e-3,
                 out[:, pos[0]] = x
         return out
 
-    chunks = [c for c in np.array_split(np.arange(M), max(1, jobs)) if len(c)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(run_chunk, chunks))
-    else:
-        parts = [run_chunk(c) for c in chunks]
-    paths = np.concatenate(parts, axis=0)
+    paths = np.concatenate([run_chunk(c) for c in _chunked(M, jobs)], axis=0)
     mean = paths.mean(axis=0)
     var = paths.var(axis=0, ddof=1) if M > 1 else np.full_like(mean, np.nan)
     se = np.sqrt(var / M) if M > 1 else np.full_like(mean, np.nan)

@@ -338,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="flat key-value JSON config; flags override")
         sp.add_argument("--seed", type=int, help="RNG seed (fallback: env OQS_SEED)")
-        sp.add_argument("--jobs", type=int, help="worker cap for parallel sweeps")
+        sp.add_argument("--jobs", type=int,
+                        help="chunks a sampler run is split into (mcwf, mcsm); "
+                             "outputs do not depend on it")
         sp.add_argument("--out", help="output path (or stem for csv+json pairs)")
         sp.add_argument("--format", choices=("json", "csv"))
         sp.add_argument("--tol", type=float, help="criterion tolerance override")

@@ -560,8 +560,8 @@ def check_nib(model: JointModel, time_triple=(0.0, 1.0, 2.0),
                  "max_entry": best_res["max_entry"],
                  "action_norm": best_res["action_norm"],
                  "n_candidates": float(len(cands))}
-    grid = (f"triple={list(time_triple)}, {len(cands)} candidate states "
-            f"+ local refinement; fail certified only to grid resolution")
+    grid = (f"triple={list(time_triple)}, {len(cands)} candidate states only; "
+            f"a fail is not certified")
     verdict = PASS if best_res["residual"] <= tol else FAIL
     report = CriterionReport("nib", verdict, witnesses, tol, grid)
     if isinstance(best_sigma, np.ndarray) and best_sigma.shape[0] <= 16:
@@ -816,7 +816,7 @@ def hierarchy_report(model, seed: int = 23) -> HierarchyReport:
 
 def _hier_collision(model, seed):
     tol = 1e-9
-    bounds = list(model.slot_times)
+    bounds = [float(t) for t in model.slot_times]
     grid = bounds
     family = map_family(model, grid)
     cache = {t: e for t, e in family}

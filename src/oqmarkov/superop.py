@@ -194,7 +194,11 @@ class LindbladSpec:
     """Effective Hamiltonian plus jump channels (C_k, rate_k).
 
     The Hamiltonian and the rates may be constants or callables of time;
-    H(t) must be Hermitian at every sampled time.
+    H(t) must be Hermitian at every sampled time. H, the channels and the
+    rates are read once, at construction: each channel's dissipator and
+    C_k^dag C_k (``jump_products``) are built then, and when H and every
+    rate are constants so is the whole generator, returned read-only by
+    ``generator``. Treat a spec as immutable.
     """
 
     def __init__(self, dim: int, hamiltonian=None, channels: Sequence[tuple] = ()):
@@ -204,6 +208,12 @@ class LindbladSpec:
         for c, _ in self.channels:
             if c.shape != (dim, dim):
                 raise ValueError(f"channel operator shape {c.shape} != ({dim},{dim})")
+        self._dissipators = [dissipator(c).mat for c, _ in self.channels]
+        self.jump_products = [c.conj().T @ c for c, _ in self.channels]
+        self._generator = None
+        if not callable(hamiltonian) and not any(callable(g) for _, g in self.channels):
+            self._generator = self._assemble(0.0)
+            self._generator.setflags(write=False)
 
     def hamiltonian(self, t: float) -> np.ndarray:
         h = self._h(t) if callable(self._h) else self._h
@@ -221,11 +231,16 @@ class LindbladSpec:
     def rates(self, t: float) -> np.ndarray:
         return np.array([self.rate(k, t) for k in range(len(self.channels))])
 
-    def generator(self, t: float) -> np.ndarray:
+    def _assemble(self, t: float) -> np.ndarray:
         l = hamiltonian_superop(self.hamiltonian(t))
-        for k, (c, _) in enumerate(self.channels):
-            l = l + self.rate(k, t) * dissipator(c).mat
+        for k, diss in enumerate(self._dissipators):
+            l = l + self.rate(k, t) * diss
         return l
+
+    def generator(self, t: float) -> np.ndarray:
+        if self._generator is not None:
+            return self._generator
+        return self._assemble(t)
 
 
 @dataclasses.dataclass
@@ -260,11 +275,11 @@ def me_integrate(gen, rho0, t_grid, step: float = 1e-3) -> MEResult:
     d = rho0.shape[0]
     lfn = _as_generator_fn(gen)
 
-    def rk4(mat_state, t, h):
-        k1 = lfn(t) @ mat_state
-        k2 = lfn(t + h / 2) @ (mat_state + h / 2 * k1)
-        k3 = lfn(t + h / 2) @ (mat_state + h / 2 * k2)
-        k4 = lfn(t + h) @ (mat_state + h * k3)
+    def rk4(mat_state, l_start, l_mid, l_end, h):
+        k1 = l_start @ mat_state
+        k2 = l_mid @ (mat_state + h / 2 * k1)
+        k3 = l_mid @ (mat_state + h / 2 * k2)
+        k4 = l_end @ (mat_state + h * k3)
         return mat_state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
     # integrate [vec(rho) | S] together as a d^2 x (d^2+1) block
@@ -275,12 +290,15 @@ def me_integrate(gen, rho0, t_grid, step: float = 1e-3) -> MEResult:
         n_sub = int(round((b - a) / step))
         if n_sub == 0 or abs(n_sub * step - (b - a)) > 1e-9 * max(1.0, abs(b - a)):
             raise ValueError(f"step {step} does not divide interval [{a}, {b}]")
-        t = a
+        # L is evaluated once per distinct time: L(t + step) of one step is
+        # L(t) of the next, as both times are the same float sum.
+        t, l_t = a, lfn(a)
         for _ in range(n_sub):
-            if not np.all(np.isfinite(lfn(t).real)):
+            if not np.all(np.isfinite(l_t.real)):
                 raise ValueError(f"generator has non-finite entries at t={t}")
-            block = rk4(block, t, step)
-            t += step
+            l_end = lfn(t + step)
+            block = rk4(block, l_t, lfn(t + step / 2), l_end, step)
+            t, l_t = t + step, l_end
         rho = unvec(block[:, 0], d)
         drift = max(drift, abs(np.trace(rho).real - np.trace(rho0).real))
         states.append(rho)

@@ -3,14 +3,13 @@ master equations with nonnegative rates, and measurement-based pure
 unravellings of the collision and static-register models.
 
 Randomness is counter-based: every trajectory owns a Philox stream keyed by
-(master seed, trajectory index), so serial and chunked runs produce bitwise
-identical ensembles regardless of worker count.
+(master seed, trajectory index), so runs split into any number of chunks
+(``jobs``) produce bitwise identical ensembles.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .core import DensityOperator, Operator, ket
@@ -91,10 +90,27 @@ def ensembles_distinct(e1: Ensemble, e2: Ensemble, t: float,
 # Monte Carlo wave function
 # ---------------------------------------------------------------------------
 
-def _traj_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+class _Streams:
+    """The per-trajectory Philox streams of one sampler call.
+
+    ``streams(index)`` re-keys one local Philox to ``[seed mod 2^64, index]``
+    with a zero counter and an empty buffer and returns its generator, so
+    the draws equal those of ``Generator(Philox(key=[seed, index]))`` without
+    building a generator per trajectory. The returned generator is valid
+    until the next call; each sampler call owns its own ``_Streams``.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bits)
+        # a fresh state: zero counter, empty buffer; only the key changes
+        self._state = self._bits.state
+        self._state["state"]["key"][0] = seed & 0xFFFFFFFFFFFFFFFF
+
+    def __call__(self, index: int) -> np.random.Generator:
+        self._state["state"]["key"][1] = index
+        self._bits.state = self._state
+        return self._gen
 
 
 def _scan_rates(spec: LindbladSpec, t_values: np.ndarray) -> None:
@@ -141,10 +157,11 @@ def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
     d = psi0.size
     n_steps = len(step_times) - 1
     c_ops = [c for c, _ in spec.channels]
+    streams = _Streams(seed)
 
     def run_chunk(indices) -> np.ndarray:
         m = len(indices)
-        uni = np.stack([_traj_rng(seed, i).random(n_steps) for i in indices])
+        uni = np.stack([streams(i).random(n_steps) for i in indices])
         psi = np.tile(psi0, (m, 1))
         out = np.empty((m, len(grid), d), dtype=complex)
         out[:, 0] = psi
@@ -152,8 +169,8 @@ def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
             t = step_times[s]
             rates = spec.rates(t)
             h_eff = spec.hamiltonian(t).astype(complex)
-            for c, g in zip(c_ops, rates):
-                h_eff = h_eff - 0.5j * g * (c.conj().T @ c)
+            for cdc, g in zip(spec.jump_products, rates):
+                h_eff = h_eff - 0.5j * g * cdc
             jump_amps = np.stack([psi @ c.T for c in c_ops]) if c_ops else np.zeros((0, m, d))
             probs = np.stack([g * dt * np.sum(np.abs(a) ** 2, axis=1)
                               for a, g in zip(jump_amps, rates)]) if c_ops else np.zeros((0, m))
@@ -183,13 +200,7 @@ def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
                 out[:, pos] = psi
         return out
 
-    chunks = _chunked(M, jobs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(c) for c in chunks]
-    states = np.concatenate(results, axis=0)
+    states = np.concatenate([run_chunk(c) for c in _chunked(M, jobs)], axis=0)
     trajs = [Trajectory(grid, states[i], 1.0 / M, (i,)) for i in range(M)]
     return Ensemble(trajs, "mcwf-jump", seed, {"dt": dt, "M": M})
 
@@ -209,10 +220,11 @@ def mcwf_diffusive(spec: LindbladSpec, psi0, grid, M: int, seed: int,
     c_ops = [c for c, _ in spec.channels]
     n_ch = len(c_ops)
     sqrt_dt = np.sqrt(dt)
+    streams = _Streams(seed)
 
     def run_chunk(indices) -> np.ndarray:
         m = len(indices)
-        dw = np.stack([_traj_rng(seed, i).normal(size=(n_steps, n_ch))
+        dw = np.stack([streams(i).normal(size=(n_steps, n_ch))
                        for i in indices]) if n_ch else np.zeros((m, n_steps, 0))
         psi = np.tile(psi0, (m, 1))
         out = np.empty((m, len(grid), d), dtype=complex)
@@ -223,11 +235,11 @@ def mcwf_diffusive(spec: LindbladSpec, psi0, grid, M: int, seed: int,
             h = spec.hamiltonian(t)
             drift = -1j * (psi @ h.T)
             noise = np.zeros_like(psi)
-            for k, (c, g) in enumerate(zip(c_ops, rates)):
+            for k, (c, cdc, g) in enumerate(zip(c_ops, spec.jump_products, rates)):
                 if g == 0.0:
                     continue
                 cpsi = psi @ c.T
-                cdag_c_psi = psi @ (c.conj().T @ c).T
+                cdag_c_psi = psi @ cdc.T
                 ev = 2.0 * np.sum(psi.conj() * cpsi, axis=1).real   # <C + C^dag>
                 drift += -0.5 * g * (cdag_c_psi - ev[:, None] * cpsi
                                      + 0.25 * (ev ** 2)[:, None] * psi)
@@ -240,13 +252,7 @@ def mcwf_diffusive(spec: LindbladSpec, psi0, grid, M: int, seed: int,
                 out[:, pos] = psi
         return out
 
-    chunks = _chunked(M, jobs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(c) for c in chunks]
-    states = np.concatenate(results, axis=0)
+    states = np.concatenate([run_chunk(c) for c in _chunked(M, jobs)], axis=0)
     trajs = [Trajectory(grid, states[i], 1.0 / M, (i,)) for i in range(M)]
     return Ensemble(trajs, "mcwf-diffusive", seed, {"dt": dt, "M": M})
 
@@ -322,8 +328,9 @@ def collision_unravel(model, basis_per_slot=None, psi0=None,
             f"{n_branches} branches exceed the enumeration limit "
             f"{BRANCH_ENUM_LIMIT}; pass M and seed for sampled mode")
     trajs = []
+    streams = _Streams(seed)
     for i in range(M):
-        rng = _traj_rng(seed, i)
+        rng = streams(i)
         psi, rec, hist = psi0, (), [psi0]
         for k in range(n):
             outs = collide(psi, k)

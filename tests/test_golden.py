@@ -1,10 +1,15 @@
-"""Every preset's `hierarchy` JSON at seed 23 against recorded fixtures.
+"""CLI outputs against recorded fixtures.
 
-Refactors must leave every report byte-identical, `nib` and `nqib`
-included, together with the implication table, the consistency flag and
-the extras. A change that moves a fixture on purpose re-records it with
+Every preset's `hierarchy` JSON at seed 23: refactors must leave every
+report byte-identical, `nib` and `nqib` included, together with the
+implication table, the consistency flag and the extras. A change that
+moves a fixture on purpose re-records it with
 `oqmarkov hierarchy --model NAME --seed 23 --out tests/golden/hierarchy-NAME.json`
 and says why.
+
+The stochastic samplers' CSV and JSON files at seed 7 are compared byte
+for byte; `STOCHASTIC` holds the command line of each fixture, and a
+fixture is re-recorded by running it with `--out tests/golden/stochastic-NAME`.
 """
 
 import json
@@ -36,3 +41,26 @@ def test_hierarchy_matches_fixture(name, tmp_path):
     for key in ("artifact_version", "config", "implications", "consistent",
                 "extras", "timing"):
         assert dumps_canonical(new[key]) == dumps_canonical(old[key]), key
+
+
+STOCHASTIC = {
+    "mcwf-jump": ["mcwf", "--spec", "decay", "--method", "jump", "--M", "200",
+                  "--tmax", "0.2"],
+    "mcwf-diffusive": ["mcwf", "--spec", "decay", "--method", "diffusive",
+                       "--M", "200", "--tmax", "0.2"],
+    "mcsm-ou": ["mcsm", "--spec", "ou", "--M", "500"],
+    "mcsm-poisson": ["mcsm", "--spec", "poisson", "--M", "500"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOCHASTIC))
+def test_stochastic_matches_fixture(name, tmp_path):
+    stem = f"stochastic-{name}"
+    argv = STOCHASTIC[name] + ["--seed", "7", "--out", str(tmp_path / stem)]
+    files = [f"{stem}.csv", f"{stem}.json"]
+    if name == "mcsm-ou":
+        argv += ["--paths-out", str(tmp_path / f"{stem}-paths.csv")]
+        files.append(f"{stem}-paths.csv")
+    assert main(argv) == 0
+    for f in files:
+        assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oqmarkov.core import (DensityOperator, SM, SX, SY, SZ, random_density,
                            random_unitary)
+from oqmarkov.models import eternal_me
 from oqmarkov.superop import (LindbladSpec, SuperOperator, canonical_decompose,
                               choi_of, compose, dissipator, gell_mann_basis,
                               generator_from_maps, hamiltonian_superop,
@@ -301,3 +305,112 @@ class TestCanonicalDecompose:
         lbase, _ = generator_from_maps(base, 0.6, dt=2e-3)
         rates0 = canonical_decompose(lbase, tol=1e-4).rates
         assert np.allclose(rates0, rates1, atol=1e-8)
+
+
+def _random_spec(seed: int, dim: int, timed_h: bool, timed_rates: bool):
+    """Random Lindblad spec: H None, constant or oscillating; 0-3 channels
+    with constant rates or rates that cross zero."""
+    rng = np.random.default_rng(seed)
+
+    def herm():
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return (a + a.conj().T) / 2
+
+    h0, h1 = herm(), herm()
+    if timed_h:
+        hamiltonian = lambda t: h0 + math.sin(3.0 * t) * h1
+    else:
+        hamiltonian = None if rng.random() < 0.3 else h0
+    channels = []
+    for _ in range(int(rng.integers(0, 4))):
+        c = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a, b = rng.uniform(-1.0, 2.0, size=2)
+        rate = (lambda t, a=a, b=b: a + b * math.cos(t)) if timed_rates else float(a)
+        channels.append((c, rate))
+    return LindbladSpec(dim, hamiltonian, channels)
+
+
+def _reference_generator(spec, t):
+    """The generator as built before dissipators were cached."""
+    l = hamiltonian_superop(spec.hamiltonian(t))
+    for k, (c, _) in enumerate(spec.channels):
+        l = l + spec.rate(k, t) * dissipator(c).mat
+    return l
+
+
+def _reference_rk4(spec, rho0, t_grid, step):
+    """RK4 with five generator evaluations per step, as before L was
+    evaluated once per distinct time."""
+    lfn = spec.generator
+    d = rho0.shape[0]
+    block = np.concatenate([vec(rho0)[:, None], np.eye(d * d, dtype=complex)], axis=1)
+    states, maps = [unvec(block[:, 0], d)], [block[:, 1:].copy()]
+    for a, b in zip(t_grid[:-1], t_grid[1:]):
+        t = a
+        for _ in range(int(round((b - a) / step))):
+            h = step
+            k1 = lfn(t) @ block
+            k2 = lfn(t + h / 2) @ (block + h / 2 * k1)
+            k3 = lfn(t + h / 2) @ (block + h / 2 * k2)
+            k4 = lfn(t + h) @ (block + h * k3)
+            block = block + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += step
+        states.append(unvec(block[:, 0], d))
+        maps.append(block[:, 1:].copy())
+    return states, maps
+
+
+spec_params = dict(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 3),
+                   timed_h=st.booleans(), timed_rates=st.booleans())
+
+
+class TestLindbladSpecCaches:
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.floats(-2.0, 5.0), **spec_params)
+    def test_generator_equals_uncached_sum(self, seed, dim, timed_h, timed_rates, t):
+        spec = _random_spec(seed, dim, timed_h, timed_rates)
+        assert np.array_equal(spec.generator(t), _reference_generator(spec, t))
+        for (c, _), cdc in zip(spec.channels, spec.jump_products):
+            assert np.array_equal(cdc, c.conj().T @ c)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**spec_params)
+    def test_me_integrate_equals_five_evaluation_rk4(self, seed, dim, timed_h,
+                                                     timed_rates):
+        spec = _random_spec(seed, dim, timed_h, timed_rates)
+        rho0 = random_density(dim, np.random.default_rng(seed))
+        # 0.3 is not the float sum of three 0.1 steps, so the second
+        # interval starts from a freshly evaluated L.
+        grid = [0.0, 0.3, 0.5]
+        res = me_integrate(spec, rho0, grid, step=0.1)
+        states, maps = _reference_rk4(spec, rho0, grid, 0.1)
+        for got, want in zip(res.states, states):
+            assert np.array_equal(got, want)
+        for got, want in zip(res.map_family, maps):
+            assert np.array_equal(got.mat, want)
+
+    @pytest.mark.parametrize("spec", [LindbladSpec(2, None, [(SM, 2.0)]),
+                                      eternal_me().lindblad_spec()],
+                             ids=["decay", "eternal"])
+    def test_presets_equal_five_evaluation_rk4(self, spec):
+        rho0 = np.array([[0.3, 0.4], [0.4, 0.7]], dtype=complex)
+        grid = [0.0, 0.1, 0.25]
+        res = me_integrate(spec, rho0, grid, step=1e-3)
+        states, maps = _reference_rk4(spec, rho0, grid, 1e-3)
+        for got, want in zip(res.states, states):
+            assert np.array_equal(got, want)
+        for got, want in zip(res.map_family, maps):
+            assert np.array_equal(got.mat, want)
+
+    def test_constant_generator_is_built_once_and_read_only(self):
+        spec = LindbladSpec(2, 0.5 * SX, [(SM, 1.5), (SZ, 0.2)])
+        l = spec.generator(0.0)
+        assert spec.generator(3.0) is l
+        with pytest.raises(ValueError):
+            l[0, 0] = 1.0
+        timed = eternal_me().lindblad_spec()
+        assert timed.generator(0.5) is not timed.generator(0.5)
+
+    def test_non_hermitian_constant_hamiltonian_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            LindbladSpec(2, SM, [(SM, 1.0)])

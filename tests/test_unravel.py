@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oqmarkov.core import SM, SX, SZ, plus_state
 from oqmarkov.criteria import tomograph
 from oqmarkov.models import collision, eternal_me, partial_swap, static_dephasing
 from oqmarkov.superop import LindbladSpec
-from oqmarkov.unravel import (collision_unravel, ensemble_mean,
+from oqmarkov.unravel import (_Streams, collision_unravel, ensemble_mean,
                               ensembles_distinct, mcwf_diffusive,
                               mcwf_jump, static_unravel, ensemble_to_rows)
 
@@ -204,3 +205,40 @@ class TestEnsembleStatistics:
         header, rows = ensemble_to_rows(ens)
         assert header[:3] == ["time", "trajectory", "weight"]
         assert len(rows) == len(ens.trajectories) * len(ens.times)
+
+
+MASK = 0xFFFFFFFFFFFFFFFF
+
+
+def _draws(gen):
+    """A mix of draws; the odd count of 32-bit integers leaves half a
+    64-bit word buffered in the bit generator."""
+    return (gen.integers(0, 2 ** 31, size=3, dtype=np.uint32).tolist(),
+            gen.random(3).tolist(), gen.normal(size=2).tolist())
+
+
+def _fresh(seed, index):
+    key = np.array([seed & MASK, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class TestStreams:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2 ** 63), st.integers(2 ** 63, 2 ** 70),
+                          st.integers(-2 ** 64, -1)),
+           path=st.integers(0, 2 ** 31))
+    def test_rekeyed_draws_equal_fresh_philox(self, seed, path):
+        streams = _Streams(seed)
+        # trajectory keys of mcwf and collision_unravel, then the normal and
+        # jump keys of classical.mcsm
+        for index in (path, path | (1 << 32), (path + (1 << 40)) | (1 << 32)):
+            assert _draws(streams(index)) == _draws(_fresh(seed, index))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 70), a=st.integers(0, 2 ** 40),
+           b=st.integers(0, 2 ** 40))
+    def test_interleaved_trajectories_and_samplers(self, seed, a, b):
+        one, other = _Streams(seed), _Streams(seed + 1)
+        for index in (a, b, a, b):
+            assert _draws(one(index)) == _draws(_fresh(seed, index))
+            assert _draws(other(index)) == _draws(_fresh(seed + 1, index))
