@@ -22,12 +22,11 @@ import time
 
 import numpy as np
 
+from .criteria import CRITERIA
+
 ARTIFACT_VERSION = "0.1.0"
 
 USAGE_ERROR, FAILURE, OK = 2, 1, 0
-
-CRITERIA = ("fa", "qrf", "gqrf", "composability", "nib", "nqib",
-            "divisibility", "semigroup", "distinguishability", "fdd")
 
 
 def _load_config(path: str | None) -> dict:
@@ -58,71 +57,18 @@ def _seed_from(args, cfg) -> int:
 
 
 def _parse_grid(text: str) -> list:
+    """Times from `start:stop:step` or a comma list."""
     if ":" in text:
         start, stop, step = (float(x) for x in text.split(":"))
-        n = int(round((stop - start) / step))
-        return [start + i * step for i in range(n + 1)]
-    return [float(x) for x in text.split(",")]
-
-
-def _run_criterion(name: str, model, args, cfg, seed: int):
-    from .criteria import (check_composability, check_distinguishability,
-                           check_divisibility, check_fa, check_fdd, check_gqrf,
-                           check_nib, check_nqib, check_qrf, check_semigroup,
-                           map_family)
-    t0 = float(_merged(args, cfg, "t0", 0.0))
-    t1 = float(_merged(args, cfg, "t1", 1.0))
-    t2 = float(_merged(args, cfg, "t2", 2.0))
-    tol = _merged(args, cfg, "tol")
-    grid_text = _merged(args, cfg, "grid")
-    grid = _parse_grid(grid_text) if grid_text else None
-
-    from .models import MapFamilyModel
-    env_based = {"fa", "qrf", "gqrf", "composability", "nib", "nqib", "fdd"}
-    if isinstance(model, MapFamilyModel) and name in env_based:
-        from .criteria import CriterionReport
-        return CriterionReport(name, "inconclusive", {}, tol or 1e-9, "none",
-                               reason="model is specified by its map family alone")
-    base_tol = getattr(model, "check_tol", None)
-    if tol is None and base_tol is not None and name not in ("fa",):
-        tol = base_tol
-
-    def family(default_grid):
-        return map_family(model, grid if grid is not None else default_grid)
-
-    if name == "fa":
-        return check_fa(model, times=(t1, t2), tol=tol or 1e-7)
-    if name == "qrf":
-        return check_qrf(model, time_pairs=((t1, t2),), tol=tol or 1e-8)
-    if name == "gqrf":
-        return check_gqrf(model, time_sets=((t1, (t1 + t2) / 2, t2),), tol=tol or 1e-8)
-    if name == "composability":
-        return check_composability(model, [(t0, t1, t2)], tol=tol or 1e-8)
-    if name == "nib":
-        return check_nib(model, (t0, t1, t2), tol=tol or 1e-6)
-    if name == "nqib":
-        channel = model.breaking_channel(t1) if hasattr(model, "breaking_channel") else None
-        return check_nqib(model, (t0, t1, t2), channel, tol=tol or 1e-9)
-    if name == "divisibility":
-        return check_divisibility(family(np.arange(0.0, 3.01, 0.5)), tol=tol or 1e-9)
-    if name == "semigroup":
-        if hasattr(model, "map"):
-            map_at = model.map
-        elif getattr(model, "analytic_map_available", False):
-            map_at = lambda tau: model.analytic_map(model.t0, model.t0 + tau)
-        else:
-            from .criteria import tomograph
-            map_at = lambda tau: tomograph(model, model.t0, model.t0 + tau)
-        return check_semigroup(map_at, [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0)],
-                               tol=tol or 1e-9)
-    if name == "distinguishability":
-        return check_distinguishability(family(np.arange(0.0, 3.01, 0.5)),
-                                        seed=seed, tol=tol or 1e-9)
-    if name == "fdd":
-        from .core import PAULIS
-        echo = ([PAULIS["X"], PAULIS["X"]], [t2 / 2, t2])
-        return check_fdd(model, [echo], tol=tol or 1e-7)
-    raise KeyError(name)
+        n = int(round((stop - start) / step)) if step > 0 and math.isfinite(stop - start) else -1
+        grid = [start + i * step for i in range(n + 1)]
+    else:
+        grid = [float(x) for x in text.split(",")]
+    if not grid or not all(map(math.isfinite, grid)) \
+            or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"grid '{text}' is not a non-empty, strictly increasing list "
+                         "of finite times (a step must be positive)")
+    return grid
 
 
 def _emit(args, cfg, payload, out_default: str):
@@ -146,6 +92,7 @@ def _emit(args, cfg, payload, out_default: str):
 
 
 def cmd_analyze(args) -> int:
+    from .criteria import criterion_settings, run_criterion
     from .models import make_model, PRESETS
     cfg = _load_config(args.config)
     model_name = _merged(args, cfg, "model")
@@ -162,8 +109,15 @@ def cmd_analyze(args) -> int:
         return USAGE_ERROR
     seed = _seed_from(args, cfg)
     model = make_model(model_name)
+    grid_text, tol = _merged(args, cfg, "grid"), _merged(args, cfg, "tol")
+    if tol is not None and not 0 <= float(tol) < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     started = time.perf_counter()
-    reports = [_run_criterion(c, model, args, cfg, seed) for c in names]
+    settings = criterion_settings(
+        model, names, times=[_merged(args, cfg, k) for k in ("t0", "t1", "t2")],
+        grid=_parse_grid(grid_text) if grid_text else None,
+        tol=None if tol is None else float(tol))
+    reports = [run_criterion(c, model, settings[c], seed) for c in names]
     payload = {
         "artifact_version": ARTIFACT_VERSION,
         "config": {"command": "analyze", "model": model_name,

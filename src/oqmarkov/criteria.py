@@ -12,6 +12,7 @@ in the report records exactly what was sampled.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Callable
@@ -461,8 +462,9 @@ class _AffineResidual:
         diff, outs = self._pieces(x)
         z = diff.reshape(-1)
         az = np.abs(z)
-        # |z|: Re(conj z dz)/|z|, with dz = -D_k; zero is a subgradient at z = 0
-        phase = np.divide(z, az, out=np.zeros_like(z), where=az > 0)
+        # |z|: Re(conj z dz)/|z|, with dz = -D_k; zero is a subgradient at z = 0,
+        # and is taken at subnormal |z| too, where z/|z| overflows
+        phase = np.divide(z, az, out=np.zeros_like(z), where=az >= np.finfo(float).tiny)
         g_entry = -np.real(phase.conj() * self.dirs.reshape(len(x), -1))
         # 0.5 ||O||_1 with O = U S V^dag: 0.5 Re Tr(V U^dag dO)
         u, s, vh = np.linalg.svd(outs)
@@ -476,7 +478,10 @@ class _AffineResidual:
         and over the simplex >= f_p(x) - g_p.x + min_j (g_p)_j."""
         f, g = self.subgradients(x)
         floor = -np.linalg.norm(g, axis=1) if self.feasible == "ball" else np.min(g, axis=1)
-        return float(np.max(f - g @ x + floor))
+        cut = float(np.max(f - g @ x + floor))
+        if not math.isfinite(cut):
+            raise FloatingPointError(f"non-finite subgradient cut {cut} at {x}")
+        return cut
 
 
 def _check_nib_convex(model: JointModel, time_triple, cands, tol: float) -> CriterionReport:
@@ -799,61 +804,22 @@ def _check_implications(reports: dict) -> tuple[list, bool]:
 
 
 def hierarchy_report(model, seed: int = 23) -> HierarchyReport:
-    """Run every applicable checker on a preset model with its preset grids
-    and verify that no implication edge is violated by the verdicts."""
-    name = getattr(model, "name", None)
+    """Run every checker a preset model declares in MODEL_SETTINGS and
+    verify that no implication edge is violated by the verdicts."""
     if isinstance(model, str):
         from .models import make_model
-        name = model
-        model = make_model(name)
-    builder = _HIERARCHY_PRESETS.get(name)
-    if builder is None:
-        raise KeyError(f"no hierarchy preset for model '{name}'")
-    reports, extras = builder(model, seed)
+        model = make_model(model)
+    reports = {name: run_criterion(name, model, s, seed)
+               for name, s in criterion_settings(model).items()}
+    extras = MODEL_SETTINGS[model.name].get("extras", lambda m: {})(model)
     implications, consistent = _check_implications(reports)
-    return HierarchyReport(name, reports, implications, consistent, extras)
-
-
-def _hier_collision(model, seed):
-    tol = 1e-9
-    bounds = [float(t) for t in model.slot_times]
-    grid = bounds
-    family = map_family(model, grid)
-    cache = {t: e for t, e in family}
-
-    def map_at(tau):
-        t = model.t0 + tau
-        if any(abs(t - b) < 1e-9 for b in bounds):
-            return cache.setdefault(t, tomograph(model, model.t0, t))
-        return None
-
-    reports = {}
-    reports["fa"] = check_fa(model, times=bounds[1:3], tol=1e-7)
-    tp = [(bounds[1], bounds[2]), (bounds[1], bounds[3]), (bounds[2], bounds[4])]
-    reports["qrf"] = check_qrf(model, time_pairs=tp, tol=tol)
-    reports["gqrf"] = check_gqrf(model, time_sets=(tuple(bounds[1:4]),), tol=tol)
-    triples = [(bounds[0], bounds[1], bounds[2]), (bounds[0], bounds[2], bounds[4]),
-               (bounds[0], bounds[3], bounds[6] if len(bounds) > 6 else bounds[-1])]
-    reports["composability"] = check_composability(model, triples, tol)
-    reports["nib"] = check_nib(model, triples[1], tol=tol)
-    povm, states = _collision_past_channel(model, bounds[2])
-    reports["nqib"] = check_nqib(model, triples[1], (povm, states), tol)
-    reports["divisibility"] = check_divisibility(family, tol)
-    pairs = [(1.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
-    reports["semigroup"] = check_semigroup(map_at, pairs, tol)
-    reports["distinguishability"] = check_distinguishability(family, seed=seed, tol=tol)
-    rng = np.random.default_rng(seed)
-    from .core import random_unitary
-    seqs = [([random_unitary(model.dim_s, rng) for _ in bounds[1:4]], list(bounds[1:4])),
-            ([PAULIS["X"], PAULIS["X"]], [bounds[1], bounds[2]])]
-    reports["fdd"] = check_fdd(model, seqs, tol)
-    return reports, {}
+    return HierarchyReport(model.name, reports, implications, consistent, extras)
 
 
 def _collision_past_channel(model, t1):
     """Measure the already-used ancillas projectively and re-prepare the
     measured state with fresh states on the untouched slots."""
-    k_past = int(round(t1 - model.slot_times[0]))
+    k_past = int(np.searchsorted(model.slot_times, t1 - 1e-9))
     da, n = model.dim_a, model.n_slots
     anc = model.ancilla_vector()
     fresh_future = None
@@ -871,116 +837,202 @@ def _collision_past_channel(model, t1):
     return povm, states
 
 
-def _hier_afl(model, seed):
-    tol = 1e-5   # grid-limited model: tolerance set by its quadrature error
-    times = (0.2, 0.5, 1.0)
-    tp = [(a, b) for a, b in itertools.combinations(times, 2)]
-    reports = {}
-    reports["fa"] = check_fa(model, times=(0.25, 0.5), tol=1e-7)
-    reports["qrf"] = check_qrf(model, time_pairs=tp, tol=tol)
-    reports["gqrf"] = check_gqrf(model, time_sets=((0.5, 1.0, 1.5),), tol=tol)
-    triples = [(0.0, 0.5, 1.0), (0.0, 0.2, 0.7)]
-    reports["composability"] = check_composability(model, triples, tol, analytic=False)
-    reports["nib"] = check_nib(model, (0.0, 0.5, 1.0), tol=tol)
-    grid = np.arange(0.0, 2.01, 0.25)
-    family = map_family(model, grid, analytic=False)
-    reports["divisibility"] = check_divisibility(family, tol)
-    reports["semigroup"] = check_semigroup(
-        lambda tau: model.dephasing_map(0.0, tau, analytic=False),
-        [(0.2, 0.3), (0.5, 0.5), (0.5, 1.0)], tol)
-    reports["distinguishability"] = check_distinguishability(family, seed=seed, tol=tol)
-    echo = ([PAULIS["X"], PAULIS["X"]], [0.5, 1.0])
-    reports["fdd"] = check_fdd(model, [echo], tol)
-    extras = {"echo_effect": dd_effectiveness(model, *echo)}
-    return reports, extras
-
-
-def _hier_tam(model, seed):
-    tol = 1e-8
-    grid = [0.0, 0.5, 1.0, 1.5, 2.0]
-    family = map_family(model, grid)
-    reports = {}
-    reports["fa"] = check_fa(model, times=(0.5, 1.0), tol=1e-7)
-    reports["qrf"] = check_qrf(model, time_pairs=((0.5, 1.0), (1.0, 2.0)), tol=tol)
-    reports["gqrf"] = check_gqrf(model, time_sets=((0.5, 1.0, 1.5),), tol=tol)
-    reports["composability"] = check_composability(model, [(0.0, 0.5, 1.0), (0.0, 1.0, 2.0)], tol)
-    reports["nib"] = check_nib(model, (0.0, 1.0, 2.0), tol=1e-4)
-    reports["divisibility"] = check_divisibility(family, tol=1e-7)
-    reports["semigroup"] = check_semigroup(lambda tau: model.analytic_map(0.0, tau),
-                                           [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0)], tol=1e-9)
-    reports["distinguishability"] = check_distinguishability(family, seed=seed, tol=1e-9)
-    return reports, {}
-
-
-def _hier_nqib(model, seed):
-    tol = 1e-9
-    two_pi = 2 * math.pi
-    reports = {}
-    times = np.linspace(0.0, two_pi, 21)[1:]
-    negs = []
-    plus = _default_rho0(2)
-    for t in times:
-        negs.append(branch_negativity(model.joint_branches(plus, t), (2, 2), psd_tol=1e-8))
-    reports["fa"] = check_fa(model, times=(math.pi / 2, math.pi), tol=1e-7)
-    reports["qrf"] = check_qrf(model, time_pairs=((math.pi, two_pi),), tol=tol)
-    reports["composability"] = check_composability(
-        model, [(0.0, math.pi, two_pi)], tol)
-    reports["nib"] = check_nib(model, (0.0, math.pi, two_pi), tol=1e-6)
-    reports["nqib"] = check_nqib(model, (0.0, math.pi, two_pi),
-                                 model.breaking_channel(math.pi), tol)
-    grid = np.linspace(0.0, two_pi, 9)
-    family = map_family(model, grid)
-    reports["divisibility"] = check_divisibility(family, tol=1e-7)
-    reports["distinguishability"] = check_distinguishability(family, seed=seed, tol=1e-9)
-    extras = {"max_negativity_over_time": float(max(negs))}
-    return reports, extras
-
-
-def _hier_static(model, seed):
-    tol = 1e-9
-    reports = {}
-    reports["fa"] = check_fa(model, times=(0.5, 1.0), tol=1e-7)
-    reports["qrf"] = check_qrf(model, time_pairs=((0.4, 0.9), (0.6, 1.1)), tol=tol)
-    reports["gqrf"] = check_gqrf(model, time_sets=((0.4, 0.8, 1.2),), tol=tol)
-    reports["composability"] = check_composability(model, [(0.0, 0.4, 0.9), (0.0, 0.7, 1.3)], tol)
-    reports["nib"] = check_nib(model, (0.0, 0.7, 1.3), tol=1e-6)
-    grid = np.arange(0.0, 2.01, 0.25)
-    family = map_family(model, grid)
-    reports["divisibility"] = check_divisibility(family, tol=1e-7)
-    reports["distinguishability"] = check_distinguishability(family, seed=seed, tol=1e-9)
-    echo = ([PAULIS["X"], PAULIS["X"]], [0.5, 1.0])
-    reports["fdd"] = check_fdd(model, [echo], tol=1e-7)
-    eff = dd_effectiveness(model, *echo)
+def _check_pu(model, times, tol: float) -> CriterionReport:
+    """The register-basis pure unravelling's exact branch sum must reproduce
+    the map's output at every time."""
     from .unravel import static_unravel, ensemble_mean
-    ens = static_unravel(model, times=(0.5, 1.0))
+    ens = static_unravel(model, times=times)
     dev = 0.0
-    for t in (0.5, 1.0):
+    for t in times:
         mean = ensemble_mean(ens, t).mat
         target = tomograph(model, model.t0, t)(_default_rho0(model.dim_s))
         dev = max(dev, float(np.max(np.abs(mean - target))))
-    reports["pu"] = CriterionReport(
-        "pu", PASS if dev <= 1e-12 else FAIL, {"mean_deviation": dev}, 1e-12,
-        "register-basis unravelling, exact branch sum")
-    extras = {"spin_echo": eff}
-    return reports, extras
+    return CriterionReport("pu", PASS if dev <= tol else FAIL, {"mean_deviation": dev},
+                           tol, "register-basis unravelling, exact branch sum")
 
 
-def _hier_eternal(model, seed):
-    grid = np.arange(0.0, 3.01, 0.5)
-    family = map_family(model, grid)
-    reports = {}
-    reports["divisibility"] = check_divisibility(family, tol=1e-9)
-    reports["semigroup"] = check_semigroup(model.map, [(0.5, 0.5), (0.5, 1.0), (1.0, 2.0)],
-                                           tol=1e-9)
-    reports["distinguishability"] = check_distinguishability(family, seed=seed, tol=1e-9)
-    return reports, {}
+# ---------------------------------------------------------------------------
+# Declared checker settings
+# ---------------------------------------------------------------------------
 
+CRITERIA = ("fa", "qrf", "gqrf", "composability", "nib", "nqib",
+            "divisibility", "semigroup", "distinguishability", "fdd")
 
-_HIERARCHY_PRESETS = {
-    "collision": _hier_collision,
-    "afl": _hier_afl,
-    "tam": _hier_tam,
-    "nqib": _hier_nqib,
-    "static-dephasing": _hier_static,
-    "eternal": _hier_eternal,
+_ENV_BASED = ("fa", "qrf", "gqrf", "composability", "nib", "nqib", "fdd")
+
+# the fields a given window time replaces, and that count slot boundaries
+# on a model with `slots`
+_TIME_FIELDS = ("times", "time_pairs", "time_sets", "triples", "triple", "sequences")
+
+_X = PAULIS["X"]
+_ECHO = ((_X, _X), (0.5, 1.0))      # pulses and pulse times of a Hahn echo
+
+# The context each preset's verdicts are reached in. Per model: the
+# map-family grid, `analytic=False` where maps come from the model's
+# numerics rather than its formula, a `tol` for every criterion without its
+# own (declared or not), `slots` where times (and durations) are slot
+# numbers read through `model.slot_times`, and the hierarchy report's
+# `extras`. Per criterion:
+# its times, tolerance, and operator or pulse sets ("random": a Haar unitary
+# drawn from the run's seed).
+MODEL_SETTINGS = {
+    "collision": dict(
+        slots=True, tol=1e-9, grid=(0, 1, 2, 3, 4, 5, 6),
+        fa=dict(times=(1, 2), tol=1e-7),
+        qrf=dict(time_pairs=((1, 2), (1, 3), (2, 4))),
+        gqrf=dict(time_sets=((1, 2, 3),)),
+        composability=dict(triples=((0, 1, 2), (0, 2, 4), (0, 3, 6))),
+        nib=dict(triple=(0, 2, 4)),
+        nqib=dict(triple=(0, 2, 4), channel=_collision_past_channel),
+        divisibility={}, distinguishability={},
+        semigroup=dict(pairs=((1, 1), (1, 2), (2, 3))),
+        fdd=dict(sequences=((("random",) * 3, (1, 2, 3)), ((_X, _X), (1, 2))))),
+    "afl": dict(
+        tol=1e-5,    # no lower: the quadrature error of the discretized bath
+        grid=np.arange(0.0, 2.01, 0.25), analytic=False,
+        fa=dict(times=(0.25, 0.5), tol=1e-7),
+        qrf=dict(time_pairs=((0.2, 0.5), (0.2, 1.0), (0.5, 1.0))),
+        gqrf=dict(time_sets=((0.5, 1.0, 1.5),)),
+        composability=dict(triples=((0.0, 0.5, 1.0), (0.0, 0.2, 0.7))),
+        nib=dict(triple=(0.0, 0.5, 1.0)),
+        divisibility={}, distinguishability={},
+        semigroup=dict(pairs=((0.2, 0.3), (0.5, 0.5), (0.5, 1.0)),
+                       source=lambda model, tau: model.dephasing_map(0.0, tau, analytic=False)),
+        fdd=dict(sequences=(_ECHO,)),
+        extras=lambda model: {"echo_effect": dd_effectiveness(model, *_ECHO)}),
+    "tam": dict(
+        grid=(0.0, 0.5, 1.0, 1.5, 2.0),
+        fa=dict(times=(0.5, 1.0), tol=1e-7),
+        qrf=dict(time_pairs=((0.5, 1.0), (1.0, 2.0)), tol=1e-8),
+        gqrf=dict(time_sets=((0.5, 1.0, 1.5),), tol=1e-8),
+        composability=dict(triples=((0.0, 0.5, 1.0), (0.0, 1.0, 2.0)), tol=1e-8),
+        nib=dict(triple=(0.0, 1.0, 2.0), tol=1e-4),
+        divisibility=dict(tol=1e-7),
+        semigroup=dict(pairs=((0.5, 0.5), (0.5, 1.0), (1.0, 1.0)), tol=1e-9),
+        distinguishability=dict(tol=1e-9)),
+    "nqib": dict(
+        grid=np.linspace(0.0, 2 * math.pi, 9),
+        fa=dict(times=(math.pi / 2, math.pi), tol=1e-7),
+        qrf=dict(time_pairs=((math.pi, 2 * math.pi),), tol=1e-9),
+        composability=dict(triples=((0.0, math.pi, 2 * math.pi),), tol=1e-9),
+        nib=dict(triple=(0.0, math.pi, 2 * math.pi), tol=1e-6),
+        nqib=dict(triple=(0.0, math.pi, 2 * math.pi), tol=1e-9),
+        divisibility=dict(tol=1e-7),
+        distinguishability=dict(tol=1e-9),
+        extras=lambda model: {"max_negativity_over_time": float(max(
+            branch_negativity(model.joint_branches(_default_rho0(2), t), (2, 2), psd_tol=1e-8)
+            for t in np.linspace(0.0, 2 * math.pi, 21)[1:]))}),
+    "static-dephasing": dict(
+        tol=1e-9, grid=np.arange(0.0, 2.01, 0.25),
+        fa=dict(times=(0.5, 1.0), tol=1e-7),
+        qrf=dict(time_pairs=((0.4, 0.9), (0.6, 1.1))),
+        gqrf=dict(time_sets=((0.4, 0.8, 1.2),)),
+        composability=dict(triples=((0.0, 0.4, 0.9), (0.0, 0.7, 1.3))),
+        nib=dict(triple=(0.0, 0.7, 1.3), tol=1e-6),
+        divisibility=dict(tol=1e-7), distinguishability={},
+        fdd=dict(sequences=(_ECHO,), tol=1e-7),
+        pu=dict(times=(0.5, 1.0), tol=1e-12),
+        extras=lambda model: {"spin_echo": dd_effectiveness(model, *_ECHO)}),
+    "eternal": dict(
+        tol=1e-9, grid=np.arange(0.0, 3.01, 0.5),
+        divisibility={}, distinguishability={},
+        semigroup=dict(pairs=((0.5, 0.5), (0.5, 1.0), (1.0, 2.0)))),
 }
+
+# tolerance of a criterion that neither the model nor its entry sets
+_WINDOW_TOL = dict(fa=1e-7, qrf=1e-8, gqrf=1e-8, composability=1e-8, nib=1e-6,
+                   nqib=1e-9, divisibility=1e-9, semigroup=1e-9,
+                   distinguishability=1e-9, fdd=1e-7)
+
+
+def _window(t0: float, t1: float, t2: float) -> dict:
+    """Settings of every criterion on the single window t0 < t1 < t2."""
+    return dict(fa=dict(times=(t1, t2)),
+                qrf=dict(time_pairs=((t1, t2),)),
+                gqrf=dict(time_sets=((t1, (t1 + t2) / 2, t2),)),
+                composability=dict(triples=((t0, t1, t2),)),
+                nib=dict(triple=(t0, t1, t2)),
+                nqib=dict(triple=(t0, t1, t2)),
+                semigroup=dict(pairs=((0.5, 0.5), (0.5, 1.0), (1.0, 1.0))),
+                fdd=dict(sequences=(((_X, _X), (t2 / 2, t2)),)))
+
+
+def _on_slots(value, slot_times):
+    """Slot numbers, also nested in tuples, as slot boundary times."""
+    if isinstance(value, int):
+        return float(slot_times[value])
+    if isinstance(value, tuple):
+        return tuple(_on_slots(v, slot_times) for v in value)
+    return value
+
+
+def criterion_settings(model, names=None, times=(None, None, None), grid=None,
+                       tol=None) -> dict:
+    """Settings of each named criterion (default: every one the preset model
+    declares) on the model. A criterion the model does not declare runs on
+    the window t0, t1, t2 = `times`, each 0, 1, 2 where not given; a given
+    time puts that window's times in place of a declared entry's. `grid`
+    replaces the map-family grid and `tol` every tolerance."""
+    table = MODEL_SETTINGS[model.name]
+    if names is None:
+        names = [k for k in CRITERIA + ("pu",) if k in table]
+    window = _window(*(d if t is None else float(t) for t, d in zip(times, (0.0, 1.0, 2.0))))
+    slots = model.slot_times if table.get("slots") else None
+    if grid is None:
+        grid = table["grid"] if slots is None else _on_slots(table["grid"], slots)
+    analytic = table.get("analytic")
+    family = functools.cache(lambda: map_family(model, grid, analytic))
+    out = {}
+    for name in names:
+        s = dict(table[name] if name in table else window.get(name, {}))
+        if slots is not None and name in table:
+            s.update({k: _on_slots(v, slots) for k, v in s.items() if k in _TIME_FIELDS})
+            if "pairs" in s:    # durations: slot counts
+                s["pairs"] = _on_slots(s["pairs"], slots - slots[0])
+        if any(t is not None for t in times):
+            s.update((k, v) for k, v in window.get(name, {}).items() if k in _TIME_FIELDS)
+        default = s.get("tol", table.get("tol", _WINDOW_TOL.get(name)))
+        s["tol"] = default if tol is None else tol
+        s.update(analytic=analytic, family=family)
+        out[name] = s
+    return out
+
+
+def run_criterion(name: str, model, settings: dict, seed: int) -> CriterionReport:
+    """Run one criterion's checker on a model at the settings that
+    criterion_settings resolved for it."""
+    s, tol = settings, settings["tol"]
+    if isinstance(model, MapFamilyModel) and name in _ENV_BASED:
+        return CriterionReport(name, INCONCLUSIVE, {}, tol, "none",
+                               reason="model is specified by its map family alone")
+    if name == "fa":
+        return check_fa(model, times=s["times"], tol=tol)
+    if name == "qrf":
+        return check_qrf(model, time_pairs=s["time_pairs"], tol=tol)
+    if name == "gqrf":
+        return check_gqrf(model, time_sets=s["time_sets"], tol=tol)
+    if name == "composability":
+        return check_composability(model, s["triples"], tol, analytic=s["analytic"])
+    if name == "nib":
+        return check_nib(model, s["triple"], tol=tol)
+    if name == "nqib":
+        t1 = s["triple"][1]
+        channel = (s["channel"](model, t1) if "channel" in s else
+                   model.breaking_channel(t1) if hasattr(model, "breaking_channel") else None)
+        return check_nqib(model, s["triple"], channel, tol)
+    if name == "divisibility":
+        return check_divisibility(s["family"](), tol)
+    if name == "semigroup":
+        source = s.get("source", lambda m, tau: map_family(m, [m.t0 + tau], s["analytic"])[0][1])
+        return check_semigroup(functools.partial(source, model), s["pairs"], tol)
+    if name == "distinguishability":
+        return check_distinguishability(s["family"](), seed=seed, tol=tol)
+    if name == "fdd":
+        from .core import random_unitary
+        rng = np.random.default_rng(seed)
+        seqs = [([random_unitary(model.dim_s, rng) if isinstance(p, str) else p
+                  for p in pulses], list(ts)) for pulses, ts in s["sequences"]]
+        return check_fdd(model, seqs, tol)
+    if name == "pu":
+        return _check_pu(model, s["times"], tol)
+    raise KeyError(name)

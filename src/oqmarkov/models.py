@@ -60,10 +60,6 @@ class JointModel:
     def propagator(self, t1: float, t2: float) -> Operator:
         raise NotImplementedError(f"{self.name}: dense propagator unavailable")
 
-    @property
-    def has_dense_propagator(self) -> bool:
-        return self.dim_s * self.dim_e <= DENSE_JOINT_LIMIT
-
     def apply_propagator(self, t1: float, t2: float, joint: np.ndarray) -> np.ndarray:
         return self.propagator(t1, t2).mat @ joint
 
@@ -226,8 +222,6 @@ class AflModel(IdentityFrameModel):
     name = "afl"
     env_kind = "grid"
     analytic_map_available = True
-    check_tol = 1e-5    # grid-limited: checker tolerances cannot go below
-                        # the quadrature error of the discretized bath
 
     def __init__(self, gamma: float = 1.0, g: float = 2.0, n_points: int = 4001,
                  cutoff: float | None = None, taper_start: float | None = None,
@@ -282,10 +276,6 @@ class AflModel(IdentityFrameModel):
         m[0] *= phase          # sigma_z eigenvalue +1
         m[1] *= phase.conj()   # sigma_z eigenvalue -1
         return m.reshape(-1)
-
-    @property
-    def has_dense_propagator(self) -> bool:
-        return False
 
     def dephasing_map(self, t1: float, t2: float, analytic: bool = True) -> SuperOperator:
         chi = self.chi_exact if analytic else self.chi_grid

@@ -104,6 +104,59 @@ class TestAnalyze:
         assert payload["config"]["seed"] == 99
 
 
+
+class TestAnalyzeSettings:
+    """`analyze` runs the model's declared settings; flags override them."""
+
+    def reports(self, tmp_path, argv):
+        out = tmp_path / "r.json"
+        assert run(["analyze"] + argv + ["--out", str(out)]) == 0
+        return {r["criterion"]: r for r in json.loads(out.read_text())["reports"]}
+
+    def test_explicit_zero_tolerance_is_kept(self, tmp_path):
+        rep = self.reports(tmp_path, ["--model", "tam", "--criteria", "qrf", "--tol", "0"])
+        assert rep["qrf"]["tolerance"] == 0.0
+
+    def test_tolerance_flag_replaces_declared_tolerance(self, tmp_path):
+        rep = self.reports(tmp_path, ["--model", "tam", "--criteria", "nib,divisibility",
+                                      "--tol", "1e-3"])
+        assert rep["nib"]["tolerance"] == rep["divisibility"]["tolerance"] == 1e-3
+
+    @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf", "-inf"])
+    def test_bad_tolerance_exit_2(self, tmp_path, tol):
+        assert run(["analyze", "--model", "tam", "--criteria", "qrf", f"--tol={tol}",
+                    "--out", str(tmp_path / "x.json")]) == 2
+
+    def test_bad_tolerance_in_config_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "tam", "criteria": "qrf", "tol": -1.0}))
+        assert run(["analyze", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.5", "1:0:0.5", "0:inf:1",
+                                      "0,1,1", "1,0.5", "0,nan"])
+    def test_bad_grid_exit_2(self, tmp_path, grid):
+        assert run(["analyze", "--model", "eternal", "--criteria", "divisibility",
+                    f"--grid={grid}", "--out", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("grid,n_maps", [("0:2:0.5", 5), ("0,0.5,1", 3)])
+    def test_grid_flag_replaces_declared_grid(self, tmp_path, grid, n_maps):
+        rep = self.reports(tmp_path, ["--model", "eternal", "--criteria",
+                                      "divisibility", "--grid", grid])
+        assert rep["divisibility"]["grid"].startswith(f"{n_maps} grid maps")
+
+    def test_time_flag_replaces_declared_times_only(self, tmp_path):
+        rep = self.reports(tmp_path, ["--model", "tam", "--criteria", "nib", "--t1", "0.5"])
+        assert rep["nib"]["grid"].startswith("triple=[0.0, 0.5, 2.0]")
+        assert rep["nib"]["tolerance"] == 1e-4    # tam's declared nib tolerance
+
+    def test_undeclared_criterion_runs_on_the_window(self, tmp_path):
+        rep = self.reports(tmp_path, ["--model", "tam", "--criteria", "nqib"])
+        assert rep["nqib"]["grid"] == "triple=[0.0, 1.0, 2.0]"
+        rep = self.reports(tmp_path, ["--model", "tam", "--criteria", "nqib", "--t2", "3"])
+        assert rep["nqib"]["grid"] == "triple=[0.0, 1.0, 3.0]"
+        assert rep["nqib"]["verdict"] == "inconclusive"
+
+
 class TestHierarchy:
     def test_nqib_table(self, tmp_path):
         out = tmp_path / "h.json"

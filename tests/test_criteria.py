@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oqmarkov.core import (PAULIS, SX, ket, plus_state, random_density,
                            random_pure, random_unitary)
@@ -306,6 +306,9 @@ class TestNibConvex:
     @settings(max_examples=30, deadline=None)
     @given(factory=st.sampled_from([tam, nqib_qubit]), x=bloch_vectors,
            y=bloch_vectors, t1=st.floats(0.05, 2.0), dt=st.floats(0.1, 2.0))
+    # subnormal residual entries, where z/|z| overflowed and the cut was nan
+    @example(factory=tam, x=np.array([0.0, 2.2250738585072014e-308, 0.0]),
+             y=np.zeros(3), t1=1.0, dt=1.0)
     def test_cut_at_any_point_bounds_every_state(self, factory, x, y, t1, dt):
         from oqmarkov.criteria import (_AffineResidual, _nib_coordinates,
                                        _signed_branches, replacement_map)
@@ -329,6 +332,15 @@ class TestNibConvex:
         rep = check_nib(model, (0.0, t1, t2), tol=1e-6)
         assert rep.witnesses["lower_bound"] <= rep.witnesses["min_residual"]
         assert rep.witnesses["lower_bound"] <= direct + 1e-12
+
+    def test_lower_bound_rejects_a_non_finite_cut(self):
+        from oqmarkov.criteria import _AffineResidual
+        res = _AffineResidual(np.zeros((4, 4), dtype=complex),
+                              [np.eye(4, dtype=complex)] * 3, 2, "ball")
+        assert np.isfinite(res.lower_bound(np.zeros(3)))
+        res.subgradients = lambda x: (np.array([np.nan]), np.zeros((1, 3)))
+        with pytest.raises(FloatingPointError):
+            res.lower_bound(np.zeros(3))
 
     def test_register_search_beats_population_grid(self):
         # three register levels with unrelated Hamiltonians: the seeds leave a
@@ -482,6 +494,22 @@ class TestHierarchy:
         echo = rep.extras["spin_echo"]
         assert abs(echo["purity_hahn"] - 1.0) < 1e-10
         assert rep.reports["gqrf"].verdict == "fail"
+
+    def test_collision_times_follow_slot_times(self):
+        from oqmarkov.criteria import criterion_settings
+        model = collision(slot_times=[0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        s = criterion_settings(model)
+        assert s["fa"]["times"] == (0.5, 1.0)
+        assert s["nib"]["triple"] == (0.0, 1.0, 2.0)
+        assert s["fdd"]["sequences"][1][1] == (0.5, 1.0)
+        assert s["semigroup"]["pairs"][2] == (1.0, 1.5)     # durations
+        assert [t for t, _ in s["divisibility"]["family"]()] == list(model.slot_times)
+        rep = hierarchy_report(model)
+        preset = hierarchy_report("collision")
+        assert ({k: r.verdict for k, r in rep.reports.items()}
+                == {k: r.verdict for k, r in preset.reports.items()})
+        # the past-ancilla channel measures the two ancillas used by t1 = 1.0
+        assert rep.reports["nqib"].grid.endswith("supplied channel with 4 outcomes")
 
     def test_nqib_negativity_extra(self):
         rep = hierarchy_report("nqib")

@@ -10,6 +10,9 @@ and says why.
 The stochastic samplers' CSV and JSON files at seed 7 are compared byte
 for byte; `STOCHASTIC` holds the command line of each fixture, and a
 fixture is re-recorded by running it with `--out tests/golden/stochastic-NAME`.
+
+`analyze` of a preset's hierarchy criteria, with no time, grid or tolerance
+flag, must reproduce the fixture's reports.
 """
 
 import json
@@ -41,6 +44,20 @@ def test_hierarchy_matches_fixture(name, tmp_path):
     for key in ("artifact_version", "config", "implications", "consistent",
                 "extras", "timing"):
         assert dumps_canonical(new[key]) == dumps_canonical(old[key]), key
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_analyze_defaults_match_hierarchy(name, tmp_path):
+    """`analyze` with no time, grid or tolerance flag runs each criterion at
+    the settings `hierarchy` runs it at, so the reports agree byte for byte
+    (`pu`, which `analyze` cannot request, aside)."""
+    old = [r for r in json.loads((GOLDEN / f"hierarchy-{name}.json").read_text())["reports"]
+           if r["criterion"] != "pu"]
+    out = tmp_path / f"{name}.json"
+    criteria = ",".join(r["criterion"] for r in old)
+    assert main(["analyze", "--model", name, "--criteria", criteria, "--seed", "23",
+                 "--out", str(out)]) == 0
+    assert dumps_canonical(json.loads(out.read_text())["reports"]) == dumps_canonical(old)
 
 
 STOCHASTIC = {
