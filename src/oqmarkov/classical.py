@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .criteria import CriterionReport, PASS, FAIL, INCONCLUSIVE
-from .unravel import _chunked, _prepare_grid, _Streams
+from .unravel import _chunked, _fill_draws, _prepare_grid, _Streams
 
 TABLE_CAP = 2 ** 20
 
@@ -390,15 +390,13 @@ def process_to_dict(process: FiniteProcess) -> dict:
 
 
 def paths_to_rows(result: "MCSMResult") -> tuple[list, list]:
-    """Header and rows for sample paths: time column first, one row per
-    (time, path) with the configuration components."""
-    m, _, dim = result.paths.shape
+    """Header and columns for sample paths: time column first, one entry per
+    (time, path), time-major, with the configuration components."""
+    m, n_times, dim = result.paths.shape
     header = ["time", "path"] + [f"x{i}" for i in range(dim)]
-    rows = []
-    for ti, t in enumerate(result.times):
-        for p in range(m):
-            rows.append([float(t), p] + [float(v) for v in result.paths[p, ti]])
-    return header, rows
+    columns = [np.repeat(result.times, m), np.tile(np.arange(m), n_times)]
+    columns += [result.paths[:, :, i].T.reshape(-1) for i in range(dim)]
+    return header, columns
 
 
 # ---------------------------------------------------------------------------
@@ -442,22 +440,21 @@ def mcsm(spec: SDESpec, x0, grid, M: int, seed: int, dt: float = 1e-3,
     """Euler-Maruyama with Bernoulli-thinned jumps, evolved in lockstep over
     the sample paths. Per-path random streams keyed by (seed, path index)
     make results bitwise seed-reproducible and independent of chunking."""
-    grid, step_times, sample_idx = _prepare_grid(grid, dt)
+    grid, step_times, slot = _prepare_grid(grid, dt)
     n_steps = len(step_times) - 1
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n_jump = len(spec.jump_rates)
     sqrt_dt = math.sqrt(dt)
     streams = _Streams(seed)
 
-    def run_chunk(idxs) -> np.ndarray:
+    def run_chunk(idxs, out: np.ndarray) -> None:
         m = len(idxs)
         # path streams are keyed apart from the trajectory streams of unravel
-        normals = np.stack([streams(i | (1 << 32)).normal(
-            size=(n_steps, spec.n_noise)) for i in idxs])
-        jumps = np.stack([streams((i + (1 << 40)) | (1 << 32)).random(
-            size=(n_steps, n_jump)) for i in idxs]) if n_jump else None
+        normals = _fill_draws(streams, [i | (1 << 32) for i in idxs],
+                              (n_steps, spec.n_noise), "standard_normal")
+        jumps = _fill_draws(streams, [(i + (1 << 40)) | (1 << 32) for i in idxs],
+                            (n_steps, n_jump), "random") if n_jump else None
         x = np.tile(x0, (m, 1))
-        out = np.empty((m, len(grid), spec.dim))
         out[:, 0] = x
         for s in range(n_steps):
             t = step_times[s]
@@ -482,12 +479,12 @@ def mcsm(spec: SDESpec, x0, grid, M: int, seed: int, dt: float = 1e-3,
                     eff = np.asarray(spec.jump_effects[j](x[fired]), dtype=float)
                     x = x.copy()
                     x[fired] += eff
-            pos = np.where(sample_idx == s + 1)[0]
-            if pos.size:
-                out[:, pos[0]] = x
-        return out
+            if slot[s + 1] >= 0:
+                out[:, slot[s + 1]] = x
 
-    paths = np.concatenate([run_chunk(c) for c in _chunked(M, jobs)], axis=0)
+    paths = np.empty((M, len(grid), spec.dim))
+    for c in _chunked(M, jobs):
+        run_chunk(c, paths[c.start:c.stop])
     mean = paths.mean(axis=0)
     var = paths.var(axis=0, ddof=1) if M > 1 else np.full_like(mean, np.nan)
     se = np.sqrt(var / M) if M > 1 else np.full_like(mean, np.nan)

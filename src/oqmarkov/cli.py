@@ -79,13 +79,10 @@ def _emit(args, cfg, payload, out_default: str):
         write_json(out, payload)
     elif fmt == "csv":
         header = ["criterion", "verdict", "tolerance", "witness", "value"]
-        rows = []
-        for rep in payload.get("reports", []):
-            for k, v in sorted(rep["witnesses"].items()):
-                if isinstance(v, (int, float)):
-                    rows.append([rep["criterion"], rep["verdict"],
-                                 rep["tolerance"], k, float(v)])
-        write_csv(out, header, rows)
+        rows = [(rep["criterion"], rep["verdict"], rep["tolerance"], k, float(v))
+                for rep in payload.get("reports", [])
+                for k, v in sorted(rep["witnesses"].items()) if isinstance(v, (int, float))]
+        write_csv(out, header, list(zip(*rows)))
     else:
         raise ValueError(f"unknown format {fmt}")
     return out
@@ -200,16 +197,15 @@ def cmd_mcwf(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
-    rows_header, rows = ensemble_to_rows(ens)
     out = _merged(args, cfg, "out", f"mcwf-{spec_name}")
-    write_csv(f"{out}.csv", rows_header, rows)
+    write_csv(f"{out}.csv", *ensemble_to_rows(ens))
     # excited-population comparison against the integrated master equation
     from .superop import me_integrate
     me = me_integrate(spec, np.outer(psi0, psi0.conj()), grid, step=dt)
     max_dev, max_sigma = 0.0, 0.0
     summary_rows = []
     for i, t in enumerate(grid):
-        pops = np.array([abs(tr.states[i][1]) ** 2 for tr in ens.trajectories])
+        pops = np.abs(ens.states[:, i, 1]) ** 2
         mean = float(pops.mean())
         se = float(pops.std(ddof=1) / math.sqrt(m)) if m > 1 else float("nan")
         target = float(np.real(me.states[i][1, 1]))
@@ -257,20 +253,19 @@ def cmd_mcsm(args) -> int:
     res = mcsm(spec, [x0], grid, m, seed, dt=dt, jobs=jobs)
     if getattr(args, "paths_out", None):
         from .classical import paths_to_rows
-        ph, prows = paths_to_rows(res)
-        write_csv(args.paths_out, ph, prows)
+        write_csv(args.paths_out, *paths_to_rows(res))
     header = ["time", "mean", "variance", "se_mean", "analytic_mean", "analytic_var"]
-    rows, max_sigma = [], 0.0
-    for i, t in enumerate(grid):
-        if spec_name == "ou":
-            am, av = ou_moments(x0, k, sigma, float(t))
-        else:
-            am, av = rate * float(t), rate * float(t)
-        rows.append([float(t), res.mean[i, 0], res.variance[i, 0], res.se_mean[i, 0], am, av])
-        if res.se_mean[i, 0] > 0:
-            max_sigma = max(max_sigma, abs(res.mean[i, 0] - am) / res.se_mean[i, 0])
+    if spec_name == "ou":
+        analytic = np.array([ou_moments(x0, k, sigma, float(t)) for t in grid])
+    else:
+        analytic = np.column_stack([rate * grid, rate * grid])
+    se = res.se_mean[:, 0]
+    resolved = se > 0
+    max_sigma = float(np.max(np.abs(res.mean[resolved, 0] - analytic[resolved, 0])
+                             / se[resolved], initial=0.0))
     out = _merged(args, cfg, "out", f"mcsm-{spec_name}")
-    write_csv(f"{out}.csv", header, rows)
+    write_csv(f"{out}.csv", header, [grid, res.mean[:, 0], res.variance[:, 0],
+                                     res.se_mean[:, 0], analytic[:, 0], analytic[:, 1]])
     summary = {"artifact_version": ARTIFACT_VERSION,
                "config": {"command": "mcsm", "spec": spec_name, "M": m, "dt": dt,
                           "tmax": t_max, "seed": seed},
@@ -297,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "outputs do not depend on it")
         sp.add_argument("--out", help="output path (or stem for csv+json pairs)")
         sp.add_argument("--format", choices=("json", "csv"))
-        sp.add_argument("--tol", type=float, help="criterion tolerance override")
         sp.add_argument("--assert-pass", action="store_true",
                         help="exit 1 if any requested criterion fails")
         sp.add_argument("--timing", action="store_true",
@@ -310,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t1", type=float)
     sp.add_argument("--t2", type=float)
     sp.add_argument("--grid", help="start:stop:step or comma list")
+    sp.add_argument("--tol", type=float, help="criterion tolerance override")
     common(sp)
     sp.set_defaults(func=cmd_analyze)
 

@@ -726,14 +726,6 @@ class EternalModel(MapFamilyModel):
         l2 = self.bloch_multipliers(t2)
         return tuple(a / b for a, b in zip(l2, l1))
 
-    def intermediate_choi_spectrum(self, t1: float, t2: float) -> np.ndarray:
-        """Closed-form Choi spectrum (trace-d normalization) of the map
-        between two times, from the Bloch multiplier ratios."""
-        lx, ly, lz = self.intermediate_multipliers(t1, t2)
-        probs = np.array([1 + lx + ly + lz, 1 + lx - ly - lz,
-                          1 - lx + ly - lz, 1 - lx - ly + lz]) / 4.0
-        return np.sort(2.0 * probs)
-
     def generator(self, t: float) -> SuperOperator:
         spec = self.lindblad_spec()
         return SuperOperator(spec.generator(t), 2)

@@ -1,7 +1,7 @@
 """Deterministic serialization: canonical JSON with fixed key order and
-17-significant-digit floats (lossless round trip for doubles), plus CSV
-writing with the same float convention. Identical inputs always produce
-byte-identical output."""
+17-significant-digit floats (lossless round trip for doubles), plus
+column-wise CSV writing with the same float convention. Identical inputs
+always produce byte-identical output."""
 
 from __future__ import annotations
 
@@ -56,16 +56,18 @@ def write_json(path, obj) -> None:
     Path(path).write_text(dumps_canonical(obj) + "\n")
 
 
-def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(f"{float(v):.17g}")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+def _csv_cells(column) -> list:
+    values = np.asarray(column)
+    if values.dtype.kind == "f":
+        return list(map("{:.17g}".format, values.tolist()))
+    return list(map(str, values.tolist()))
+
+
+def write_csv(path, header, columns) -> None:
+    """One line per row; each column is one type, floats written with 17
+    significant digits and everything else with ``str``."""
+    cells = [_csv_cells(col) for col in columns]
+    lines = [",".join(header)] + list(map(",".join, zip(*cells)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -29,17 +29,39 @@ class Trajectory:
 
 @dataclasses.dataclass
 class Ensemble:
-    trajectories: list
+    """Weighted pure-state trajectories on one time grid, stored as arrays.
+
+    ``states[i, k]`` is trajectory i's state at ``times[k]``, ``weights[i]``
+    its weight and ``records[i]`` its measurement record (by default its
+    index). ``trajectories`` builds per-trajectory views on demand.
+    """
+    times: np.ndarray           # (T,)
+    states: np.ndarray          # (M, T, d) pure states
+    weights: np.ndarray         # (M,)
     kind: str
     seed: int | None = None
     meta: dict = dataclasses.field(default_factory=dict)
+    records: np.ndarray | None = None   # (M, k) integers
+
+    def __post_init__(self):
+        if self.records is None:
+            self.records = np.arange(len(self.weights))[:, None]
 
     @property
-    def times(self) -> np.ndarray:
-        return self.trajectories[0].times
+    def trajectories(self) -> list:
+        return [Trajectory(self.times, states, weight, tuple(record))
+                for states, weight, record in zip(self.states, self.weights.tolist(),
+                                                  self.records.tolist())]
 
     def total_weight(self) -> float:
-        return float(sum(t.weight for t in self.trajectories))
+        return float(sum(self.weights.tolist()))
+
+
+def _branch_ensemble(times, branches, kind: str, seed=None, meta=None) -> Ensemble:
+    """Ensemble from (weight, state history, record) triples."""
+    return Ensemble(times, np.array([hist for _, hist, _ in branches], dtype=complex),
+                    np.array([w for w, _, _ in branches], dtype=float), kind, seed,
+                    meta or {}, np.array([rec for _, _, rec in branches], dtype=np.int64))
 
 
 def _time_index(ens: Ensemble, t: float) -> int:
@@ -49,31 +71,30 @@ def _time_index(ens: Ensemble, t: float) -> int:
     return int(idx)
 
 
+def _projectors_at(ens: Ensemble, t: float):
+    """Weights and states at a grid time, in trajectory order."""
+    if not len(ens.weights):
+        raise ValueError("empty ensemble")
+    return zip(ens.weights.tolist(), ens.states[:, _time_index(ens, t)])
+
+
 def ensemble_mean(ens: Ensemble, t: float) -> DensityOperator:
     """Weighted average of the pure-state projectors at a grid time."""
-    if not ens.trajectories:
-        raise ValueError("empty ensemble")
-    idx = _time_index(ens, t)
-    d = ens.trajectories[0].states.shape[1]
+    d = ens.states.shape[2]
     rho = np.zeros((d, d), dtype=complex)
-    for tr in ens.trajectories:
-        v = tr.states[idx]
-        rho += tr.weight * np.outer(v, v.conj())
+    for w, v in _projectors_at(ens, t):
+        rho += w * np.outer(v, v.conj())
     return DensityOperator(rho, psd_tol=1e-7, herm_tol=1e-8, trace_tol=1e-7)
 
 
 def ensemble_second_moment(ens: Ensemble, t: float) -> Operator:
     """Weighted average of projector (x) projector; distinguishes ensembles
     with equal means."""
-    if not ens.trajectories:
-        raise ValueError("empty ensemble")
-    idx = _time_index(ens, t)
-    d = ens.trajectories[0].states.shape[1]
+    d = ens.states.shape[2]
     out = np.zeros((d * d, d * d), dtype=complex)
-    for tr in ens.trajectories:
-        v = tr.states[idx]
+    for w, v in _projectors_at(ens, t):
         pi = np.outer(v, v.conj())
-        out += tr.weight * np.kron(pi, pi)
+        out += w * np.kron(pi, pi)
     return Operator(out, (d, d))
 
 
@@ -125,7 +146,11 @@ def _scan_rates(spec: LindbladSpec, t_values: np.ndarray) -> None:
 
 
 def _prepare_grid(grid, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The output grid, the integration times, and the output slot of every
+    integration step (-1 where the state is not recorded)."""
     grid = np.asarray(grid, dtype=float)
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("output grid times must be strictly increasing")
     t0, t_end = grid[0], grid[-1]
     n_steps = int(round((t_end - t0) / dt))
     if abs(n_steps * dt - (t_end - t0)) > 1e-9:
@@ -134,13 +159,24 @@ def _prepare_grid(grid, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sample_idx = np.array([int(round((t - t0) / dt)) for t in grid])
     if np.max(np.abs(step_times[sample_idx] - grid)) > 1e-9:
         raise ValueError("output grid times must sit on the integration grid")
-    return grid, step_times, sample_idx
+    slot = np.full(n_steps + 1, -1)
+    slot[sample_idx] = np.arange(len(grid))
+    return grid, step_times, slot
 
 
 def _chunked(m: int, jobs: int):
     jobs = max(1, int(jobs))
     size = (m + jobs - 1) // jobs
     return [range(i, min(i + size, m)) for i in range(0, m, size)]
+
+
+def _fill_draws(streams: _Streams, keys, shape: tuple, method: str) -> np.ndarray:
+    """One row of draws per stream key, filled in place: row i holds what
+    ``Generator(Philox(key=[seed, keys[i]])).<method>(size=shape)`` draws."""
+    out = np.empty((len(keys),) + shape)
+    for row, key in zip(out, keys):
+        getattr(streams(key), method)(out=row)
+    return out
 
 
 def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
@@ -150,7 +186,7 @@ def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
     otherwise the state evolves under the non-Hermitian effective
     Hamiltonian and is renormalized. First-order scheme; the run aborts if
     the per-step total jump probability ever reaches 0.1."""
-    grid, step_times, sample_idx = _prepare_grid(grid, dt)
+    grid, step_times, slot = _prepare_grid(grid, dt)
     _scan_rates(spec, step_times[:-1])
     psi0 = np.asarray(psi0, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
@@ -159,11 +195,10 @@ def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
     c_ops = [c for c, _ in spec.channels]
     streams = _Streams(seed)
 
-    def run_chunk(indices) -> np.ndarray:
+    def run_chunk(indices, out: np.ndarray) -> None:
         m = len(indices)
-        uni = np.stack([streams(i).random(n_steps) for i in indices])
+        uni = _fill_draws(streams, indices, (n_steps,), "random")
         psi = np.tile(psi0, (m, 1))
-        out = np.empty((m, len(grid), d), dtype=complex)
         out[:, 0] = psi
         for s in range(n_steps):
             t = step_times[s]
@@ -195,14 +230,14 @@ def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
                             amp = amp / np.linalg.norm(amp, axis=1, keepdims=True)
                             new[sel] = amp
             psi = new
-            if s + 1 in sample_idx:
-                pos = int(np.where(sample_idx == s + 1)[0][0])
-                out[:, pos] = psi
-        return out
+            if slot[s + 1] >= 0:
+                out[:, slot[s + 1]] = psi
 
-    states = np.concatenate([run_chunk(c) for c in _chunked(M, jobs)], axis=0)
-    trajs = [Trajectory(grid, states[i], 1.0 / M, (i,)) for i in range(M)]
-    return Ensemble(trajs, "mcwf-jump", seed, {"dt": dt, "M": M})
+    states = np.empty((M, len(grid), d), dtype=complex)
+    for c in _chunked(M, jobs):
+        run_chunk(c, states[c.start:c.stop])
+    return Ensemble(grid, states, np.full(M, 1.0 / M), "mcwf-jump", seed,
+                    {"dt": dt, "M": M})
 
 
 def mcwf_diffusive(spec: LindbladSpec, psi0, grid, M: int, seed: int,
@@ -211,7 +246,7 @@ def mcwf_diffusive(spec: LindbladSpec, psi0, grid, M: int, seed: int,
     diffusive stochastic state equation with one Gaussian increment per
     channel per step, renormalizing after each step. The ensemble mean
     converges to the same master-equation solution as the jump scheme."""
-    grid, step_times, sample_idx = _prepare_grid(grid, dt)
+    grid, step_times, slot = _prepare_grid(grid, dt)
     _scan_rates(spec, step_times[:-1])
     psi0 = np.asarray(psi0, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
@@ -222,12 +257,9 @@ def mcwf_diffusive(spec: LindbladSpec, psi0, grid, M: int, seed: int,
     sqrt_dt = np.sqrt(dt)
     streams = _Streams(seed)
 
-    def run_chunk(indices) -> np.ndarray:
-        m = len(indices)
-        dw = np.stack([streams(i).normal(size=(n_steps, n_ch))
-                       for i in indices]) if n_ch else np.zeros((m, n_steps, 0))
-        psi = np.tile(psi0, (m, 1))
-        out = np.empty((m, len(grid), d), dtype=complex)
+    def run_chunk(indices, out: np.ndarray) -> None:
+        dw = _fill_draws(streams, indices, (n_steps, n_ch), "standard_normal")
+        psi = np.tile(psi0, (len(indices), 1))
         out[:, 0] = psi
         for s in range(n_steps):
             t = step_times[s]
@@ -247,14 +279,14 @@ def mcwf_diffusive(spec: LindbladSpec, psi0, grid, M: int, seed: int,
                     * (dw[:, s, k] * sqrt_dt)[:, None]
             psi = psi + drift * dt + noise
             psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-            if s + 1 in sample_idx:
-                pos = int(np.where(sample_idx == s + 1)[0][0])
-                out[:, pos] = psi
-        return out
+            if slot[s + 1] >= 0:
+                out[:, slot[s + 1]] = psi
 
-    states = np.concatenate([run_chunk(c) for c in _chunked(M, jobs)], axis=0)
-    trajs = [Trajectory(grid, states[i], 1.0 / M, (i,)) for i in range(M)]
-    return Ensemble(trajs, "mcwf-diffusive", seed, {"dt": dt, "M": M})
+    states = np.empty((M, len(grid), d), dtype=complex)
+    for c in _chunked(M, jobs):
+        run_chunk(c, states[c.start:c.stop])
+    return Ensemble(grid, states, np.full(M, 1.0 / M), "mcwf-diffusive", seed,
+                    {"dt": dt, "M": M})
 
 
 # ---------------------------------------------------------------------------
@@ -318,29 +350,29 @@ def collision_unravel(model, basis_per_slot=None, psi0=None,
                 for wk, psik, m_out in collide(psi, k):
                     new.append((w * wk, psik, rec + (m_out,), hist + [psik]))
             branches = new
-        trajs = [Trajectory(times, np.stack(hist), w, rec)
-                 for w, psi, rec, hist in branches]
-        return Ensemble(trajs, "collision-exact", None,
-                        {"exact": True, "n_branches": len(trajs)})
+        return _branch_ensemble(times, [(w, hist, rec) for w, _, rec, hist in branches],
+                                "collision-exact",
+                                meta={"exact": True, "n_branches": len(branches)})
 
     if M is None or seed is None:
         raise ValueError(
             f"{n_branches} branches exceed the enumeration limit "
             f"{BRANCH_ENUM_LIMIT}; pass M and seed for sampled mode")
-    trajs = []
+    states = np.empty((M, n + 1, ds), dtype=complex)
+    records = np.empty((M, n), dtype=np.int64)
     streams = _Streams(seed)
     for i in range(M):
         rng = streams(i)
-        psi, rec, hist = psi0, (), [psi0]
+        psi = states[i, 0] = psi0
         for k in range(n):
             outs = collide(psi, k)
             ws = np.array([w for w, _, _ in outs])
             pick = int(np.searchsorted(np.cumsum(ws), rng.random() * ws.sum()))
             pick = min(pick, len(outs) - 1)
-            psi = outs[pick][1]
-            rec, hist = rec + (outs[pick][2],), hist + [psi]
-        trajs.append(Trajectory(times, np.stack(hist), 1.0 / M, rec))
-    return Ensemble(trajs, "collision-sampled", seed, {"exact": False, "M": M})
+            psi = states[i, k + 1] = outs[pick][1]
+            records[i, k] = outs[pick][2]
+    return Ensemble(times, states, np.full(M, 1.0 / M), "collision-sampled", seed,
+                    {"exact": False, "M": M}, records)
 
 
 def static_unravel(model, times, psi0=None, basis: str | np.ndarray = "register",
@@ -360,7 +392,7 @@ def static_unravel(model, times, psi0=None, basis: str | np.ndarray = "register"
     times = np.asarray(times, dtype=float)
     full_times = np.concatenate([[model.t0], times])
     if basis == "register" or basis is None:
-        trajs = []
+        branches = []
         for j in range(r):
             p = float(model.probs[j])
             if p <= 1e-14:
@@ -368,9 +400,9 @@ def static_unravel(model, times, psi0=None, basis: str | np.ndarray = "register"
             states = [psi0]
             for t in times:
                 states.append(model.sector_unitary(j, t - model.t0) @ psi0)
-            trajs.append(Trajectory(full_times, np.stack(states), p, (j,)))
-        return Ensemble(trajs, "static-register", None,
-                        {"exact": True, "basis": "register"})
+            branches.append((p, states, (j,)))
+        return _branch_ensemble(full_times, branches, "static-register",
+                                meta={"exact": True, "basis": "register"})
 
     b = _CONJUGATE if isinstance(basis, str) and basis == "conjugate" \
         else np.asarray(basis, dtype=complex)
@@ -399,10 +431,8 @@ def static_unravel(model, times, psi0=None, basis: str | np.ndarray = "register"
                             hist + [sys]))
         branches = new
         tcur = t
-    trajs = [Trajectory(full_times, np.stack(hist), w, rec)
-             for w, _, rec, hist in branches]
-    ens = Ensemble(trajs, "static-nonregister", None,
-                   {"exact": True, "basis": "custom"})
+    ens = _branch_ensemble(full_times, [(w, hist, rec) for w, _, rec, hist in branches],
+                           "static-nonregister", meta={"exact": True, "basis": "custom"})
     # mean deviation from the uninterrupted map output, per time
     from .criteria import tomograph
     dev = 0.0
@@ -420,17 +450,15 @@ def static_unravel(model, times, psi0=None, basis: str | np.ndarray = "register"
 # ---------------------------------------------------------------------------
 
 def ensemble_to_rows(ens: Ensemble) -> tuple[list, list]:
-    """Header and rows: one row per (trajectory, time), time column first,
-    weight, then state amplitudes split into real/imaginary columns."""
-    d = ens.trajectories[0].states.shape[1]
+    """Header and columns: one entry per (trajectory, time), trajectory-major,
+    time column first, weight, then state amplitudes split into real/imaginary
+    columns."""
+    m, n_times, d = ens.states.shape
     header = ["time", "trajectory", "weight"]
+    columns = [np.tile(ens.times, m), np.repeat(np.arange(m), n_times),
+               np.repeat(ens.weights, n_times)]
     for i in range(d):
+        amp = ens.states[:, :, i].reshape(-1)
         header += [f"amp{i}_re", f"amp{i}_im"]
-    rows = []
-    for idx, tr in enumerate(ens.trajectories):
-        for ti, t in enumerate(tr.times):
-            row = [t, idx, tr.weight]
-            for i in range(d):
-                row += [tr.states[ti, i].real, tr.states[ti, i].imag]
-            rows.append(row)
-    return header, rows
+        columns += [amp.real, amp.imag]
+    return header, columns

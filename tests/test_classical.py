@@ -228,6 +228,8 @@ class TestExports:
     def test_paths_rows_time_first(self):
         from oqmarkov.classical import paths_to_rows
         res = mcsm(ou_spec(), [1.0], [0.0, 0.5], M=3, seed=1, dt=1e-2)
-        header, rows = paths_to_rows(res)
+        header, columns = paths_to_rows(res)
         assert header[0] == "time"
-        assert len(rows) == 3 * 2
+        assert len(columns) == len(header)
+        for col in columns:
+            assert len(col) == 3 * 2

@@ -172,6 +172,12 @@ class TestHierarchy:
         assert run(["hierarchy", "--model", "zzz",
                     "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_tol_is_an_analyze_flag(self, tmp_path):
+        out = tmp_path / "h.json"
+        assert run(["hierarchy", "--model", "eternal", "--tol", "0.5",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestMcwf:
     def test_decay_run_and_files(self, tmp_path):
@@ -202,6 +208,11 @@ class TestMcwf:
     def test_unknown_spec(self, tmp_path):
         assert run(["mcwf", "--spec", "plasma", "--out", str(tmp_path / "x")]) == 2
 
+    def test_tol_is_an_analyze_flag(self, tmp_path):
+        assert run(["mcwf", "--spec", "decay", "--M", "4", "--tmax", "0.1",
+                    "--tol", "0.5", "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x.csv").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["mcwf", "--spec", "decay", "--M", "64", "--tmax", "0.3",
@@ -225,3 +236,8 @@ class TestMcsm:
 
     def test_unknown_spec(self, tmp_path):
         assert run(["mcsm", "--spec", "weird", "--out", str(tmp_path / "x")]) == 2
+
+    def test_tol_is_an_analyze_flag(self, tmp_path):
+        assert run(["mcsm", "--spec", "ou", "--M", "4", "--tol", "0.5",
+                    "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x.csv").exists()

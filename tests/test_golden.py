@@ -12,7 +12,11 @@ for byte; `STOCHASTIC` holds the command line of each fixture, and a
 fixture is re-recorded by running it with `--out tests/golden/stochastic-NAME`.
 
 `analyze` of a preset's hierarchy criteria, with no time, grid or tolerance
-flag, must reproduce the fixture's reports.
+flag, must reproduce the fixture's reports; its `--format csv` output for
+tam is compared byte for byte with `analyze-tam.csv`.
+
+The stochastic outputs must not depend on how many chunks (`--jobs`) a
+sampler run is split into.
 """
 
 import json
@@ -60,6 +64,14 @@ def test_analyze_defaults_match_hierarchy(name, tmp_path):
     assert dumps_canonical(json.loads(out.read_text())["reports"]) == dumps_canonical(old)
 
 
+def test_analyze_csv_matches_fixture(tmp_path):
+    out = tmp_path / "analyze-tam.csv"
+    assert main(["analyze", "--model", "tam", "--criteria",
+                 "fa,qrf,gqrf,composability,nib,divisibility,semigroup,distinguishability",
+                 "--seed", "23", "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "analyze-tam.csv").read_bytes()
+
+
 STOCHASTIC = {
     "mcwf-jump": ["mcwf", "--spec", "decay", "--method", "jump", "--M", "200",
                   "--tmax", "0.2"],
@@ -81,3 +93,19 @@ def test_stochastic_matches_fixture(name, tmp_path):
     assert main(argv) == 0
     for f in files:
         assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
+
+
+@pytest.mark.parametrize("name", ["mcwf-jump", "mcwf-diffusive", "mcsm-ou"])
+def test_stochastic_outputs_independent_of_jobs(name, tmp_path):
+    files = {}
+    for jobs in ("1", "3"):
+        stem = tmp_path / f"{name}-jobs{jobs}"
+        argv = STOCHASTIC[name] + ["--seed", "11", "--jobs", jobs, "--out", str(stem)]
+        if name == "mcsm-ou":
+            argv += ["--paths-out", f"{stem}-paths.csv"]
+        assert main(argv) == 0
+        files[jobs] = [Path(f"{stem}{suffix}").read_bytes()
+                       for suffix in (".csv", ".json", "-paths.csv")
+                       if Path(f"{stem}{suffix}").exists()]
+    assert len(files["1"]) == (3 if name == "mcsm-ou" else 2)
+    assert files["1"] == files["3"]

@@ -1,0 +1,70 @@
+"""The column-wise CSV writer against the per-cell formatter it replaced."""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from oqmarkov.serialize import write_csv
+
+
+def per_cell_csv(header, rows) -> str:
+    """The former row-wise writer: each cell formatted on its own."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for v in row:
+            if isinstance(v, (float, np.floating)):
+                cells.append(f"{float(v):.17g}")
+            else:
+                cells.append(str(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+           1e300, -1e-300, 1.0, -3.0, 2.0 ** 53, 1e16, 123456789.0, 0.1]
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True),
+                   st.integers(-10 ** 6, 10 ** 6).map(float))
+INTS = st.integers(-2 ** 63, 2 ** 63 - 1)
+TEXT = st.text(st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",)),
+               max_size=6)
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(["float", "float32", "int", "str"]),
+                          min_size=1, max_size=5))
+    columns = []
+    for kind in kinds:
+        if kind == "str":
+            columns.append(draw(st.lists(TEXT, min_size=n_rows, max_size=n_rows)))
+        elif kind == "int":
+            columns.append(np.array(draw(st.lists(INTS, min_size=n_rows, max_size=n_rows)),
+                                    dtype=np.int64))
+        else:
+            values = draw(st.lists(FLOATS, min_size=n_rows, max_size=n_rows))
+            dtype = np.float32 if kind == "float32" else np.float64
+            with np.errstate(over="ignore"):
+                columns.append(np.array(values, dtype=dtype))
+    header = [f"c{i}" for i in range(len(columns))]
+    return header, columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables())
+@example(table=(["x", "n", "s"], [np.array(SPECIAL), np.arange(len(SPECIAL)),
+                                  [str(v) for v in SPECIAL]]))
+def test_column_writer_matches_per_cell_formatter(table, tmp_path_factory):
+    header, columns = table
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, header, columns)
+    rows = [list(row) for row in zip(*columns)]
+    assert path.read_bytes() == per_cell_csv(header, rows).encode()
+
+
+def test_python_float_lists_are_float_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], [[0.1, -0.0], [1, 2]])
+    assert path.read_text() == "a,b\n0.10000000000000001,1\n-0,2\n"

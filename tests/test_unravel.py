@@ -8,9 +8,10 @@ from oqmarkov.core import SM, SX, SZ, plus_state
 from oqmarkov.criteria import tomograph
 from oqmarkov.models import collision, eternal_me, partial_swap, static_dephasing
 from oqmarkov.superop import LindbladSpec
-from oqmarkov.unravel import (_Streams, collision_unravel, ensemble_mean,
-                              ensembles_distinct, mcwf_diffusive,
-                              mcwf_jump, static_unravel, ensemble_to_rows)
+from oqmarkov.unravel import (Ensemble, _fill_draws, _prepare_grid, _Streams,
+                              collision_unravel, ensemble_mean, ensembles_distinct,
+                              mcwf_diffusive, mcwf_jump, static_unravel,
+                              ensemble_to_rows)
 
 DECAY = LindbladSpec(2, None, [(SM, 2.0)])
 EXCITED = np.array([0.0, 1.0], dtype=complex)
@@ -162,6 +163,9 @@ class TestCollisionUnravel:
         ens = collision_unravel(model, "computational", M=50, seed=2)
         assert not ens.meta["exact"]
         assert len(ens.trajectories) == 50
+        assert ens.states.shape == (50, 14, 2) and ens.records.shape == (50, 13)
+        assert set(ens.records.ravel().tolist()) <= {0, 1}
+        assert np.max(np.abs(np.linalg.norm(ens.states, axis=2) - 1.0)) < 1e-12
 
 
 class TestStaticUnravel:
@@ -196,15 +200,44 @@ class TestEnsembleStatistics:
         assert np.max(np.abs(mean - np.outer(plus_state(), plus_state().conj()))) < 1e-12
 
     def test_empty_ensemble_rejected(self):
-        from oqmarkov.unravel import Ensemble
+        empty = Ensemble(np.array([0.0]), np.empty((0, 1, 2), dtype=complex),
+                         np.empty(0), "x")
         with pytest.raises(ValueError):
-            ensemble_mean(Ensemble([], "x"), 0.0)
+            ensemble_mean(empty, 0.0)
 
     def test_csv_rows_shape(self):
         ens = static_unravel(static_dephasing(kappa=1.0), times=(1.0,))
-        header, rows = ensemble_to_rows(ens)
+        header, columns = ensemble_to_rows(ens)
         assert header[:3] == ["time", "trajectory", "weight"]
-        assert len(rows) == len(ens.trajectories) * len(ens.times)
+        assert len(columns) == len(header)
+        for col in columns:
+            assert len(col) == len(ens.trajectories) * len(ens.times)
+
+    def test_arrays_and_trajectory_view(self):
+        ens = mcwf_jump(DECAY, EXCITED, [0.0, 0.1, 0.2], M=5, seed=4, dt=1e-2)
+        assert ens.states.shape == (5, 3, 2) and ens.weights.shape == (5,)
+        assert ens.records.tolist() == [[i] for i in range(5)]
+        for i, tr in enumerate(ens.trajectories):
+            assert np.shares_memory(tr.states, ens.states)
+            assert np.array_equal(tr.states, ens.states[i])
+            assert tr.times is ens.times
+            assert tr.weight == 0.2 and tr.record == (i,)
+        exact = collision_unravel(collision(n_slots=3), "computational")
+        assert exact.records.shape == (len(exact.weights), 3)
+        assert [tr.record for tr in exact.trajectories] == \
+            [tuple(r) for r in exact.records.tolist()]
+
+
+class TestPrepareGrid:
+    def test_slot_of_every_step(self):
+        grid, steps, slot = _prepare_grid([0.0, 0.02, 0.05], 0.01)
+        assert len(steps) == 6
+        assert slot.tolist() == [0, -1, 1, -1, -1, 2]
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.5, 0.5], [0.0, 0.5, 0.3], [0.2, 0.1]])
+    def test_non_increasing_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _prepare_grid(grid, 0.1)
 
 
 MASK = 0xFFFFFFFFFFFFFFFF
@@ -242,3 +275,31 @@ class TestStreams:
         for index in (a, b, a, b):
             assert _draws(one(index)) == _draws(_fresh(seed, index))
             assert _draws(other(index)) == _draws(_fresh(seed + 1, index))
+
+
+SEEDS = st.one_of(st.integers(0, 2 ** 63), st.integers(2 ** 63, 2 ** 70),
+                  st.integers(-2 ** 64, -1))
+
+
+class TestFillDraws:
+    """Each filled row equals the draws of a fresh Philox keyed by its
+    trajectory, for the keys of every sampler."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, first=st.integers(0, 2 ** 31), m=st.integers(1, 4),
+           n_steps=st.integers(0, 7), width=st.integers(0, 3),
+           offset=st.sampled_from(["mcwf", "mcsm-normal", "mcsm-jump"]))
+    def test_rows_equal_fresh_philox(self, seed, first, m, n_steps, width, offset):
+        indices = range(first, first + m)
+        keys = {"mcwf": list(indices),
+                "mcsm-normal": [i | (1 << 32) for i in indices],
+                "mcsm-jump": [(i + (1 << 40)) | (1 << 32) for i in indices]}[offset]
+        streams = _Streams(seed)
+        normals = _fill_draws(streams, keys, (n_steps, width), "standard_normal")
+        uniforms = _fill_draws(streams, keys, (n_steps,), "random")
+        assert normals.shape == (m, n_steps, width) and uniforms.shape == (m, n_steps)
+        for key, normal_row, uniform_row in zip(keys, normals, uniforms):
+            # == treats -0.0 and 0.0 alike, the one way normal() and
+            # standard_normal() can differ
+            assert np.array_equal(normal_row, _fresh(seed, key).normal(size=(n_steps, width)))
+            assert np.array_equal(uniform_row, _fresh(seed, key).random(n_steps))
