@@ -440,6 +440,7 @@ def mcsm(spec: SDESpec, x0, grid, M: int, seed: int, dt: float = 1e-3,
     """Euler-Maruyama with Bernoulli-thinned jumps, evolved in lockstep over
     the sample paths. Per-path random streams keyed by (seed, path index)
     make results bitwise seed-reproducible and independent of chunking."""
+    chunks = _chunked(M, jobs)
     grid, step_times, slot = _prepare_grid(grid, dt)
     n_steps = len(step_times) - 1
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -483,7 +484,7 @@ def mcsm(spec: SDESpec, x0, grid, M: int, seed: int, dt: float = 1e-3,
                 out[:, slot[s + 1]] = x
 
     paths = np.empty((M, len(grid), spec.dim))
-    for c in _chunked(M, jobs):
+    for c in chunks:
         run_chunk(c, paths[c.start:c.stop])
     mean = paths.mean(axis=0)
     var = paths.var(axis=0, ddof=1) if M > 1 else np.full_like(mean, np.nan)

@@ -71,6 +71,13 @@ def _parse_grid(text: str) -> list:
     return grid
 
 
+def _sample_count(args, cfg, default: int) -> int:
+    m = int(_merged(args, cfg, "M", default))
+    if m < 1:
+        raise ValueError(f"M must be a positive number of samples, got {m}")
+    return m
+
+
 def _emit(args, cfg, payload, out_default: str):
     from .serialize import write_json, write_csv
     out = _merged(args, cfg, "out", out_default)
@@ -183,7 +190,7 @@ def cmd_mcwf(args) -> int:
         print(f"error: unknown spec '{spec_name}'; known: {MCWF_SPECS}", file=sys.stderr)
         return USAGE_ERROR
     seed = _seed_from(args, cfg)
-    m = int(_merged(args, cfg, "M", 5000))
+    m = _sample_count(args, cfg, 5000)
     dt = float(_merged(args, cfg, "dt", 1e-3))
     t_max = float(_merged(args, cfg, "tmax", 1.0))
     jobs = int(_merged(args, cfg, "jobs", 1))
@@ -239,7 +246,7 @@ def cmd_mcsm(args) -> int:
         print(f"error: unknown spec '{spec_name}'; known: {MCSM_SPECS}", file=sys.stderr)
         return USAGE_ERROR
     seed = _seed_from(args, cfg)
-    m = int(_merged(args, cfg, "M", 10000))
+    m = _sample_count(args, cfg, 10000)
     dt = float(_merged(args, cfg, "dt", 1e-3))
     t_max = float(_merged(args, cfg, "tmax", 1.0))
     jobs = int(_merged(args, cfg, "jobs", 1))
@@ -288,10 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="flat key-value JSON config; flags override")
         sp.add_argument("--seed", type=int, help="RNG seed (fallback: env OQS_SEED)")
         sp.add_argument("--jobs", type=int,
-                        help="chunks a sampler run is split into (mcwf, mcsm); "
-                             "outputs do not depend on it")
+                        help="chunks a sampler run is split into; only the samplers "
+                             "(mcwf, mcsm) read it, and outputs do not depend on it")
         sp.add_argument("--out", help="output path (or stem for csv+json pairs)")
-        sp.add_argument("--format", choices=("json", "csv"))
         sp.add_argument("--assert-pass", action="store_true",
                         help="exit 1 if any requested criterion fails")
         sp.add_argument("--timing", action="store_true",
@@ -305,11 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t2", type=float)
     sp.add_argument("--grid", help="start:stop:step or comma list")
     sp.add_argument("--tol", type=float, help="criterion tolerance override")
+    sp.add_argument("--format", choices=("json", "csv"))
     common(sp)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("hierarchy", help="full verdict table for a model")
     sp.add_argument("--model")
+    sp.add_argument("--format", choices=("json", "csv"))
     common(sp)
     sp.set_defaults(func=cmd_hierarchy)
 

@@ -6,15 +6,17 @@ Every joint model is defined by the pair (joint unitary family, initial
 environment state). The criterion checkers only need three things from a
 model: the spectral branches of the initial environment state, the action
 of the joint propagator on vectors, and (optionally) a unitary frame for
-the environment that defines the replaced-environment maps. Dense
-propagator matrices are available whenever the joint dimension is small;
-the Lorentzian-bath dephasing model works purely through its diagonal
-vector action.
+the environment that defines the replaced-environment maps.
+
+`apply_propagator(t1, t2, joint)` is the one propagation contract: each
+joint model defines it as the action of U(t2, t1) on a joint vector,
+without forming the joint matrix (the collision model applies one pair
+unitary per slot). The dense `propagator` is derived from it, column by
+column, and only exists for joint dimensions up to `DENSE_JOINT_LIMIT`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Sequence
 
@@ -22,7 +24,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .core import Operator, ID2, SM, SP, SX, SZ, ket
+from .core import Operator, SM, SP, SX, SZ, ket
 from .superop import SuperOperator, LindbladSpec, vec
 
 DENSE_JOINT_LIMIT = 4096
@@ -57,11 +59,17 @@ class JointModel:
             rho += p * np.outer(v, v.conj())
         return rho
 
-    def propagator(self, t1: float, t2: float) -> Operator:
-        raise NotImplementedError(f"{self.name}: dense propagator unavailable")
-
     def apply_propagator(self, t1: float, t2: float, joint: np.ndarray) -> np.ndarray:
-        return self.propagator(t1, t2).mat @ joint
+        """U(t2, t1) applied to a joint vector (system index major)."""
+        raise NotImplementedError
+
+    def propagator(self, t1: float, t2: float) -> Operator:
+        """Dense U(t2, t1), one apply_propagator call per column."""
+        d = self.dim_s * self.dim_e
+        if d > DENSE_JOINT_LIMIT:
+            raise ValueError(f"{self.name}: joint dimension {d} too large for a dense propagator")
+        cols = [self.apply_propagator(t1, t2, e) for e in np.eye(d, dtype=complex)]
+        return Operator(np.column_stack(cols), (self.dim_s, self.dim_e))
 
     def env_frame(self, t0: float, t: float) -> np.ndarray | None:
         """Unitary on the bath defining the replaced-environment state; None
@@ -72,7 +80,7 @@ class JointModel:
         w = self.env_frame(t0, t)
         if w is None:
             raise ValueError(f"{self.name}: no environment frame defined")
-        return w @ env_vec if not _is_identity_marker(w) else env_vec
+        return w @ env_vec
 
     @property
     def has_env_frame(self) -> bool:
@@ -95,13 +103,6 @@ class JointModel:
             m = v.reshape(ds, de)
             rho += w * (m @ m.conj().T)
         return rho
-
-
-_IDENTITY = "identity-frame"
-
-
-def _is_identity_marker(w) -> bool:
-    return isinstance(w, str) and w == _IDENTITY
 
 
 class IdentityFrameModel(JointModel):
@@ -405,13 +406,12 @@ class TamModel(IdentityFrameModel):
     def env_branches(self):
         return [(1.0, ket(0, 2))]
 
-    def propagator(self, t1: float, t2: float) -> Operator:
+    def apply_propagator(self, t1, t2, joint):
         if t1 < 0 or t2 < 0:
             raise ValueError("negative times not allowed")
         phi = self.theta(t2) - self.theta(t1)
         w, v = _EXCH_EIG
-        u = (v * np.exp(-1j * phi * w)) @ v.conj().T
-        return Operator(u, (2, 2))
+        return ((v * np.exp(-1j * phi * w)) @ v.conj().T) @ joint
 
     def analytic_map(self, t0: float, t: float) -> SuperOperator:
         """Amplitude-damping map with coherence factor cos(theta(t)-theta(t0))."""
@@ -475,11 +475,12 @@ class NqibModel(IdentityFrameModel):
     def env_branches(self):
         return [(0.5, ket(0, 2)), (0.5, ket(1, 2))]
 
-    def propagator(self, t1: float, t2: float) -> Operator:
+    def apply_propagator(self, t1, t2, joint):
+        # partner in |1>: phase exp(-+i dt/2) on system level 0/1
         dt = t2 - t1
-        uz = np.diag([np.exp(-1j * dt / 2), np.exp(1j * dt / 2)])
-        u = np.kron(ID2, np.diag([1.0, 0.0])) + np.kron(uz, np.diag([0.0, 1.0]))
-        return Operator(u.astype(complex), (2, 2))
+        m = joint.reshape(2, 2).copy()
+        m[:, 1] *= [np.exp(-1j * dt / 2), np.exp(1j * dt / 2)]
+        return m.reshape(-1)
 
     def analytic_map(self, t0: float, t: float) -> SuperOperator:
         f = (1.0 + np.exp(-1j * (t - t0))) / 2.0
@@ -515,15 +516,6 @@ def swap_gate(d: int = 2) -> np.ndarray:
 def partial_swap(eta: float, d: int = 2) -> np.ndarray:
     """exp(-i eta SWAP) = cos(eta) I - i sin(eta) SWAP."""
     return math.cos(eta) * np.eye(d * d) - 1j * math.sin(eta) * swap_gate(d)
-
-
-def _permute_subsystems(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    n = len(dims)
-    t = mat.reshape(tuple(dims) + tuple(dims))
-    axes = tuple(perm) + tuple(p + n for p in perm)
-    out_dims = [dims[p] for p in perm]
-    d = int(np.prod(dims))
-    return t.transpose(axes).reshape(d, d)
 
 
 class CollisionModel(IdentityFrameModel):
@@ -595,35 +587,22 @@ class CollisionModel(IdentityFrameModel):
         ang, z = self._pair_eig
         return (z * np.exp(1j * ang * s)) @ z.conj().T
 
-    def _embedded_slot_unitary(self, k: int, s: float) -> np.ndarray:
-        dims = [self.dim_s] + [self.dim_a] * self.n_slots
-        u_pair = self._pair_power(s)
-        rest = self.dim_e // self.dim_a
-        big = np.kron(u_pair, np.eye(rest, dtype=complex))
-        # big acts on ordering (system, ancilla k, other ancillas in order)
-        order = [0, k + 1] + [i + 1 for i in range(self.n_slots) if i != k]
-        inverse = np.argsort(order)
-        big_dims = [dims[i] for i in order]
-        return _permute_subsystems(big, big_dims, inverse)
-
-    @functools.lru_cache(maxsize=512)
-    def _propagator_cached(self, t1: float, t2: float) -> np.ndarray:
+    def apply_propagator(self, t1, t2, joint):
         if t1 < self.slot_times[0] - 1e-12 or t2 > self.slot_times[-1] + 1e-12:
             raise ValueError(f"time query [{t1}, {t2}] beyond the slot schedule")
         if t2 < t1:
             raise ValueError("t2 < t1")
-        u = np.eye(self.dim_s * self.dim_e, dtype=complex)
+        ds, da = self.dim_s, self.dim_a
+        psi = joint.reshape((ds,) + (da,) * self.n_slots)
         for k in range(self.n_slots):
             a, b = self.slot_times[k], self.slot_times[k + 1]
             lo, hi = max(t1, a), min(t2, b)
             if hi - lo > 1e-12:
-                frac = (hi - lo) / (b - a)
-                u = self._embedded_slot_unitary(k, frac) @ u
-        return u
-
-    def propagator(self, t1: float, t2: float) -> Operator:
-        return Operator(self._propagator_cached(float(t1), float(t2)),
-                        (self.dim_s,) + (self.dim_a,) * self.n_slots)
+                # pair unitary on (system, ancilla k); tensordot puts the
+                # new ancilla-k axis second, moveaxis puts it back
+                u = self._pair_power((hi - lo) / (b - a)).reshape(ds, da, ds, da)
+                psi = np.moveaxis(np.tensordot(u, psi, axes=([2, 3], [0, k + 1])), 1, k + 1)
+        return psi.reshape(-1)
 
 
 def collision(n_slots: int = 6, pair_unitary: np.ndarray | None = None,
@@ -663,6 +642,7 @@ class StaticDephasingModel(IdentityFrameModel):
                 raise ValueError("register Hamiltonians must be Hermitian")
         self.probs = p
         self.hams = hs
+        self._sector_eig = [np.linalg.eigh(h) for h in hs]
         self.dim_s = hs[0].shape[0]
         self.dim_e = len(p)
 
@@ -671,15 +651,14 @@ class StaticDephasingModel(IdentityFrameModel):
                 for j in range(self.dim_e) if self.probs[j] > 1e-14]
 
     def sector_unitary(self, j: int, dt: float) -> np.ndarray:
-        w, v = np.linalg.eigh(self.hams[j])
+        w, v = self._sector_eig[j]
         return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
-    def propagator(self, t1: float, t2: float) -> Operator:
-        u = np.zeros((self.dim_s * self.dim_e,) * 2, dtype=complex)
-        for j in range(self.dim_e):
-            proj = np.zeros((self.dim_e, self.dim_e)); proj[j, j] = 1.0
-            u += np.kron(self.sector_unitary(j, t2 - t1), proj)
-        return Operator(u, (self.dim_s, self.dim_e))
+    def apply_propagator(self, t1, t2, joint):
+        # register level j (column j) evolves under its own sector unitary
+        us = np.stack([self.sector_unitary(j, t2 - t1) for j in range(self.dim_e)])
+        m = joint.reshape(self.dim_s, self.dim_e)
+        return np.einsum("jab,bj->aj", us, m).reshape(-1)
 
 
 def static_dephasing(probabilities: Sequence[float] | None = None,

@@ -165,6 +165,9 @@ def _prepare_grid(grid, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _chunked(m: int, jobs: int):
+    """Index ranges of a run of m samples split into at most `jobs` chunks."""
+    if m < 1:
+        raise ValueError(f"M must be a positive number of samples, got {m}")
     jobs = max(1, int(jobs))
     size = (m + jobs - 1) // jobs
     return [range(i, min(i + size, m)) for i in range(0, m, size)]
@@ -186,6 +189,7 @@ def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
     otherwise the state evolves under the non-Hermitian effective
     Hamiltonian and is renormalized. First-order scheme; the run aborts if
     the per-step total jump probability ever reaches 0.1."""
+    chunks = _chunked(M, jobs)
     grid, step_times, slot = _prepare_grid(grid, dt)
     _scan_rates(spec, step_times[:-1])
     psi0 = np.asarray(psi0, dtype=complex)
@@ -234,7 +238,7 @@ def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
                 out[:, slot[s + 1]] = psi
 
     states = np.empty((M, len(grid), d), dtype=complex)
-    for c in _chunked(M, jobs):
+    for c in chunks:
         run_chunk(c, states[c.start:c.stop])
     return Ensemble(grid, states, np.full(M, 1.0 / M), "mcwf-jump", seed,
                     {"dt": dt, "M": M})
@@ -246,6 +250,7 @@ def mcwf_diffusive(spec: LindbladSpec, psi0, grid, M: int, seed: int,
     diffusive stochastic state equation with one Gaussian increment per
     channel per step, renormalizing after each step. The ensemble mean
     converges to the same master-equation solution as the jump scheme."""
+    chunks = _chunked(M, jobs)
     grid, step_times, slot = _prepare_grid(grid, dt)
     _scan_rates(spec, step_times[:-1])
     psi0 = np.asarray(psi0, dtype=complex)
@@ -283,7 +288,7 @@ def mcwf_diffusive(spec: LindbladSpec, psi0, grid, M: int, seed: int,
                 out[:, slot[s + 1]] = psi
 
     states = np.empty((M, len(grid), d), dtype=complex)
-    for c in _chunked(M, jobs):
+    for c in chunks:
         run_chunk(c, states[c.start:c.stop])
     return Ensemble(grid, states, np.full(M, 1.0 / M), "mcwf-diffusive", seed,
                     {"dt": dt, "M": M})
@@ -416,10 +421,9 @@ def static_unravel(model, times, psi0=None, basis: str | np.ndarray = "register"
             branches.append((p, np.kron(psi0, ket(j, r)), (j,), [psi0]))
     tcur = model.t0
     for t in times:
-        u = model.propagator(tcur, t).mat
         new = []
         for w, joint, rec, hist in branches:
-            joint = u @ joint
+            joint = model.apply_propagator(tcur, t, joint)
             mat = joint.reshape(ds, r)
             for m_out in range(r):
                 amp = mat @ b[:, m_out].conj()

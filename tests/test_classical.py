@@ -215,6 +215,11 @@ class TestMcsm:
         with pytest.raises(ValueError, match="reduce dt"):
             mcsm(poisson_spec(500.0), [0.0], [0.0, 0.1], M=2, seed=0, dt=1e-3)
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_non_positive_sample_count_rejected(self, m):
+        with pytest.raises(ValueError, match="M must be a positive"):
+            mcsm(ou_spec(), [1.0], [0.0, 0.1], M=m, seed=0, dt=1e-3)
+
 
 class TestExports:
     def test_process_to_dict_round_trips(self):

@@ -178,6 +178,34 @@ class TestHierarchy:
                     "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_csv_format(self, tmp_path):
+        out = tmp_path / "h.csv"
+        assert run(["hierarchy", "--model", "eternal", "--format", "csv",
+                    "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "criterion,verdict,tolerance,witness,value"
+
+
+SAMPLERS = [["mcwf", "--spec", "decay", "--tmax", "0.1"],
+            ["mcsm", "--spec", "ou", "--tmax", "0.1"]]
+
+
+class TestSamplerFlags:
+    @pytest.mark.parametrize("argv", SAMPLERS, ids=["mcwf", "mcsm"])
+    def test_format_is_not_a_sampler_flag(self, tmp_path, argv):
+        assert run(argv + ["--M", "4", "--format", "json",
+                           "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", SAMPLERS, ids=["mcwf", "mcsm"])
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_non_positive_sample_count_exit_2(self, tmp_path, argv, m, capsys):
+        assert run(argv + ["--M", str(m), "--out", str(tmp_path / "x")]) == 2
+        assert "M must be a positive number of samples" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": m}))
+        assert run(argv + ["--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "y.csv").exists()
+
 
 class TestMcwf:
     def test_decay_run_and_files(self, tmp_path):

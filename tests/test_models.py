@@ -1,9 +1,14 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from oqmarkov.core import ID2, SX, SZ, ket, plus_state, random_pure
+from oqmarkov.core import (ID2, SM, SP, SX, SZ, ket, plus_state, random_hermitian,
+                           random_pure, random_unitary)
 from oqmarkov.models import (afl, bath_correlation, collision,
                              dd_apply, eternal_me, nqib_qubit, partial_swap,
                              static_dephasing, tam,
@@ -34,6 +39,86 @@ def test_propagator_unitarity_and_cocycle(name):
         assert np.max(np.abs(w - w2)) < 1e-9          # cocycle
         assert abs(np.linalg.norm(w) - 1.0) < 1e-9    # unitarity
         assert np.max(np.abs(propagate(model, t1, t1, v) - v)) < 1e-12
+
+
+def _dense_collision(model, t1, t2):
+    """Reference U(t2, t1) of a collision model: the product of the slot
+    unitaries, each a fractional pair-unitary power (principal branch, from
+    an eigendecomposition) kron-embedded on (system, ancilla k)."""
+    ds, da, n = model.dim_s, model.dim_a, model.n_slots
+    lam, vecs = np.linalg.eig(model.pair_unitary)
+    dims = [ds] + [da] * n
+    d = ds * da ** n
+    u = np.eye(d, dtype=complex)
+    for k in range(n):
+        a, b = model.slot_times[k], model.slot_times[k + 1]
+        lo, hi = max(t1, a), min(t2, b)
+        if hi - lo > 1e-12:
+            frac = (hi - lo) / (b - a)
+            pair = (vecs * np.exp(1j * frac * np.angle(lam))) @ np.linalg.inv(vecs)
+            big = np.kron(pair, np.eye(d // (ds * da)))
+            # big acts on (system, ancilla k, the other ancillas in order)
+            order = [0, k + 1] + [i + 1 for i in range(n) if i != k]
+            perm = np.argsort(order)
+            t = big.reshape([dims[i] for i in order] * 2)
+            big = t.transpose(list(perm) + [p + n + 1 for p in perm]).reshape(d, d)
+            u = big @ u
+    return u
+
+
+def _check_against_dense(model, t1, t2, ref, rng):
+    assert np.max(np.abs(model.propagator(t1, t2).mat - ref)) < 1e-13
+    v = random_pure(ref.shape[0], rng)
+    assert np.max(np.abs(model.apply_propagator(t1, t2, v) - ref @ v)) < 1e-13
+
+
+class TestPropagationContract:
+    """apply_propagator and the dense propagator derived from it against
+    dense references kept here."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 3), n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           q1=st.tuples(st.integers(0, 4), st.sampled_from([0.0, 0.3, 0.5, 0.77])),
+           q2=st.tuples(st.integers(0, 4), st.sampled_from([0.0, 0.3, 0.5, 0.77])))
+    def test_collision_matches_kron_embedded_product(self, d, n, seed, q1, q2):
+        rng = np.random.default_rng(seed)
+        slot_times = np.concatenate([[0.25], 0.25 + np.cumsum(rng.uniform(0.2, 2.0, n))])
+        model = collision(n, random_unitary(d * d, rng), slot_times=slot_times)
+
+        def at(q):    # on the boundary of slot k when the fraction is 0
+            k = min(q[0], n)
+            if k == n:
+                return float(slot_times[n])
+            return float(slot_times[k] + q[1] * (slot_times[k + 1] - slot_times[k]))
+        t1, t2 = sorted((at(q1), at(q2)))
+        _check_against_dense(model, t1, t2, _dense_collision(model, t1, t2), rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(levels=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+           t1=st.floats(0.0, 2.0), dt=st.floats(0.0, 2.0))
+    def test_static_dephasing_matches_sector_sum(self, levels, seed, t1, dt):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(levels))
+        hams = [random_hermitian(2, rng) / 2 for _ in range(levels)]
+        model = static_dephasing(probs, hams)
+        ref = sum(np.kron(scipy.linalg.expm(-1j * h * dt), np.diag(ket(j, levels).real))
+                  for j, h in enumerate(hams))
+        _check_against_dense(model, t1, t1 + dt, ref, rng)
+
+    @settings(max_examples=30, deadline=None)
+    @given(t1=st.floats(0.0, 3.0), dt=st.floats(0.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_nqib_and_tam_match_closed_forms(self, t1, dt, seed):
+        rng = np.random.default_rng(seed)
+        uz = np.diag([np.exp(-1j * dt / 2), np.exp(1j * dt / 2)])
+        ref = np.kron(ID2, np.diag([1.0, 0.0])) + np.kron(uz, np.diag([0.0, 1.0]))
+        _check_against_dense(nqib_qubit(), t1, t1 + dt, ref, rng)
+        phi = math.acos(math.exp(-(t1 + dt))) - math.acos(math.exp(-t1))
+        exchange = np.kron(SM, SP) + np.kron(SP, SM)
+        _check_against_dense(tam(), t1, t1 + dt, scipy.linalg.expm(-1j * phi * exchange), rng)
+
+    def test_dense_propagator_refused_beyond_limit(self):
+        with pytest.raises(ValueError):
+            afl().propagator(0.0, 1.0)
 
 
 class TestAfl:
@@ -213,6 +298,34 @@ class TestCollision:
     def test_time_beyond_schedule_rejected(self):
         with pytest.raises(ValueError):
             collision(n_slots=2).propagator(0.0, 3.0)
+
+    def test_reversed_times_rejected(self):
+        model = collision(n_slots=2)
+        with pytest.raises(ValueError):
+            model.apply_propagator(1.5, 0.5, np.eye(8, dtype=complex)[0])
+
+    def test_model_freed_after_tomograph(self):
+        model = collision(n_slots=3)
+        tomograph(model, 0.0, 2.5)
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
+
+    def test_six_qutrit_slots_regress_like_three(self):
+        """Queries up to t = 1.5 only touch the first two slots, so later
+        ancillas change nothing; six qutrit slots (joint dimension 2187) run
+        without a dense joint matrix."""
+        from oqmarkov.criteria import check_gqrf, check_qrf
+        reports = []
+        for n in (3, 6):
+            model = collision(n_slots=n, pair_unitary=partial_swap(math.pi / 4, d=3))
+            reports.append((check_qrf(model), check_gqrf(model)))
+        for small, large in zip(*reports):
+            assert large.verdict == small.verdict == "fail"
+            assert set(large.witnesses) == set(small.witnesses)
+            for key, val in small.witnesses.items():
+                assert large.witnesses[key] == pytest.approx(val, abs=1e-12), key
 
     def test_intermediate_maps_cptp(self):
         model = collision()

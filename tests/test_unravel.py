@@ -48,6 +48,12 @@ class TestMcwfJump:
         with pytest.raises(ValueError, match="reduce dt"):
             mcwf_jump(hot, EXCITED, [0.0, 0.1], M=5, seed=3, dt=1e-3)
 
+    @pytest.mark.parametrize("runner", [mcwf_jump, mcwf_diffusive])
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_non_positive_sample_count_rejected(self, runner, m):
+        with pytest.raises(ValueError, match="M must be a positive"):
+            runner(DECAY, EXCITED, [0.0, 0.1], M=m, seed=3, dt=1e-3)
+
     def test_bitwise_reproducible_across_jobs(self):
         grid = [0.0, 0.3]
         a = mcwf_jump(DECAY, EXCITED, grid, M=64, seed=9, dt=1e-3, jobs=1)
