@@ -60,6 +60,10 @@ def _csv_cells(column) -> list:
     values = np.asarray(column)
     if values.dtype.kind == "f":
         return list(map("{:.17g}".format, values.tolist()))
+    # A numpy unicode array drops trailing NULs, so text cells come from the
+    # caller's own sequence rather than from ``values``.
+    if values.dtype.kind == "U" and not isinstance(column, np.ndarray):
+        return list(map(str, column))
     return list(map(str, values.tolist()))
 
 
