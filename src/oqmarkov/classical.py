@@ -507,8 +507,9 @@ def ou_moments(x0: float, k: float, sigma: float, t: float) -> tuple[float, floa
 
 
 def poisson_spec(rate: float = 1.0) -> SDESpec:
-    """Pure counting process: unit jumps at a constant rate."""
+    """Pure counting process: unit jumps at a constant rate, no diffusion
+    (no noise channels, so no normals are drawn)."""
     return SDESpec(lambda x, t: np.zeros_like(x),
-                   lambda x, t: np.array([[0.0]]),
+                   lambda x, t: np.zeros((1, 0)),
                    jump_rates=[lambda x, t: np.full(x.shape[0], rate)],
-                   jump_effects=[lambda x: np.ones_like(x)], dim=1)
+                   jump_effects=[lambda x: np.ones_like(x)], dim=1, n_noise=0)

@@ -82,13 +82,10 @@ def tomograph(model: JointModel, t0: float, t: float) -> SuperOperator:
 
 
 def generalized_map(model: JointModel, t1: float, t2: float) -> SuperOperator:
-    """Replaced-bath map: the bath is reset at t1 to its frame-evolved
-    initial state before the joint propagation to t2."""
-    if not model.has_env_frame:
-        raise ValueError(f"{model.name}: no environment frame available")
-    branches = [(p, model.apply_env_frame(model.t0, t1, phi))
-                for p, phi in model.env_branches()]
-    return assemble_map(model, branches, (t1, t2), (None, None))
+    """Replaced-bath map: the bath is reset at t1 to its initial state
+    before the joint propagation to t2 (the model is written in the bath's
+    interaction picture, where that state does not evolve freely)."""
+    return assemble_map(model, model.env_branches(), (t1, t2), (None, None))
 
 
 def replacement_map(model: JointModel, t1: float, t2: float,
@@ -108,7 +105,7 @@ def map_family(model, grid, analytic: bool | None = None):
     if isinstance(model, MapFamilyModel):
         return [(t, model.map(t)) for t in pts]
     if analytic is None:
-        analytic = getattr(model, "analytic_map_available", False)
+        analytic = hasattr(model, "analytic_map")
     if analytic:
         return [(t, model.analytic_map(model.t0, t)) for t in pts]
     return [(t, tomograph(model, model.t0, t)) for t in pts]
@@ -284,9 +281,6 @@ def _default_rho0(ds: int) -> np.ndarray:
 def check_qrf(model: JointModel, op_pairs=None, time_pairs=((0.5, 1.0),),
               tol: float = 1e-8, rho_s0=None) -> CriterionReport:
     """Two-time regression check, both operator orderings per pair."""
-    if not model.has_env_frame:
-        return CriterionReport("qrf", INCONCLUSIVE, {}, tol, "none",
-                               reason="model exposes no environment frame")
     ds = model.dim_s
     if op_pairs is None:
         basis = hermitian_basis(ds)
@@ -336,9 +330,6 @@ def default_gqrf_op_sets(ds: int, n_steps: int, n_sets: int = 40,
 def check_gqrf(model: JointModel, op_sets=None, time_sets=((0.5, 1.0, 1.5),),
                tol: float = 1e-8, rho_s0=None) -> CriterionReport:
     """Multi-time regression check over sequences of system-operator pairs."""
-    if not model.has_env_frame:
-        return CriterionReport("gqrf", INCONCLUSIVE, {}, tol, "none",
-                               reason="model exposes no environment frame")
     rho_s0 = _default_rho0(model.dim_s) if rho_s0 is None else rho_s0
     worst, worst_at = 0.0, None
     cache: dict = {}
@@ -366,10 +357,8 @@ def check_gqrf(model: JointModel, op_sets=None, time_sets=((0.5, 1.0, 1.5),),
 
 def check_composability(model: JointModel, time_triples, tol: float = 1e-9,
                         analytic: bool | None = None) -> CriterionReport:
-    """Frame-evolved bath reset at the midpoint must reproduce the map."""
-    if not model.has_env_frame:
-        return CriterionReport("composability", INCONCLUSIVE, {}, tol, "none",
-                               reason="model exposes no environment frame")
+    """Resetting the bath to its initial state at the midpoint must
+    reproduce the map."""
     worst, worst_triple, details = 0.0, None, {}
     for (t0, t1, t2) in time_triples:
         e2 = map_family(model, [t2], analytic=analytic)[0][1]
@@ -389,14 +378,12 @@ def check_composability(model: JointModel, time_triples, tol: float = 1e-9,
 
 def _nib_candidate_states(model: JointModel, t1: float) -> list:
     cands = list(model.nib_candidates(t1))
-    if model.has_env_frame:
-        # the frame-evolved initial bath state is always worth trying
-        frame_evolved = [(p, model.apply_env_frame(model.t0, t1, v))
-                         for p, v in model.env_branches()]
-        if model.dim_e <= 64:
-            cands.append(sum(p * np.outer(v, v.conj()) for p, v in frame_evolved))
-        else:
-            cands.append(frame_evolved)
+    # the initial bath state is always worth trying
+    branches = model.env_branches()
+    if model.dim_e <= 64:
+        cands.append(sum(p * np.outer(v, v.conj()) for p, v in branches))
+    else:
+        cands.append(branches)
     return cands
 
 
@@ -550,10 +537,6 @@ def check_nib(model: JointModel, time_triple=(0.0, 1.0, 2.0),
     if model.env_kind in ("qubit", "register"):
         return _check_nib_convex(model, time_triple, cands, tol)
     t0, t1, t2 = time_triple
-    if not cands:
-        return CriterionReport("nib", INCONCLUSIVE, {}, tol,
-                               f"triple={list(time_triple)}",
-                               reason="environment too large to search")
     e2 = map_family(model, [t2])[0][1]
     e1 = map_family(model, [t1])[0][1]
     best_res, best_sigma = None, None
@@ -712,10 +695,8 @@ def check_distinguishability(family, state_pairs=None, w_grid=None,
 
 def check_fdd(model: JointModel, pulse_sequences, tol: float = 1e-9) -> CriterionReport:
     """Pulse sequences must commute through the dynamics as a chain of
-    replaced-bath maps interleaved with the pulses."""
-    if not model.has_env_frame:
-        return CriterionReport("fdd", INCONCLUSIVE, {}, tol, "none",
-                               reason="chain comparison needs an environment frame")
+    replaced-bath maps interleaved with the pulses: after the first
+    segment, each one starts from the bath reset to its initial state."""
     from .superop import unitary_superop
     worst, worst_seq = 0.0, None
     for seq_idx, (pulses, times) in enumerate(pulse_sequences):
@@ -840,13 +821,9 @@ def _collision_past_channel(model, t1):
 def _check_pu(model, times, tol: float) -> CriterionReport:
     """The register-basis pure unravelling's exact branch sum must reproduce
     the map's output at every time."""
-    from .unravel import static_unravel, ensemble_mean
+    from .unravel import mean_deviation_from_map, static_unravel
     ens = static_unravel(model, times=times)
-    dev = 0.0
-    for t in times:
-        mean = ensemble_mean(ens, t).mat
-        target = tomograph(model, model.t0, t)(_default_rho0(model.dim_s))
-        dev = max(dev, float(np.max(np.abs(mean - target))))
+    dev = mean_deviation_from_map(ens, model, _default_rho0(model.dim_s), times)
     return CriterionReport("pu", PASS if dev <= tol else FAIL, {"mean_deviation": dev},
                            tol, "register-basis unravelling, exact branch sum")
 

@@ -3,10 +3,11 @@ interface, each bundling the closed-form results that make it useful as a
 test oracle.
 
 Every joint model is defined by the pair (joint unitary family, initial
-environment state). The criterion checkers only need three things from a
-model: the spectral branches of the initial environment state, the action
-of the joint propagator on vectors, and (optionally) a unitary frame for
-the environment that defines the replaced-environment maps.
+environment state). The criterion checkers only need two things from a
+model: the spectral branches of the initial environment state and the
+action of the joint propagator on vectors. Every joint model is written in
+the interaction picture of its bath (the bath has no free Hamiltonian), so
+a replaced-environment map resets the bath to its initial state.
 
 `apply_propagator(t1, t2, joint)` is the one propagation contract: each
 joint model defines it as the action of U(t2, t1) on a joint vector,
@@ -43,9 +44,6 @@ class JointModel:
     dim_s = 0
     dim_e = 0
     env_kind = "generic"          # qubit | register | product | grid | generic
-    analytic_map_available = False
-    supports_dd = True
-    supports_unravelling = False
 
     def env_branches(self):
         """Spectral decomposition [(weight, vector)] of the initial bath state."""
@@ -71,21 +69,6 @@ class JointModel:
         cols = [self.apply_propagator(t1, t2, e) for e in np.eye(d, dtype=complex)]
         return Operator(np.column_stack(cols), (self.dim_s, self.dim_e))
 
-    def env_frame(self, t0: float, t: float) -> np.ndarray | None:
-        """Unitary on the bath defining the replaced-environment state; None
-        when the model has no meaningful frame."""
-        return None
-
-    def apply_env_frame(self, t0: float, t: float, env_vec: np.ndarray) -> np.ndarray:
-        w = self.env_frame(t0, t)
-        if w is None:
-            raise ValueError(f"{self.name}: no environment frame defined")
-        return w @ env_vec
-
-    @property
-    def has_env_frame(self) -> bool:
-        return self.env_frame(self.t0, self.t0 + 1.0) is not None
-
     def nib_candidates(self, t1: float):
         """Replacement-state candidates worth trying before any grid search."""
         return []
@@ -105,28 +88,12 @@ class JointModel:
         return rho
 
 
-class IdentityFrameModel(JointModel):
-    """Bath with no free Hamiltonian: the environment frame is the identity."""
-
-    def env_frame(self, t0: float, t: float):
-        return np.eye(self.dim_e, dtype=complex)
-
-    def apply_env_frame(self, t0: float, t: float, env_vec: np.ndarray) -> np.ndarray:
-        return env_vec
-
-    @property
-    def has_env_frame(self) -> bool:
-        # known without building the dim_e x dim_e identity
-        return True
-
-
 class MapFamilyModel:
     """Dynamics specified by the family of maps from t0 alone."""
 
     name = "map-family"
     t0 = 0.0
     dim_s = 0
-    analytic_map_available = True
 
     def map(self, t: float) -> SuperOperator:
         raise NotImplementedError
@@ -209,7 +176,7 @@ def _lorentz_grid_weights(n_points: int, cutoff: float, taper_start: float,
     return x, w + missing * bump
 
 
-class AflModel(IdentityFrameModel):
+class AflModel(JointModel):
     """Qubit dephasing through a single Lorentzian-distributed bath coordinate.
 
     The coupling (g/2) sigma_z (x) x_hat keeps the joint unitary diagonal in
@@ -222,7 +189,6 @@ class AflModel(IdentityFrameModel):
 
     name = "afl"
     env_kind = "grid"
-    analytic_map_available = True
 
     def __init__(self, gamma: float = 1.0, g: float = 2.0, n_points: int = 4001,
                  cutoff: float | None = None, taper_start: float | None = None,
@@ -361,7 +327,7 @@ _EXCHANGE = np.kron(SM, SP) + np.kron(SP, SM)
 _EXCH_EIG = np.linalg.eigh(_EXCHANGE)
 
 
-class TamModel(IdentityFrameModel):
+class TamModel(JointModel):
     """Two two-level atoms exchanging one excitation with coupling tuned so
     the reduced dynamics from a ground-state partner is constant-rate decay.
 
@@ -374,7 +340,6 @@ class TamModel(IdentityFrameModel):
 
     name = "tam"
     env_kind = "qubit"
-    analytic_map_available = True
 
     def __init__(self, t0: float = 0.0):
         if t0 < 0:
@@ -454,7 +419,7 @@ def tam_post_replacement_rate_closed_form(t1: float, t: float) -> float:
 # Controlled-phase qubit pair (classical bath register in disguise)
 # ---------------------------------------------------------------------------
 
-class NqibModel(IdentityFrameModel):
+class NqibModel(JointModel):
     """Qubit whose phase is conditioned on a maximally mixed partner qubit.
 
     The joint state stays a mixture of products at all times (no
@@ -465,8 +430,6 @@ class NqibModel(IdentityFrameModel):
 
     name = "nqib"
     env_kind = "qubit"
-    analytic_map_available = True
-    supports_unravelling = False
 
     def __init__(self):
         self.dim_s = 2
@@ -518,7 +481,7 @@ def partial_swap(eta: float, d: int = 2) -> np.ndarray:
     return math.cos(eta) * np.eye(d * d) - 1j * math.sin(eta) * swap_gate(d)
 
 
-class CollisionModel(IdentityFrameModel):
+class CollisionModel(JointModel):
     """Sequential pairwise collisions with fresh, identical ancillas.
 
     During the k-th slot the system interacts with ancilla k only; a query
@@ -528,7 +491,6 @@ class CollisionModel(IdentityFrameModel):
 
     name = "collision"
     env_kind = "product"
-    supports_unravelling = True
 
     def __init__(self, n_slots: int, pair_unitary: np.ndarray,
                  ancilla_state: np.ndarray | None = None,
@@ -619,7 +581,7 @@ def collision(n_slots: int = 6, pair_unitary: np.ndarray | None = None,
 # Static bath register (commuting dephasing; supports echo sequences)
 # ---------------------------------------------------------------------------
 
-class StaticDephasingModel(IdentityFrameModel):
+class StaticDephasingModel(JointModel):
     """System Hamiltonian drawn from a classical register: H = sum_j H_j (x) |j><j|.
 
     The register never evolves, so the bath correlation time is infinite;
@@ -628,7 +590,6 @@ class StaticDephasingModel(IdentityFrameModel):
 
     name = "static-dephasing"
     env_kind = "register"
-    supports_unravelling = True
 
     def __init__(self, probabilities: Sequence[float], hamiltonians: Sequence[np.ndarray]):
         p = np.asarray(probabilities, dtype=float)
@@ -738,29 +699,17 @@ def eternal_me() -> EternalModel:
 # Bath correlation functions and pulse-interleaved propagation
 # ---------------------------------------------------------------------------
 
-def bath_correlation(model: JointModel, a_e: np.ndarray, b_e: np.ndarray,
-                     t: float, tp: float):
-    """Symmetric/antisymmetric bath correlation pair of two bath operators.
-
-    Operators are moved to the interaction frame defined by the model's
-    environment frame before averaging in the initial bath state. Returns
-    (g_plus, g_minus, lab_frame_flag); the flag is set when the model has no
-    frame and the lab frame was used instead.
-    """
+def bath_correlation(model: JointModel, a_e: np.ndarray, b_e: np.ndarray):
+    """Symmetric/antisymmetric bath correlation pair (g_plus, g_minus) of two
+    bath operators, averaged in the initial bath state. The bath has no
+    free Hamiltonian, so the pair does not depend on the operators' times."""
     if model.dim_e > DENSE_JOINT_LIMIT:
         raise ValueError("environment too large for dense correlation functions")
     rho = model.rho_e0_matrix()
-    lab_frame = not model.has_env_frame
-    def frame_op(op, at):
-        op = np.asarray(op, dtype=complex)
-        if lab_frame:
-            return op
-        w = model.env_frame(model.t0, at)
-        return w.conj().T @ op @ w
-    xa, xb = frame_op(a_e, t), frame_op(b_e, tp)
+    xa, xb = np.asarray(a_e, dtype=complex), np.asarray(b_e, dtype=complex)
     g_plus = 0.5 * np.trace(rho @ (xa @ xb + xb @ xa))
     g_minus = 0.5 * np.trace(rho @ (xa @ xb - xb @ xa))
-    return complex(g_plus), complex(g_minus), lab_frame
+    return complex(g_plus), complex(g_minus)
 
 
 def dd_apply(model: JointModel, pulses: Sequence[np.ndarray],

@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 
 from .core import DensityOperator, Operator, ket
+from .models import assemble_map
 from .superop import LindbladSpec
 
 MAX_STEP_PROB = 0.1
@@ -107,6 +108,16 @@ def ensembles_distinct(e1: Ensemble, e2: Ensemble, t: float,
     return gap >= threshold, gap
 
 
+def mean_deviation_from_map(ens: Ensemble, model, rho0, times) -> float:
+    """Largest entry of |ensemble mean - map output| for the initial system
+    state rho0, over the grid times."""
+    dev = 0.0
+    for t in times:
+        target = assemble_map(model, model.env_branches(), (model.t0, t), (None, None))(rho0)
+        dev = max(dev, float(np.max(np.abs(ensemble_mean(ens, t).mat - target))))
+    return dev
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo wave function
 # ---------------------------------------------------------------------------
@@ -164,10 +175,14 @@ def _prepare_grid(grid, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return grid, step_times, slot
 
 
-def _chunked(m: int, jobs: int):
-    """Index ranges of a run of m samples split into at most `jobs` chunks."""
+def _require_samples(m: int) -> None:
     if m < 1:
         raise ValueError(f"M must be a positive number of samples, got {m}")
+
+
+def _chunked(m: int, jobs: int):
+    """Index ranges of a run of m samples split into at most `jobs` chunks."""
+    _require_samples(m)
     jobs = max(1, int(jobs))
     size = (m + jobs - 1) // jobs
     return [range(i, min(i + size, m)) for i in range(0, m, size)]
@@ -363,6 +378,7 @@ def collision_unravel(model, basis_per_slot=None, psi0=None,
         raise ValueError(
             f"{n_branches} branches exceed the enumeration limit "
             f"{BRANCH_ENUM_LIMIT}; pass M and seed for sampled mode")
+    _require_samples(M)
     states = np.empty((M, n + 1, ds), dtype=complex)
     records = np.empty((M, n), dtype=np.int64)
     streams = _Streams(seed)
@@ -438,14 +454,8 @@ def static_unravel(model, times, psi0=None, basis: str | np.ndarray = "register"
     ens = _branch_ensemble(full_times, [(w, hist, rec) for w, _, rec, hist in branches],
                            "static-nonregister", meta={"exact": True, "basis": "custom"})
     # mean deviation from the uninterrupted map output, per time
-    from .criteria import tomograph
-    dev = 0.0
-    rho0 = np.outer(psi0, psi0.conj())
-    for t in times:
-        mean = ensemble_mean(ens, t).mat
-        target = tomograph(model, model.t0, t)(rho0)
-        dev = max(dev, float(np.max(np.abs(mean - target))))
-    ens.meta["mean_deviation_from_map"] = dev
+    ens.meta["mean_deviation_from_map"] = mean_deviation_from_map(
+        ens, model, np.outer(psi0, psi0.conj()), times)
     return ens
 
 

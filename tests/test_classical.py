@@ -211,6 +211,22 @@ class TestMcsm:
         c = mcsm(ou_spec(), [1.0], [0.0, 0.5], M=32, seed=10, dt=1e-3)
         assert not np.array_equal(a.paths, c.paths)
 
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_poisson_draws_no_normals_and_keeps_paths(self, jobs):
+        # reference: the same counting process with one noise channel of zero
+        # diffusion; declaring none draws no normals and keeps every path bit
+        rate = 1.0
+        one_zero_column = SDESpec(lambda x, t: np.zeros_like(x),
+                                  lambda x, t: np.array([[0.0]]),
+                                  jump_rates=[lambda x, t: np.full(x.shape[0], rate)],
+                                  jump_effects=[lambda x: np.ones_like(x)], dim=1)
+        spec = poisson_spec(rate)
+        assert spec.n_noise == 0
+        grid = [0.0, 0.5, 1.0]
+        new = mcsm(spec, [0.0], grid, M=40, seed=3, dt=1e-3, jobs=jobs)
+        old = mcsm(one_zero_column, [0.0], grid, M=40, seed=3, dt=1e-3, jobs=jobs)
+        assert new.paths.tobytes() == old.paths.tobytes()
+
     def test_jump_probability_guard(self):
         with pytest.raises(ValueError, match="reduce dt"):
             mcsm(poisson_spec(500.0), [0.0], [0.0, 0.1], M=2, seed=0, dt=1e-3)

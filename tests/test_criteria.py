@@ -5,14 +5,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oqmarkov.core import (PAULIS, SX, ket, plus_state, random_density,
-                           random_pure, random_unitary)
+                           random_hermitian, random_pure, random_unitary)
 from oqmarkov.criteria import (CriterionReport, check_composability,
                                check_distinguishability, check_divisibility,
                                check_fa, check_fdd, check_gqrf, check_nib,
                                check_nqib, check_qrf, check_semigroup,
                                dd_effectiveness, hierarchy_report, map_family,
                                map_residual, multitime_correlation,
-                               regression_prediction, tomograph)
+                               generalized_map, regression_prediction,
+                               replacement_map, tomograph)
 from oqmarkov.models import (afl, collision, eternal_me, nqib_qubit,
                              partial_swap, static_dephasing, tam)
 from oqmarkov.superop import SuperOperator, is_cptp, vec
@@ -118,6 +119,31 @@ class TestAflSplit:
         rep = check_gqrf(model, time_sets=((0.5, 1.0, 1.5),), tol=1e-5)
         assert rep.verdict == "fail"
         assert rep.witnesses["max_residual"] > 0.01
+
+
+class TestGeneralizedMap:
+    """The replaced-bath map resets the bath to its initial state."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(levels=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+           t1=st.floats(0.0, 2.0), dt=st.floats(0.0, 2.0))
+    def test_static_dephasing_resets_to_initial_state(self, levels, seed, t1, dt):
+        rng = np.random.default_rng(seed)
+        model = static_dephasing(rng.dirichlet(np.ones(levels)),
+                                 [random_hermitian(2, rng) for _ in range(levels)])
+        reset = replacement_map(model, t1, t1 + dt, model.rho_e0_matrix())
+        assert np.max(np.abs(generalized_map(model, t1, t1 + dt).mat - reset.mat)) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(2, 3), n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           u1=st.floats(0.0, 1.0), u2=st.floats(0.0, 1.0), mixed=st.booleans())
+    def test_collision_resets_to_initial_state(self, d, n, seed, u1, u2, mixed):
+        rng = np.random.default_rng(seed)
+        ancilla = random_density(d, rng=rng) if mixed else None
+        model = collision(n, random_unitary(d * d, rng), ancilla_state=ancilla)
+        t1, t2 = sorted((n * u1, n * u2))     # on slot boundaries and inside slots
+        reset = replacement_map(model, t1, t2, model.rho_e0_matrix())
+        assert np.max(np.abs(generalized_map(model, t1, t2).mat - reset.mat)) < 1e-12
 
 
 class TestEnvironmentInterventions:

@@ -173,6 +173,11 @@ class TestCollisionUnravel:
         assert set(ens.records.ravel().tolist()) <= {0, 1}
         assert np.max(np.abs(np.linalg.norm(ens.states, axis=2) - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_sampled_mode_rejects_non_positive_sample_count(self, m):
+        with pytest.raises(ValueError, match="M must be a positive"):
+            collision_unravel(collision(n_slots=14), M=m, seed=1)
+
 
 class TestStaticUnravel:
     def test_register_basis_exact_and_pure(self):
