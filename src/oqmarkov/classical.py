@@ -440,11 +440,11 @@ def mcsm(spec: SDESpec, x0, grid, M: int, seed: int, dt: float = 1e-3,
     """Euler-Maruyama with Bernoulli-thinned jumps, evolved in lockstep over
     the sample paths. Per-path random streams keyed by (seed, path index)
     make results bitwise seed-reproducible and independent of chunking."""
-    chunks = _chunked(M, jobs)
     grid, step_times, slot = _prepare_grid(grid, dt)
     n_steps = len(step_times) - 1
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n_jump = len(spec.jump_rates)
+    chunks = _chunked(M, jobs, n_steps * (spec.n_noise + n_jump) * 8)
     sqrt_dt = math.sqrt(dt)
     streams = _Streams(seed)
 

@@ -78,6 +78,16 @@ def _sample_count(args, cfg, default: int) -> int:
     return m
 
 
+def _step_and_horizon(args, cfg) -> tuple[float, float]:
+    dt = float(_merged(args, cfg, "dt", 1e-3))
+    t_max = float(_merged(args, cfg, "tmax", 1.0))
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be a finite positive step, got {dt}")
+    if not 0 <= t_max < math.inf:
+        raise ValueError(f"tmax must be a finite non-negative time, got {t_max}")
+    return dt, t_max
+
+
 def _emit(args, cfg, payload, out_default: str):
     from .serialize import write_json, write_csv
     out = _merged(args, cfg, "out", out_default)
@@ -191,8 +201,7 @@ def cmd_mcwf(args) -> int:
         return USAGE_ERROR
     seed = _seed_from(args, cfg)
     m = _sample_count(args, cfg, 5000)
-    dt = float(_merged(args, cfg, "dt", 1e-3))
-    t_max = float(_merged(args, cfg, "tmax", 1.0))
+    dt, t_max = _step_and_horizon(args, cfg)
     jobs = int(_merged(args, cfg, "jobs", 1))
     method = _merged(args, cfg, "method", "jump")
     grid = np.round(np.arange(0.0, t_max + dt / 2, max(dt, t_max / 10)), 12)
@@ -247,8 +256,7 @@ def cmd_mcsm(args) -> int:
         return USAGE_ERROR
     seed = _seed_from(args, cfg)
     m = _sample_count(args, cfg, 10000)
-    dt = float(_merged(args, cfg, "dt", 1e-3))
-    t_max = float(_merged(args, cfg, "tmax", 1.0))
+    dt, t_max = _step_and_horizon(args, cfg)
     jobs = int(_merged(args, cfg, "jobs", 1))
     grid = np.round(np.linspace(0.0, t_max, 6), 12)
     if spec_name == "ou":

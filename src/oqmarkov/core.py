@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 # Absolute tolerances for state validation (matrices of dimension <~ 64).
 HERM_TOL = 1e-10
@@ -262,6 +261,7 @@ def matrix_exp(a: Operator) -> Operator:
         h = (m / 1j + (m / 1j).conj().T) / 2   # m = i*h with h Hermitian
         w, v = np.linalg.eigh(h)
         return Operator((v * np.exp(1j * w)) @ v.conj().T, a.dims)
+    import scipy.linalg
     return Operator(scipy.linalg.expm(m), a.dims)
 
 

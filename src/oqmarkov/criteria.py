@@ -18,7 +18,6 @@ import math
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
 from .core import (DensityOperator, ID2, PAULIS, SX, SY, SZ, branch_negativity,
                    hermitian_basis, ket, negativity_pure_from_marginal, purity,
@@ -497,6 +496,7 @@ def _check_nib_convex(model: JointModel, time_triple, cands, tol: float) -> Crit
     # search only while the seed fails and the cut leaves a gap to close
     searched = fx > tol and fx - cut > 1e-12
     if searched:
+        import scipy.optimize
         opt = scipy.optimize.minimize(lambda y: res.value(res.project(y)), x,
                                       method="Nelder-Mead",
                                       options={"xatol": 1e-6, "fatol": 1e-12,

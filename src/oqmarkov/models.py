@@ -22,8 +22,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
 
 from .core import Operator, SM, SP, SX, SZ, ket
 from .superop import SuperOperator, LindbladSpec, vec
@@ -362,6 +360,8 @@ class TamModel(JointModel):
     def theta_quadrature(t: float) -> float:
         """Integral of the coupling, with the substitution s = u^2 removing
         the integrable inverse-square-root divergence at s = 0."""
+        import scipy.integrate
+
         def f(u):
             s = u * u
             return 2.0 * u / math.sqrt(math.expm1(2.0 * s)) if s > 0 else math.sqrt(2.0)
@@ -519,6 +519,7 @@ class CollisionModel(JointModel):
             raise ValueError("slot_times must be n_slots+1 strictly increasing boundaries")
         self.t0 = float(self.slot_times[0])
         self.dim_e = self.dim_a ** self.n_slots
+        import scipy.linalg
         t, z = scipy.linalg.schur(u, output="complex")   # unitary is normal
         self._pair_eig = (np.angle(np.diag(t)), z)
 

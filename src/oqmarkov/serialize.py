@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+CSV_BLOCK_ROWS = 4096
+
 
 def _fmt_float(x: float) -> str:
     if x != x:
@@ -67,12 +69,26 @@ def _csv_cells(column) -> list:
     return list(map(str, values.tolist()))
 
 
+def _block_source(column):
+    """The column in a form whose row blocks format exactly as the whole
+    column does: an array typed once for the whole column, or its str cells."""
+    values = np.asarray(column)
+    if values.dtype.kind == "U" and not isinstance(column, np.ndarray):
+        return list(map(str, column))
+    return values
+
+
 def write_csv(path, header, columns) -> None:
     """One line per row; each column is one type, floats written with 17
-    significant digits and everything else with ``str``."""
-    cells = [_csv_cells(col) for col in columns]
-    lines = [",".join(header)] + list(map(",".join, zip(*cells)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    significant digits and everything else with ``str``. Rows are formatted
+    and written CSV_BLOCK_ROWS at a time."""
+    sources = [_block_source(col) for col in columns]
+    n_rows = min(map(len, sources), default=0)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            cells = [_csv_cells(src[start:start + CSV_BLOCK_ROWS]) for src in sources]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def load_schema() -> dict:

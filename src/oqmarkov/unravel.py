@@ -18,6 +18,9 @@ from .superop import LindbladSpec
 
 MAX_STEP_PROB = 0.1
 BRANCH_ENUM_LIMIT = 4096
+# Bytes of random draws a sampler holds at once: runs are split into chunks
+# whose draws fit, so draw memory does not grow with the sample count.
+DRAW_BUDGET = 24 << 20
 
 
 @dataclasses.dataclass
@@ -159,7 +162,11 @@ def _scan_rates(spec: LindbladSpec, t_values: np.ndarray) -> None:
 def _prepare_grid(grid, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The output grid, the integration times, and the output slot of every
     integration step (-1 where the state is not recorded)."""
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be a finite positive step, got {dt}")
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not grid.size:
+        raise ValueError("output grid must be a non-empty list of times")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("output grid times must be strictly increasing")
     t0, t_end = grid[0], grid[-1]
@@ -180,12 +187,16 @@ def _require_samples(m: int) -> None:
         raise ValueError(f"M must be a positive number of samples, got {m}")
 
 
-def _chunked(m: int, jobs: int):
-    """Index ranges of a run of m samples split into at most `jobs` chunks."""
+def _chunked(m: int, jobs: int, row_bytes: int):
+    """Index ranges of a run of m samples, split evenly into at least `jobs`
+    chunks (at most m), and into enough chunks that the draws of each one,
+    `row_bytes` per sample, fit in DRAW_BUDGET (a chunk of one sample may
+    exceed it)."""
     _require_samples(m)
-    jobs = max(1, int(jobs))
-    size = (m + jobs - 1) // jobs
-    return [range(i, min(i + size, m)) for i in range(0, m, size)]
+    rows = max(1, DRAW_BUDGET // row_bytes) if row_bytes > 0 else m
+    n = min(m, max(int(jobs), -(-m // rows)))
+    bounds = [m * k // n for k in range(n + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _fill_draws(streams: _Streams, keys, shape: tuple, method: str) -> np.ndarray:
@@ -204,15 +215,25 @@ def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
     otherwise the state evolves under the non-Hermitian effective
     Hamiltonian and is renormalized. First-order scheme; the run aborts if
     the per-step total jump probability ever reaches 0.1."""
-    chunks = _chunked(M, jobs)
     grid, step_times, slot = _prepare_grid(grid, dt)
     _scan_rates(spec, step_times[:-1])
     psi0 = np.asarray(psi0, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
     d = psi0.size
     n_steps = len(step_times) - 1
+    chunks = _chunked(M, jobs, n_steps * 8)
     c_ops = [c for c, _ in spec.channels]
     streams = _Streams(seed)
+
+    def rates_and_h_eff(t):
+        rates = spec.rates(t)
+        h_eff = spec.hamiltonian(t).astype(complex)
+        for cdc, g in zip(spec.jump_products, rates):
+            h_eff = h_eff - 0.5j * g * cdc
+        return rates, h_eff
+
+    # constant H and rates (the spec built its generator once): one h_eff
+    constant = rates_and_h_eff(step_times[0]) if spec._generator is not None else None
 
     def run_chunk(indices, out: np.ndarray) -> None:
         m = len(indices)
@@ -221,10 +242,7 @@ def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
         out[:, 0] = psi
         for s in range(n_steps):
             t = step_times[s]
-            rates = spec.rates(t)
-            h_eff = spec.hamiltonian(t).astype(complex)
-            for cdc, g in zip(spec.jump_products, rates):
-                h_eff = h_eff - 0.5j * g * cdc
+            rates, h_eff = constant or rates_and_h_eff(t)
             jump_amps = np.stack([psi @ c.T for c in c_ops]) if c_ops else np.zeros((0, m, d))
             probs = np.stack([g * dt * np.sum(np.abs(a) ** 2, axis=1)
                               for a, g in zip(jump_amps, rates)]) if c_ops else np.zeros((0, m))
@@ -234,17 +252,17 @@ def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
                     f"total jump probability {ptot.max():.3f} >= {MAX_STEP_PROB} at "
                     f"t = {t:.6g}; reduce dt")
             u = uni[:, s]
-            cum = np.cumsum(probs, axis=0)
             no_jump = (psi - 1j * dt * (psi @ h_eff.T))
             no_jump /= np.linalg.norm(no_jump, axis=1, keepdims=True)
             new = no_jump
             if c_ops:
-                jumped = u < ptot
-                if np.any(jumped):
-                    channel = np.argmax(u[None, :] < cum, axis=0)
+                rows = np.flatnonzero(u < ptot)
+                if rows.size:
+                    cum = np.cumsum(probs[:, rows], axis=0)
+                    channel = np.argmax(u[rows][None, :] < cum, axis=0)
                     for k in range(len(c_ops)):
-                        sel = jumped & (channel == k)
-                        if np.any(sel):
+                        sel = rows[channel == k]
+                        if sel.size:
                             amp = jump_amps[k][sel]
                             amp = amp / np.linalg.norm(amp, axis=1, keepdims=True)
                             new[sel] = amp
@@ -265,7 +283,6 @@ def mcwf_diffusive(spec: LindbladSpec, psi0, grid, M: int, seed: int,
     diffusive stochastic state equation with one Gaussian increment per
     channel per step, renormalizing after each step. The ensemble mean
     converges to the same master-equation solution as the jump scheme."""
-    chunks = _chunked(M, jobs)
     grid, step_times, slot = _prepare_grid(grid, dt)
     _scan_rates(spec, step_times[:-1])
     psi0 = np.asarray(psi0, dtype=complex)
@@ -274,6 +291,7 @@ def mcwf_diffusive(spec: LindbladSpec, psi0, grid, M: int, seed: int,
     n_steps = len(step_times) - 1
     c_ops = [c for c, _ in spec.channels]
     n_ch = len(c_ops)
+    chunks = _chunked(M, jobs, n_steps * n_ch * 8)
     sqrt_dt = np.sqrt(dt)
     streams = _Streams(seed)
 

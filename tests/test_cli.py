@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oqmarkov
 from oqmarkov.cli import main
 from oqmarkov.serialize import load_schema
 
@@ -206,6 +211,22 @@ class TestSamplerFlags:
         assert run(argv + ["--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
         assert not (tmp_path / "x.csv").exists() and not (tmp_path / "y.csv").exists()
 
+    @pytest.mark.parametrize("argv", SAMPLERS, ids=["mcwf", "mcsm"])
+    @pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "-0.01"], ["--dt", "inf"],
+                                       ["--dt", "nan"], ["--tmax=-1"], ["--tmax", "inf"]],
+                             ids=["dt0", "dt-neg", "dt-inf", "dt-nan", "tmax-neg", "tmax-inf"])
+    def test_bad_step_or_horizon_exit_2(self, tmp_path, argv, flags, capsys):
+        assert run(argv + ["--M", "4"] + flags + ["--out", str(tmp_path / "x")]) == 2
+        name = flags[0].split("=")[0].lstrip("-")
+        assert f"error: {name} must be a finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_bad_step_in_config_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt": 0}))
+        assert run(SAMPLERS[0] + ["--M", "4", "--config", str(cfg),
+                                  "--out", str(tmp_path / "x")]) == 2
+
 
 class TestMcwf:
     def test_decay_run_and_files(self, tmp_path):
@@ -269,3 +290,27 @@ class TestMcsm:
         assert run(["mcsm", "--spec", "ou", "--M", "4", "--tol", "0.5",
                     "--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x.csv").exists()
+
+
+SAMPLERS_WITHOUT_SCIPY = """
+import sys
+from oqmarkov.cli import main
+assert main(["mcwf", "--spec", "decay", "--M", "8", "--tmax", "0.05", "--out", "w"]) == 0
+assert main(["mcwf", "--spec", "decay", "--method", "diffusive", "--M", "8",
+             "--tmax", "0.05", "--out", "d"]) == 0
+assert main(["mcsm", "--spec", "ou", "--M", "8", "--tmax", "0.05", "--out", "o",
+             "--paths-out", "p.csv"]) == 0
+assert main(["mcsm", "--spec", "poisson", "--M", "8", "--tmax", "0.05", "--out", "q"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_samplers_never_load_scipy(tmp_path):
+    """Only the hierarchy and analyze paths import scipy, at its call sites."""
+    src = str(Path(oqmarkov.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", SAMPLERS_WITHOUT_SCIPY], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

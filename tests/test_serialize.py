@@ -3,8 +3,10 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oqmarkov import serialize
 from oqmarkov.serialize import write_csv
 
 
@@ -68,3 +70,28 @@ def test_python_float_lists_are_float_columns(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b"], [[0.1, -0.0], [1, 2]])
     assert path.read_text() == "a,b\n0.10000000000000001,1\n-0,2\n"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 3, 4, 5, 9])
+def test_row_blocks_match_per_cell_formatter(n_rows, tmp_path, monkeypatch):
+    """Row counts around the block size of 4: none, one, B-1, B, B+1, 2B+1."""
+    monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 4)
+    floats = np.array(SPECIAL[:n_rows])
+    ints = np.arange(n_rows, dtype=np.int64) - 2 ** 62
+    text = [["", "a b", "\x00", "é", "1.5"][i % 5] for i in range(n_rows)]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["x", "n", "s"], [floats, ints, text])
+    rows = [list(row) for row in zip(floats, ints, text)]
+    assert path.read_bytes() == per_cell_csv(["x", "n", "s"], rows).encode()
+
+
+def test_blocks_keep_the_whole_column_type(tmp_path, monkeypatch):
+    """A Python list is typed once for its whole column: a block holding only
+    its int or bool entries is still written as floats."""
+    columns = [[0.5, 2 ** 60, True], ["a", "\x00", "b"], [1, 2, 3]]
+    whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
+    write_csv(whole, ["f", "s", "n"], columns)
+    monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 1)
+    write_csv(blocks, ["f", "s", "n"], columns)
+    assert whole.read_text() == "f,s,n\n0.5,a,1\n1.152921504606847e+18,\x00,2\n1,b,3\n"
+    assert blocks.read_bytes() == whole.read_bytes()

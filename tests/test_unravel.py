@@ -8,7 +8,9 @@ from oqmarkov.core import SM, SX, SZ, plus_state
 from oqmarkov.criteria import tomograph
 from oqmarkov.models import collision, eternal_me, partial_swap, static_dephasing
 from oqmarkov.superop import LindbladSpec
-from oqmarkov.unravel import (Ensemble, _fill_draws, _prepare_grid, _Streams,
+from oqmarkov import unravel
+from oqmarkov.classical import mcsm, ou_spec, poisson_spec
+from oqmarkov.unravel import (Ensemble, _chunked, _fill_draws, _prepare_grid, _Streams,
                               collision_unravel, ensemble_mean, ensembles_distinct,
                               mcwf_diffusive, mcwf_jump, static_unravel,
                               ensemble_to_rows)
@@ -85,6 +87,47 @@ class TestMcwfJump:
         assert abs(ratio / (large / small) - 1.0) < 0.2, ratio
         pooled_ratio = (traj_small / small) / (traj_large / large)
         assert abs(pooled_ratio / (large / small) - 1.0) < 0.1, pooled_ratio
+
+    @pytest.mark.parametrize("spec", [
+        LindbladSpec(2, 0.3 * SX, [(SM, 2.0), (SX, 0.7), (SZ, 1.1)]),
+        LindbladSpec(2, lambda t: 0.5 * t * SZ, [(SM, lambda t: 1.0 + t), (SX, 0.4)]),
+    ], ids=["constant", "time-dependent"])
+    def test_matches_per_step_reference(self, spec):
+        grid, m, dt = [0.0, 0.1, 0.3], 300, 2e-3
+        ens = mcwf_jump(spec, EXCITED, grid, M=m, seed=11, dt=dt, jobs=4)
+        assert ens.states.tobytes() == _reference_jump(spec, EXCITED, grid, m, 11, dt).tobytes()
+
+
+def _reference_jump(spec, psi0, grid, m, seed, dt):
+    """The jump sampler as one chunk, rebuilding h_eff every step and choosing
+    channels over every row."""
+    _, step_times, slot = _prepare_grid(grid, dt)
+    c_ops = [c for c, _ in spec.channels]
+    uni = _fill_draws(_Streams(seed), range(m), (len(step_times) - 1,), "random")
+    psi = np.tile(psi0, (m, 1))
+    out = np.empty((m, len(grid), len(psi0)), dtype=complex)
+    out[:, 0] = psi
+    for s, t in enumerate(step_times[:-1]):
+        rates = spec.rates(t)
+        h_eff = spec.hamiltonian(t).astype(complex)
+        for cdc, g in zip(spec.jump_products, rates):
+            h_eff = h_eff - 0.5j * g * cdc
+        jump_amps = np.stack([psi @ c.T for c in c_ops])
+        probs = np.stack([g * dt * np.sum(np.abs(a) ** 2, axis=1)
+                          for a, g in zip(jump_amps, rates)])
+        cum = np.cumsum(probs, axis=0)
+        new = psi - 1j * dt * (psi @ h_eff.T)
+        new /= np.linalg.norm(new, axis=1, keepdims=True)
+        jumped = uni[:, s] < probs.sum(axis=0)
+        channel = np.argmax(uni[:, s][None, :] < cum, axis=0)
+        for k in range(len(c_ops)):
+            sel = jumped & (channel == k)
+            amp = jump_amps[k][sel]
+            new[sel] = amp / np.linalg.norm(amp, axis=1, keepdims=True)
+        psi = new
+        if slot[s + 1] >= 0:
+            out[:, slot[s + 1]] = psi
+    return out
 
 
 class TestMcwfDiffusive:
@@ -249,6 +292,57 @@ class TestPrepareGrid:
     def test_non_increasing_grid_rejected(self, grid):
         with pytest.raises(ValueError, match="strictly increasing"):
             _prepare_grid(grid, 0.1)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.inf, -math.inf, math.nan])
+    def test_non_finite_or_non_positive_step_rejected(self, dt):
+        with pytest.raises(ValueError, match="finite positive step"):
+            _prepare_grid([0.0, 0.1], dt)
+
+    @pytest.mark.parametrize("grid", [[], [[0.0, 0.1]]])
+    def test_empty_or_nested_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="non-empty list"):
+            _prepare_grid(grid, 0.1)
+
+
+class TestChunked:
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 5000), jobs=st.integers(-2, 40),
+           row_bytes=st.integers(0, 1 << 26), budget=st.integers(1, 1 << 20))
+    def test_chunks_cover_the_run_within_the_budget(self, m, jobs, row_bytes, budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(unravel, "DRAW_BUDGET", budget)
+            chunks = _chunked(m, jobs, row_bytes)
+        assert [i for c in chunks for i in c] == list(range(m))
+        assert all(c.step == 1 and len(c) for c in chunks)
+        assert len(chunks) >= min(m, jobs)
+        assert all(len(c) * row_bytes <= budget or len(c) == 1 for c in chunks)
+        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+
+    def test_draw_memory_does_not_grow_with_the_sample_count(self):
+        row = 8 * 1000
+        for m in (10, 10 ** 4, 10 ** 6):
+            widest = max(map(len, _chunked(m, 1, row)))
+            assert widest * row <= unravel.DRAW_BUDGET
+
+    SAMPLERS = {
+        "mcwf-jump": lambda jobs: mcwf_jump(DECAY, EXCITED, [0.0, 0.05, 0.2], M=37, seed=5,
+                                            dt=1e-3, jobs=jobs).states,
+        "mcwf-diffusive": lambda jobs: mcwf_diffusive(DECAY, EXCITED, [0.0, 0.05, 0.2], M=37,
+                                                      seed=5, dt=1e-3, jobs=jobs).states,
+        "mcsm-ou": lambda jobs: mcsm(ou_spec(), [1.0], [0.0, 0.1, 0.2], 37, seed=5,
+                                     dt=1e-3, jobs=jobs).paths,
+        "mcsm-poisson": lambda jobs: mcsm(poisson_spec(3.0), [0.0], [0.0, 0.1, 0.2], 37,
+                                          seed=5, dt=1e-3, jobs=jobs).paths,
+    }
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_many_chunks_match_one_chunk(self, name, monkeypatch):
+        one = self.SAMPLERS[name](1)
+        # 200 steps of 8-byte draws per sample: 3 samples fit 5000 bytes
+        monkeypatch.setattr(unravel, "DRAW_BUDGET", 5000)
+        assert len(_chunked(37, 1, 200 * 8)) == 13
+        many = self.SAMPLERS[name](1)
+        assert one.tobytes() == many.tobytes()
 
 
 MASK = 0xFFFFFFFFFFFFFFFF
