@@ -227,6 +227,44 @@ class TestSamplerFlags:
         assert run(SAMPLERS[0] + ["--M", "4", "--config", str(cfg),
                                   "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("argv", SAMPLERS, ids=["mcwf", "mcsm"])
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_exit_2(self, tmp_path, argv, jobs, capsys):
+        assert run(argv + ["--M", "4", "--jobs", str(jobs),
+                           "--out", str(tmp_path / "x")]) == 2
+        assert "jobs must be a positive number of chunks" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": jobs}))
+        assert run(argv + ["--M", "4", "--config", str(cfg),
+                           "--out", str(tmp_path / "y")]) == 2
+        assert not list(tmp_path.glob("[xy].*"))
+
+    def test_unknown_method_in_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "bogus"}))
+        assert run(SAMPLERS[0] + ["--M", "4", "--config", str(cfg),
+                                  "--out", str(tmp_path / "x")]) == 2
+        assert "unknown method 'bogus'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
+    # exit 2: decidable from the arguments, so nothing is sampled; exit 1: the
+    # sampler raised while it ran (a step probability of 0.1 or more, or a
+    # negative rate)
+    @pytest.mark.parametrize("argv, code", [
+        (["mcwf", "--dt", "0.007"], 2),
+        (["mcsm", "--dt", "0.007"], 2),
+        (["mcwf", "--tmax", "0"], 2),
+        (["mcsm", "--tmax", "0"], 2),
+        (["mcwf", "--spec", "decay", "--dt", "0.1"], 1),
+        (["mcsm", "--spec", "poisson", "--dt", "0.2"], 1),
+        (["mcwf", "--spec", "eternal"], 1),
+    ], ids=["mcwf-dt-span", "mcsm-dt-span", "mcwf-tmax0", "mcsm-tmax0",
+            "mcwf-step-prob", "mcsm-step-prob", "mcwf-negative-rate"])
+    def test_exit_code_table(self, tmp_path, argv, code, capsys):
+        assert run(argv + ["--M", "4", "--out", str(tmp_path / "x")]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
 
 class TestMcwf:
     def test_decay_run_and_files(self, tmp_path):
@@ -246,13 +284,15 @@ class TestMcwf:
         assert code == 1
 
     def test_single_trajectory_no_verdict(self, tmp_path):
-        stem = tmp_path / "one"
-        code = run(["mcwf", "--spec", "decay", "--M", "1", "--tmax", "0.2",
-                    "--dt", "0.002", "--seed", "8", "--out", str(stem)])
-        assert code == 0
-        summary = json.loads((tmp_path / "one.json").read_text())
-        assert summary["within_3_sigma"] is None
-        assert summary["max_sigma_deviation"] is None
+        """One sample resolves no grid time, so neither command has a verdict."""
+        for command, spec in (("mcwf", "decay"), ("mcsm", "ou")):
+            stem = tmp_path / f"one-{command}"
+            code = run([command, "--spec", spec, "--M", "1", "--tmax", "0.2",
+                        "--dt", "0.002", "--seed", "8", "--assert-pass", "--out", str(stem)])
+            assert code == 0
+            summary = json.loads((tmp_path / f"one-{command}.json").read_text())
+            assert summary["within_3_sigma"] is None
+            assert summary["max_sigma_deviation"] is None
 
     def test_unknown_spec(self, tmp_path):
         assert run(["mcwf", "--spec", "plasma", "--out", str(tmp_path / "x")]) == 2
