@@ -11,9 +11,11 @@ fails, when an implication edge is violated, or on a sampler run failure
 (a negative rate, or a step probability of 0.1 or more, raised while
 sampling); 2 on usage errors, i.e. anything the arguments decide. The
 samplers check those before sampling: the spec and method names, a positive
-M and --jobs, a finite positive --dt and --tmax, and an output grid that
---dt divides. Identical configuration and seed produce byte-identical
-output files; wall-clock timing is only embedded when --timing is passed.
+integer M and --jobs, a finite positive --dt and --tmax, and an output grid
+that --dt divides. A config value of the wrong JSON type (M, jobs and seed
+must be integers; dt, tmax, tol, t0, t1 and t2 real numbers) is a usage
+error too. Identical configuration and seed produce byte-identical output
+files; wall-clock timing is only embedded when --timing is passed.
 """
 
 from __future__ import annotations
@@ -53,8 +55,22 @@ def _merged(args: argparse.Namespace, cfg: dict, key: str, default=None):
     return default
 
 
+def _number(args, cfg, key: str, default=None, integer: bool = False):
+    """A numeric setting from the flags or the config: an integer (`M`,
+    `jobs`, `seed`) or a real number, never a bool, so that a config value
+    of the wrong JSON type is a usage error rather than a traceback or a
+    silent truncation. A setting without a default may be unset (None)."""
+    val = _merged(args, cfg, key, default)
+    if val is None and default is None:
+        return None
+    if isinstance(val, bool) or not isinstance(val, int if integer else (int, float)):
+        raise ValueError(f"{key} must be {'an integer' if integer else 'a real number'}, "
+                         f"got {val!r}")
+    return val
+
+
 def _seed_from(args, cfg) -> int:
-    seed = _merged(args, cfg, "seed")
+    seed = _number(args, cfg, "seed", integer=True)
     if seed is None:
         seed = os.environ.get("OQS_SEED")
     return int(seed) if seed is not None else 0
@@ -110,12 +126,12 @@ def cmd_analyze(args) -> int:
         return USAGE_ERROR
     seed = _seed_from(args, cfg)
     model = make_model(model_name)
-    grid_text, tol = _merged(args, cfg, "grid"), _merged(args, cfg, "tol")
+    grid_text, tol = _merged(args, cfg, "grid"), _number(args, cfg, "tol")
     if tol is not None and not 0 <= float(tol) < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     started = time.perf_counter()
     settings = criterion_settings(
-        model, names, times=[_merged(args, cfg, k) for k in ("t0", "t1", "t2")],
+        model, names, times=[_number(args, cfg, k) for k in ("t0", "t1", "t2")],
         grid=_parse_grid(grid_text) if grid_text else None,
         tol=None if tol is None else float(tol))
     reports = [run_criterion(c, model, settings[c], seed) for c in names]
@@ -178,11 +194,11 @@ def _sampler_args(args, specs: dict, m_default: int, grid_rule):
     spec = _merged(args, cfg, "spec", known[0])
     if spec not in known:
         raise ValueError(f"unknown spec '{spec}'; known: {known}")
-    m = int(_merged(args, cfg, "M", m_default))
+    m = _number(args, cfg, "M", m_default, integer=True)
     _require_samples(m)
-    dt = float(_merged(args, cfg, "dt", 1e-3))
-    t_max = float(_merged(args, cfg, "tmax", 1.0))
-    jobs = int(_merged(args, cfg, "jobs", 1))
+    dt = float(_number(args, cfg, "dt", 1e-3))
+    t_max = float(_number(args, cfg, "tmax", 1.0))
+    jobs = _number(args, cfg, "jobs", 1, integer=True)
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be a finite positive step, got {dt}")
     if not 0 < t_max < math.inf:

@@ -182,12 +182,27 @@ def partial_trace(a: Operator, keep) -> Operator:
     return Operator(tens.reshape(d, d), kept_dims)
 
 
+def trace_norms(stack) -> np.ndarray:
+    """Trace norm of every matrix in a stack of shape (..., d, d).
+
+    A member Hermitian to 1e-12 of max(1, its largest entry) takes the sum
+    of |eigenvalues| of its Hermitian part, any other member the sum of its
+    singular values; each branch is one batched LAPACK call over its members.
+    """
+    m = np.asarray(stack)
+    m_dag = np.conj(np.swapaxes(m, -1, -2))
+    herm = np.abs(m - m_dag).max(axis=(-2, -1))
+    is_herm = herm <= 1e-12 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    out = np.empty(m.shape[:-2])
+    out[is_herm] = np.sum(np.abs(np.linalg.eigvalsh(
+        (m[is_herm] + m_dag[is_herm]) / 2)), axis=-1)
+    out[~is_herm] = np.sum(np.linalg.svd(m[~is_herm], compute_uv=False), axis=-1)
+    return out
+
+
 def trace_norm(mat: np.ndarray) -> float:
     """Sum of singular values; eigenvalue path for Hermitian input."""
-    herm = np.max(np.abs(mat - mat.conj().T))
-    if herm <= 1e-12 * max(1.0, np.max(np.abs(mat))):
-        return float(np.sum(np.abs(np.linalg.eigvalsh((mat + mat.conj().T) / 2))))
-    return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
+    return float(trace_norms(mat))
 
 
 def helstrom_norm(w: float, rho: DensityOperator, sigma: DensityOperator) -> float:

@@ -137,6 +137,17 @@ class TestAnalyzeSettings:
         cfg.write_text(json.dumps({"model": "tam", "criteria": "qrf", "tol": -1.0}))
         assert run(["analyze", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("tol", "1e-9", "a real number"), ("tol", [1e-9], "a real number"),
+        ("tol", True, "a real number"), ("t1", [1], "a real number"),
+        ("seed", "7", "an integer")])
+    def test_config_value_of_wrong_type_exit_2(self, tmp_path, key, value, kind, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "tam", "criteria": "qrf", key: value}))
+        assert run(["analyze", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
+        assert f"error: {key} must be {kind}, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.5", "1:0:0.5", "0:inf:1",
                                       "0,1,1", "1,0.5", "0,nan"])
     def test_bad_grid_exit_2(self, tmp_path, grid):
@@ -238,6 +249,32 @@ class TestSamplerFlags:
         assert run(argv + ["--M", "4", "--config", str(cfg),
                            "--out", str(tmp_path / "y")]) == 2
         assert not list(tmp_path.glob("[xy].*"))
+
+    # a config value of the wrong JSON type: exit 2 before sampling, not a
+    # traceback (exit 1) or a silently truncated run
+    @pytest.mark.parametrize("argv", SAMPLERS, ids=["mcwf", "mcsm"])
+    @pytest.mark.parametrize("key, value, kind", [
+        ("M", [4], "an integer"), ("M", 2.7, "an integer"), ("M", True, "an integer"),
+        ("jobs", 1.5, "an integer"), ("jobs", "2", "an integer"),
+        ("dt", "0.01", "a real number"), ("dt", [0.01], "a real number"),
+        ("tmax", None, "a real number"), ("tmax", False, "a real number"),
+        ("seed", [4], "an integer"), ("seed", 2.7, "an integer"),
+    ], ids=["M-list", "M-float", "M-bool", "jobs-float", "jobs-str", "dt-str", "dt-list",
+            "tmax-null", "tmax-bool", "seed-list", "seed-float"])
+    def test_config_value_of_wrong_type_exit_2(self, tmp_path, argv, key, value, kind,
+                                               capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 4, "tmax": 0.1, key: value}))
+        assert run(argv[:3] + ["--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"error: {key} must be {kind}, got {value!r}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
+    def test_integral_config_values_are_kept(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 4, "jobs": 2, "dt": 0.01, "tmax": 1}))
+        assert run(SAMPLERS[1][:3] + ["--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+        config = json.loads((tmp_path / "x.json").read_text())["config"]
+        assert (config["M"], config["dt"], config["tmax"]) == (4, 0.01, 1.0)
 
     def test_unknown_method_in_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oqmarkov.core import (DensityOperator, Operator, PAULIS, PureState, ID2,
                            SX, SZ, helstrom_norm, hermitian_basis, ket, kron,
                            matrix_exp,
                            mutual_information, negativity, partial_trace,
-                           plus_state, trace_distance, random_density,
-                           random_hermitian)
+                           plus_state, trace_distance, trace_norm, trace_norms,
+                           random_density, random_hermitian)
 
 
 def dm(mat, dims=None):
@@ -167,6 +168,58 @@ class TestDistances:
         rho = dm(np.eye(2) / 2)
         with pytest.raises(ValueError):
             helstrom_norm(0.0, rho, rho)
+
+
+def _per_matrix_trace_norm(mat):
+    """The one-matrix rule that `trace_norms` applies to every member."""
+    herm = np.max(np.abs(mat - mat.conj().T))
+    if herm <= 1e-12 * max(1.0, np.max(np.abs(mat))):
+        return float(np.sum(np.abs(np.linalg.eigvalsh((mat + mat.conj().T) / 2))))
+    return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
+
+
+def _member(kind, d, rng):
+    """A Hermitian matrix, one within (or just past) the Hermiticity
+    tolerance, or a general complex matrix, at a random scale."""
+    scale = 10.0 ** rng.uniform(-3, 3)
+    h = scale * random_hermitian(d, rng)
+    if kind == "herm":
+        return h
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if kind == "near":
+        return h + 10.0 ** rng.uniform(-14, -10) * max(1.0, scale) * g
+    return scale * g
+
+
+class TestTraceNorms:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           kinds=st.lists(st.sampled_from(["herm", "near", "general"]), max_size=8))
+    @example(d=2, seed=0, kinds=["herm", "general", "near", "herm"])
+    @example(d=3, seed=1, kinds=[])
+    def test_stack_equals_each_member_bitwise(self, d, seed, kinds):
+        rng = np.random.default_rng(seed)
+        stack = np.array([_member(k, d, rng) for k in kinds],
+                         dtype=complex).reshape(len(kinds), d, d)
+        got = trace_norms(stack)
+        assert got.shape == (len(kinds),)
+        assert got.tolist() == [trace_norm(m) for m in stack]
+        assert got.tolist() == [_per_matrix_trace_norm(m) for m in stack]
+
+    def test_both_branches_in_one_stack(self):
+        herm = np.diag([2.0, -3.0]).astype(complex)
+        general = np.array([[0, 1], [0, 0]], dtype=complex)
+        stack = np.array([[herm, general], [general, herm]])
+        assert trace_norms(stack).tolist() == [[5.0, 1.0], [1.0, 5.0]]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_empty_stack(self, d):
+        out = trace_norms(np.zeros((0, d, d), dtype=complex))
+        assert out.shape == (0,) and out.dtype == float
+
+    def test_single_matrix_is_a_scalar(self):
+        assert trace_norm(np.diag([1.0, -2.0])) == 3.0
+        assert trace_norms(np.diag([1.0, -2.0])).shape == ()
 
 
 class TestNegativity:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oqmarkov.core import (PAULIS, SX, ket, plus_state, random_density,
-                           random_hermitian, random_pure, random_unitary)
+                           random_hermitian, random_pure, random_unitary,
+                           trace_norm)
 from oqmarkov.criteria import (CriterionReport, check_composability,
+                               criterion_settings,
                                check_distinguishability, check_divisibility,
                                check_fa, check_fdd, check_gqrf, check_nib,
                                check_nqib, check_qrf, check_semigroup,
@@ -16,7 +18,7 @@ from oqmarkov.criteria import (CriterionReport, check_composability,
                                replacement_map, tomograph)
 from oqmarkov.models import (afl, collision, eternal_me, nqib_qubit,
                              partial_swap, static_dephasing, tam)
-from oqmarkov.superop import SuperOperator, is_cptp, vec
+from oqmarkov.superop import SuperOperator, compose, is_cptp, vec
 
 
 class TestCriterionReport:
@@ -458,6 +460,111 @@ class TestMapFamilyCriteria:
         semi = check_semigroup(lambda tau: model.analytic_map(0.0, tau),
                                [(0.5, 0.5), (0.5, 1.0)], tol=1e-9)
         assert semi.verdict == "pass"
+
+
+def _looped_distinguishability(family, state_pairs=None, w_grid=None,
+                               tol=1e-9, seed=23, n_pairs=25):
+    """Reference: the per-matrix triple loop over (pair, weight, time) that
+    the stacked sweep of `check_distinguishability` replaced; the strict `>`
+    keeps the first maximum in that order."""
+    d = family[0][1].dim
+    if state_pairs is None:
+        rng = np.random.default_rng(seed)
+        state_pairs = []
+        for _ in range(n_pairs):
+            u, v = random_pure(d, rng), random_pure(d, rng)
+            state_pairs.append((np.outer(u, u.conj()), np.outer(v, v.conj())))
+        state_pairs.append((np.outer(ket(0, d), ket(0, d).conj()),
+                            np.outer(ket(d - 1, d), ket(d - 1, d).conj())))
+        up = np.ones(d, dtype=complex) / np.sqrt(d)
+        dn = up.copy(); dn[1::2] *= -1
+        state_pairs.append((np.outer(up, up.conj()), np.outer(dn, dn.conj())))
+    if w_grid is None:
+        w_grid = np.arange(0.1, 0.95, 0.1)
+    max_increase, worst = 0.0, None
+    for rho0, sig0 in state_pairs:
+        for w in w_grid:
+            prev = None
+            for t, emap in family:
+                val = trace_norm(w * emap(rho0) - (1 - w) * emap(sig0))
+                if prev is not None and val - prev > max_increase:
+                    max_increase, worst = val - prev, (t, float(w))
+                prev = val
+    witnesses = {"max_increase": max_increase, "worst": list(worst) if worst else []}
+    grid = (f"{len(state_pairs)} state pairs x {len(list(w_grid))} weights "
+            f"x {len(family)} grid times")
+    verdict = "pass" if max_increase <= tol else "fail"
+    return CriterionReport("distinguishability", verdict, witnesses, tol, grid)
+
+
+def _random_channel(d, rng, rank=2):
+    """A random CPTP map of Kraus rank `rank`, from a Haar isometry."""
+    iso = random_unitary(d * rank, rng)[:, :d].reshape(d, rank, d)
+    return SuperOperator(sum(np.kron(iso[:, i].conj(), iso[:, i]) for i in range(rank)), d)
+
+
+def _divisible_family(d, rng, n_times):
+    """E_0 = identity and E_k = L_k E_(k-1) with random channels L_k: the
+    Helstrom bias can only fall along it."""
+    maps = [SuperOperator(np.eye(d * d, dtype=complex), d)]
+    for _ in range(n_times - 1):
+        maps.append(compose(_random_channel(d, rng), maps[-1]))
+    return [(0.5 * k, m) for k, m in enumerate(maps)]
+
+
+class TestDistinguishabilitySweep:
+    """The stacked sweep against the per-matrix loop it replaced."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(d=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1),
+           n_times=st.integers(2, 5), tol=st.sampled_from([1e-9, 0.05]))
+    def test_matches_the_loop_on_random_families(self, d, seed, n_times, tol):
+        rng = np.random.default_rng(seed)
+        falling = _divisible_family(d, rng, n_times)
+        rising = [(t, m) for (t, _), (_, m) in zip(falling, falling[::-1])]
+        for family in (falling, rising):
+            got = check_distinguishability(family, tol=tol, seed=seed)
+            assert got.to_dict() == _looped_distinguishability(
+                family, tol=tol, seed=seed).to_dict()
+        assert check_distinguishability(falling, tol=1e-9).verdict == "pass"
+        assert check_distinguishability(rising, tol=1e-9).verdict == "fail"
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exact_tie_takes_the_first_maximum(self, d):
+        rng = np.random.default_rng(d)
+        a, one = _random_channel(d, rng), SuperOperator(np.eye(d * d, dtype=complex), d)
+        # the rise a -> one happens twice, from bitwise equal outputs
+        family = [(0.0, a), (1.0, one), (2.0, a), (3.0, one)]
+        got = check_distinguishability(family, w_grid=[0.3, 0.5, 0.7])
+        assert got.verdict == "fail" and got.witnesses["worst"][0] == 1.0
+        assert got.to_dict() == _looped_distinguishability(
+            family, w_grid=[0.3, 0.5, 0.7]).to_dict()
+
+    def test_no_pairs_or_one_time_passes(self):
+        family = _divisible_family(2, np.random.default_rng(0), 3)
+        for rep in (check_distinguishability(family, state_pairs=[]),
+                    check_distinguishability(family[:1])):
+            assert rep.verdict == "pass"
+            assert rep.witnesses == {"max_increase": 0.0, "worst": []}
+
+    def test_generators_are_read_once(self):
+        family = criterion_settings(nqib_qubit(), ["distinguishability"])[
+            "distinguishability"]["family"]()
+        rng = np.random.default_rng(5)
+        pairs = [tuple(random_density(2, rng, rank=1) for _ in range(2)) for _ in range(6)]
+        weights = (0.2, 0.5, 0.8)
+        want = check_distinguishability(family, tuple(pairs), weights).to_dict()
+        got = check_distinguishability(family, (p for p in pairs), (w for w in weights))
+        assert got.to_dict() == want
+        assert want["grid"] == "6 state pairs x 3 weights x 9 grid times"
+        assert want["verdict"] == "fail"
+
+    def test_semigroup_reads_a_generator_once(self):
+        model = eternal_me()
+        durations = ((0.5, 1.0), (1.0, 1.0))
+        want = check_semigroup(model.map, durations).to_dict()
+        assert check_semigroup(model.map, (p for p in durations)).to_dict() == want
+        assert want["grid"] == "2 duration pairs"
 
 
 class TestFdd:
