@@ -3,6 +3,11 @@ regression-formula checks, Chapman-Kolmogorov and divisibility of transition
 matrices, the blockwise correlated-family counterexamples, and Monte-Carlo
 simulation of jump-diffusion dynamics.
 
+Classical distinguishability is decided exactly from the same connecting
+steps that divisibility (`cdiv`) reads, so the two coincide on invertible
+families; the quantum `eternal` preset fails divisibility yet passes
+distinguishability.
+
 Joint distributions are stored as dense arrays with one axis per time label
 (capped at 2**20 entries). Regression checks are anchored at the process's
 initial time: the conditioning base of each factorization chain is the
@@ -76,7 +81,7 @@ def conditional(process: FiniteProcess, target_times: Sequence[int],
 
     Axes are ordered (givens..., targets...). Conditioning on an event of
     zero probability leaves NaN entries and sets the flag. When alt_q is
-    supplied the same conditional is recomputed under the替 replaced
+    supplied the same conditional is recomputed under the replaced
     initial distribution and the maximal difference is reported, which
     documents the initial-state dependence of generic conditionals.
     """
@@ -202,16 +207,15 @@ class StochasticMatrix:
         self.mat = np.clip(m, 0.0, None)
 
 
-def is_stochastic(mat: np.ndarray, tol: float) -> tuple[bool, float]:
-    neg = float(max(0.0, -np.min(mat)))
-    colsum = float(np.max(np.abs(mat.sum(axis=0) - 1.0)))
-    return (neg <= tol and colsum <= tol), max(neg, colsum)
+def stochastic_residual(mat: np.ndarray) -> float:
+    """Largest of the most negative entry's size and the column-sum errors."""
+    return float(max(0.0, -np.min(mat), np.max(np.abs(mat.sum(axis=0) - 1.0))))
 
 
 @dataclasses.dataclass
 class TransitionFamily:
-    """T(t) = P(x_t | x_{t0}) for a set of times, plus optional candidate
-    step matrices P(x_{t2} | x_{t1}) used when T(t1) is singular."""
+    """T(t) = P(x_t | x_{t0}) for a set of times, plus optional step matrices
+    P(x_{t2} | x_{t1}) for consecutive times, used when T(t1) is singular."""
     times: list
     maps: list                      # T(t): column-stochastic
     steps: dict = dataclasses.field(default_factory=dict)   # (t1,t2) -> matrix
@@ -220,61 +224,63 @@ class TransitionFamily:
     def from_process(cls, process: FiniteProcess) -> "TransitionFamily":
         times = list(range(1, process.n_times))
         maps = [process.two_time_conditional(0, t) for t in times]
-        steps = {}
-        for t1, t2 in itertools.combinations(times, 2):
-            steps[(t1, t2)] = process.two_time_conditional(t1, t2)
+        steps = {(t1, t2): process.two_time_conditional(t1, t2)
+                 for t1, t2 in zip(times, times[1:])}
         return cls(times, maps, steps)
 
     @classmethod
     def from_step_matrix(cls, s: np.ndarray, n_steps: int) -> "TransitionFamily":
         s = StochasticMatrix(s).mat
-        times, maps, steps = [], [], {}
-        acc = np.eye(s.shape[0])
-        for k in range(1, n_steps + 1):
-            acc = s @ acc
-            times.append(k)
-            maps.append(acc.copy())
-        for i, t1 in enumerate(times):
-            for t2 in times[i + 1:]:
-                steps[(t1, t2)] = np.linalg.matrix_power(s, t2 - t1)
-        return cls(times, maps, steps)
+        maps = [np.eye(s.shape[0])]
+        for _ in range(n_steps):
+            maps.append(s @ maps[-1])
+        times = list(range(1, n_steps + 1))
+        return cls(times, maps[1:], {(t, t + 1): s for t in times[:-1]})
+
+
+def connecting_steps(family: TransitionFamily):
+    """Yield (t1, t2, T(t1), T(t2), step, invertible, residual) for each
+    consecutive pair of grid times. The step of an invertible T(t1) is the
+    unique T(t2) T(t1)^{-1}; for a singular one it is the family's own step
+    matrix, or None. The residual is the step's `stochastic_residual`, also
+    covering its composition error for a singular T(t1); None without a step."""
+    points = list(zip(family.times, family.maps))
+    for (t1, m1), (t2, m2) in zip(points, points[1:]):
+        invertible = np.linalg.matrix_rank(m1, tol=1e-12) == m1.shape[0]
+        step = m2 @ np.linalg.inv(m1) if invertible else family.steps.get((t1, t2))
+        resid = None if step is None else stochastic_residual(step)
+        if step is not None and not invertible:
+            resid = max(resid, float(np.max(np.abs(step @ m1 - m2))))
+        yield t1, t2, m1, m2, step, invertible, resid
+
+
+def _interval_report(name: str, residuals: list, tol: float, grid: str,
+                     reason: str = "") -> CriterionReport:
+    """Report on [((t1, t2), residual)]; a None residual leaves its interval
+    undecided."""
+    worst, worst_pair = 0.0, []
+    for pair, resid in residuals:
+        if resid is not None and resid > worst:
+            worst, worst_pair = resid, list(pair)
+    inconclusive = [list(pair) for pair, resid in residuals if resid is None]
+    witnesses = {"max_residual": worst, "worst_pair": worst_pair,
+                 "n_inconclusive": float(len(inconclusive))}
+    if worst > tol:
+        return CriterionReport(name, FAIL, witnesses, tol, grid)
+    if inconclusive:
+        return CriterionReport(name, INCONCLUSIVE, witnesses, tol, grid,
+                               reason=f"singular transition matrix at {inconclusive}{reason}")
+    return CriterionReport(name, PASS, witnesses, tol, grid)
 
 
 def check_cdiv(family: TransitionFamily, tol: float = 1e-10) -> CriterionReport:
     """Classical divisibility: a stochastic matrix must connect consecutive
-    transition matrices. With invertible T(t1) the connecting matrix is the
-    unique T(t2) T(t1)^{-1}; for singular T(t1) the process's own step
-    conditional is tried as an existence witness, and absent that the
-    interval is inconclusive."""
-    worst, worst_pair = 0.0, None
-    inconclusive = []
-    for (t1, m1), (t2, m2) in zip(zip(family.times, family.maps),
-                                  list(zip(family.times, family.maps))[1:]):
-        if np.linalg.matrix_rank(m1, tol=1e-12) == m1.shape[0]:
-            s = m2 @ np.linalg.inv(m1)
-            ok, resid = is_stochastic(s, tol)
-            if resid > worst:
-                worst, worst_pair = resid, (t1, t2)
-        else:
-            cand = family.steps.get((t1, t2))
-            if cand is None:
-                inconclusive.append([t1, t2])
-                continue
-            ok, resid = is_stochastic(cand, tol)
-            comp = float(np.max(np.abs(cand @ m1 - m2)))
-            resid = max(resid, comp)
-            if resid > worst:
-                worst, worst_pair = resid, (t1, t2)
-    witnesses = {"max_residual": worst,
-                 "worst_pair": list(worst_pair) if worst_pair else [],
-                 "n_inconclusive": float(len(inconclusive))}
-    grid = f"{len(family.times)} grid times, consecutive pairs"
-    if worst > tol:
-        return CriterionReport("cdiv", FAIL, witnesses, tol, grid)
-    if inconclusive:
-        return CriterionReport("cdiv", INCONCLUSIVE, witnesses, tol, grid,
-                               reason=f"singular transition matrix at {inconclusive}")
-    return CriterionReport("cdiv", PASS, witnesses, tol, grid)
+    transition matrices. The connecting step of an invertible T(t1) is
+    unique; for a singular T(t1) the family's own step is tried as an
+    existence witness, and absent that the interval is inconclusive."""
+    residuals = [((t1, t2), r) for t1, t2, *_, r in connecting_steps(family)]
+    return _interval_report("cdiv", residuals, tol,
+                            f"{len(family.times)} grid times, consecutive pairs")
 
 
 def check_stochastic_semigroup(family: TransitionFamily,
@@ -295,32 +301,38 @@ def check_stochastic_semigroup(family: TransitionFamily,
                            f"duration pairs within {family.times}")
 
 
-def check_classical_disting(family: TransitionFamily, pairs=None, w_grid=None,
-                            tol: float = 1e-10, seed: int = 5) -> CriterionReport:
-    """w-weighted L1 distinguishability must never increase along the grid."""
-    k = family.maps[0].shape[0]
-    if pairs is None:
-        rng = np.random.default_rng(seed)
-        pairs = []
-        for _ in range(25):
-            p = rng.random(k); p /= p.sum()
-            q = rng.random(k); q /= q.sum()
-            pairs.append((p, q))
-    if w_grid is None:
-        w_grid = np.arange(0.1, 0.95, 0.1)
-    max_increase, worst = 0.0, None
-    for p0, q0 in pairs:
-        for w in w_grid:
-            prev = float(np.sum(np.abs(w * p0 - (1 - w) * q0)))
-            for t, m in zip(family.times, family.maps):
-                val = float(np.sum(np.abs(w * (m @ p0) - (1 - w) * (m @ q0))))
-                if val - prev > max_increase:
-                    max_increase, worst = val - prev, (t, float(w))
-                prev = val
-    witnesses = {"max_increase": max_increase, "worst": list(worst) if worst else []}
-    verdict = PASS if max_increase <= tol else FAIL
-    return CriterionReport("classical-distinguishability", verdict, witnesses,
-                           tol, f"{len(pairs)} pairs x {len(list(w_grid))} weights")
+def check_classical_disting(family: TransitionFamily,
+                            tol: float = 1e-10) -> CriterionReport:
+    """Classical distinguishability, decided exactly: the bias
+    ||w T(t) p - (1-w) T(t) q||_1 must never grow along the grid, from the
+    identity at t = 0, for any distributions p, q and prior w.
+
+    Statement implemented (Buscemi & Datta, PRA 93, 012101, arXiv:1408.7062):
+    for an invertible T(t1) the bias never grows from t1 to t2, over any pair
+    and prior, exactly when the connecting step T(t2) T(t1)^{-1} is
+    stochastic. Its columns sum to one, so `tol` bounds its most negative
+    entry. A singular T(t1) fails when T(t2) does not vanish on its kernel,
+    as two distributions equal at t1 then separate at t2 (the residual is
+    T(t2)'s largest entry on an orthonormal kernel basis); it passes when
+    the family's own step is stochastic and composes, else it is
+    inconclusive."""
+    anchored = TransitionFamily([0, *family.times], [np.eye(len(family.maps[0])),
+                                                     *family.maps], family.steps)
+    residuals = []
+    for t1, t2, m1, m2, step, invertible, step_resid in connecting_steps(anchored):
+        if invertible:
+            resid = max(0.0, -float(np.min(step)))
+        else:
+            _, sv, vh = np.linalg.svd(m1)
+            resid = float(np.max(np.abs(m2 @ vh[np.sum(sv > 1e-12):].T)))
+            if resid <= tol:
+                undecided = step_resid is None or step_resid > tol
+                resid = None if undecided else max(resid, step_resid)
+        residuals.append(((t1, t2), resid))
+    return _interval_report(
+        "classical-distinguishability", residuals, tol,
+        f"{len(family.times)} grid times from the identity at t = 0, consecutive pairs",
+        " without a stochastic step that composes")
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,7 @@ def check_qrf(model: JointModel, op_pairs=None, time_pairs=((0.5, 1.0),),
     if op_pairs is None:
         basis = hermitian_basis(ds)
         op_pairs = [(a, b) for a in basis for b in basis]
+    op_pairs, time_pairs = list(op_pairs), list(time_pairs)
     rho_s0 = _default_rho0(ds) if rho_s0 is None else rho_s0
     ident = np.eye(ds, dtype=complex)
     worst, worst_at = 0.0, None
@@ -335,6 +336,7 @@ def check_gqrf(model: JointModel, op_sets=None, time_sets=((0.5, 1.0, 1.5),),
                tol: float = 1e-8, rho_s0=None) -> CriterionReport:
     """Multi-time regression check over sequences of system-operator pairs."""
     rho_s0 = _default_rho0(model.dim_s) if rho_s0 is None else rho_s0
+    op_sets, time_sets = list(op_sets or ()), list(time_sets)
     worst, worst_at = 0.0, None
     cache: dict = {}
     n_sets = 0
@@ -363,6 +365,7 @@ def check_composability(model: JointModel, time_triples, tol: float = 1e-9,
                         analytic: bool | None = None) -> CriterionReport:
     """Resetting the bath to its initial state at the midpoint must
     reproduce the map."""
+    time_triples = list(time_triples)
     worst, worst_triple, details = 0.0, None, {}
     for (t0, t1, t2) in time_triples:
         e2 = map_family(model, [t2], analytic=analytic)[0][1]
@@ -375,7 +378,7 @@ def check_composability(model: JointModel, time_triples, tol: float = 1e-9,
                  "max_entry": details.get("max_entry", 0.0),
                  "action_norm": details.get("action_norm", 0.0),
                  "worst_triple": list(worst_triple) if worst_triple else []}
-    grid = f"{len(list(time_triples))} time triples"
+    grid = f"{len(time_triples)} time triples"
     verdict = PASS if worst <= tol else FAIL
     return CriterionReport("composability", verdict, witnesses, tol, grid)
 
@@ -714,6 +717,7 @@ def check_fdd(model: JointModel, pulse_sequences, tol: float = 1e-9) -> Criterio
     replaced-bath maps interleaved with the pulses: after the first
     segment, each one starts from the bath reset to its initial state."""
     from .superop import unitary_superop
+    pulse_sequences = list(pulse_sequences)
     worst, worst_seq = 0.0, None
     for seq_idx, (pulses, times) in enumerate(pulse_sequences):
         hahn = dd_apply(model, pulses, times)
@@ -733,7 +737,7 @@ def check_fdd(model: JointModel, pulse_sequences, tol: float = 1e-9) -> Criterio
             worst, worst_seq = res, seq_idx
     witnesses = {"max_residual": worst,
                  "worst_sequence_index": float(worst_seq if worst_seq is not None else -1)}
-    grid = f"{len(list(pulse_sequences))} pulse sequences"
+    grid = f"{len(pulse_sequences)} pulse sequences"
     verdict = PASS if worst <= tol else FAIL
     return CriterionReport("fdd", verdict, witnesses, tol, grid)
 

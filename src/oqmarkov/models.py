@@ -731,6 +731,8 @@ def dd_apply(model: JointModel, pulses: Sequence[np.ndarray],
     if t_end is None:
         t_end = times[-1] if times else model.t0
     sched = [model.t0] + times
+    if any(b < a for a, b in zip(sched, sched[1:] + [t_end])):
+        raise ValueError("need t0 <= times[0] <= ... <= times[-1] <= t_end")
     ops = [None] + list(pulses)
     if t_end > sched[-1] + 1e-15:
         sched.append(t_end)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Operator
+from .core import Operator, hermitian_basis
 
 PINV_RCOND = 1e-12
 
@@ -324,30 +324,6 @@ def generator_from_maps(map_at: Callable[[float], SuperOperator], t: float,
     return l, diag
 
 
-def gell_mann_basis(d: int) -> list[np.ndarray]:
-    """Traceless orthonormal Hermitian basis (generalized Gell-Mann matrices).
-
-    Normalized so Tr[F_j^dag F_k] = delta_jk; d^2 - 1 elements.
-    """
-    basis = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1 / np.sqrt(2)
-            basis.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j / np.sqrt(2)
-            m[k, j] = 1j / np.sqrt(2)
-            basis.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        for i in range(l):
-            m[i, i] = 1.0
-        m[l, l] = -l
-        basis.append(m / np.sqrt(l * (l + 1)))
-    return basis
-
-
 @dataclasses.dataclass
 class CanonicalGenerator:
     """Time-local generator in canonical form: Hamiltonian part plus
@@ -387,7 +363,8 @@ def canonical_decompose(l: SuperOperator | np.ndarray, tol: float = 1e-8) -> Can
         raise ValueError(f"generator is not Hermiticity-preserving: {herm_resid:.3e}")
     j = (j + j.conj().T) / 2
 
-    ops = [np.eye(d, dtype=complex) / np.sqrt(d)] + gell_mann_basis(d)
+    ops = [np.eye(d, dtype=complex) / np.sqrt(d)] + [
+        f / np.sqrt(2) for f in hermitian_basis(d)[1:]]
     v = np.stack([f.reshape(-1) for f in ops], axis=1)     # row-major vec
     a_full = v.conj().T @ j @ v
 

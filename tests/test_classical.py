@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oqmarkov.classical import (FiniteProcess, SDESpec, StochasticMatrix,
                                 TransitionFamily, blockwise_counterexample,
@@ -9,11 +10,25 @@ from oqmarkov.classical import (FiniteProcess, SDESpec, StochasticMatrix,
                                 check_cm, check_crf, check_stochastic_semigroup,
                                 conditional, iid_process, markov_chain, mcsm,
                                 ou_moments, ou_spec, poisson_spec)
+from oqmarkov.criteria import (check_distinguishability, check_divisibility,
+                               map_family)
+from oqmarkov.models import eternal_me
 
 STEP = np.array([[0.9, 0.3], [0.1, 0.7]])   # column-stochastic
 CHAIN = markov_chain(STEP, [0.6, 0.4], 4)
 BLOCK33 = blockwise_counterexample(3, 3, 1.0)
 IID = iid_process([0.5, 0.5], 5)
+
+
+def _memory_process() -> FiniteProcess:
+    """x0 uniform, x1 independent of x0, x2 = x0: T(1) is singular."""
+    table = np.zeros((2, 2, 2))
+    for x0 in range(2):
+        table[x0, :, x0] = 0.5 * np.array([0.3, 0.7])
+    return FiniteProcess(table)
+
+
+MEMORY = _memory_process()
 
 
 class TestFiniteProcess:
@@ -140,6 +155,113 @@ class TestCkeAndCdiv:
         fam = TransitionFamily.from_step_matrix(STEP, 4)
         assert check_cdiv(fam).verdict == "pass"
         assert check_stochastic_semigroup(fam).verdict == "pass"
+
+
+def _stochastic(k):
+    return st.lists(st.floats(0.01, 1.0), min_size=k * k, max_size=k * k).map(
+        lambda xs: np.reshape(xs, (k, k)) / np.reshape(xs, (k, k)).sum(axis=0))
+
+
+@st.composite
+def invertible_families(draw):
+    """(T(1), T(2)) on 2-4 states with a well-conditioned T(1). T(2) is drawn
+    freely, or is L T(1) for a stochastic L with one entry lowered by eps
+    and another entry of its column raised by eps."""
+    k = draw(st.integers(2, 4))
+    t1 = draw(_stochastic(k))
+    assume(np.linalg.cond(t1) < 1e4)
+    if draw(st.booleans()):
+        return t1, draw(_stochastic(k))
+    lmat = draw(_stochastic(k))
+    col = draw(st.integers(0, k - 1))
+    lower, raise_ = draw(st.permutations(range(k)))[:2]
+    eps = draw(st.floats(0.001, 0.2))
+    lmat[lower, col] -= eps
+    lmat[raise_, col] += eps
+    t2 = lmat @ t1
+    assume(t2.min() >= 0.0)
+    return t1, t2
+
+
+# passed by the former 25-pair sample although T(2) T(1)^{-1} has a -0.079 entry
+SAMPLED_WRONG_PASS = (np.array([[0.28, 0.51], [0.72, 0.49]]),
+                      np.array([[0.39, 0.61], [0.61, 0.39]]))
+WEIGHTS = np.arange(0.1, 0.95, 0.1)
+
+
+def _bias(m, p, q, w):
+    return float(np.sum(np.abs(w * (m @ p) - (1 - w) * (m @ q))))
+
+
+class TestClassicalDistinguishability:
+    @settings(max_examples=150, deadline=None)
+    @given(family=invertible_families(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(family=SAMPLED_WRONG_PASS, seed=0)
+    def test_exact_on_invertible_families(self, family, seed):
+        t1, t2 = family
+        fam = TransitionFamily([1, 2], [t1, t2])
+        rep = check_classical_disting(fam)
+        assert rep.verdict == check_cdiv(fam).verdict
+        if rep.verdict == "fail":
+            assert rep.witnesses["worst_pair"] == [1, 2]
+            lam = t2 @ np.linalg.inv(t1)
+            x = np.linalg.inv(t1)[:, np.argmin(lam.min(axis=0))]
+            pos, neg = np.clip(x, 0.0, None), np.clip(-x, 0.0, None)
+            w = pos.sum() / (pos.sum() + neg.sum())
+            p, q = pos / pos.sum(), neg / neg.sum()
+            assert _bias(t2, p, q, w) > _bias(t1, p, q, w)
+        else:
+            assert rep.verdict == "pass"
+            rng = np.random.default_rng(seed)
+            k = len(t1)
+            p, q = rng.dirichlet(np.ones(k), 1000).T, rng.dirichlet(np.ones(k), 1000).T
+            w = WEIGHTS[:, None, None]
+            # [time, weight, pair], from the identity at t = 0
+            bias = np.array([np.abs(w * (m @ p) - (1 - w) * (m @ q)).sum(axis=1)
+                             for m in (np.eye(k), t1, t2)])
+            assert np.max(np.diff(bias, axis=0)) <= rep.tolerance
+
+    def test_sampled_wrong_pass_now_fails(self):
+        rep = check_classical_disting(TransitionFamily([1, 2], list(SAMPLED_WRONG_PASS)))
+        assert rep.verdict == "fail"
+        lam = SAMPLED_WRONG_PASS[1] @ np.linalg.inv(SAMPLED_WRONG_PASS[0])
+        assert rep.witnesses["max_residual"] == pytest.approx(-lam.min(), abs=1e-14)
+        assert rep.witnesses["max_residual"] > 0.07
+
+    def test_memory_family_fails_with_and_without_steps(self):
+        fam = TransitionFamily.from_process(MEMORY)
+        bare = TransitionFamily(fam.times, fam.maps)
+        for family in (fam, bare):
+            rep = check_classical_disting(family)
+            assert rep.verdict == "fail"
+            assert rep.witnesses["worst_pair"] == [1, 2]
+            # T(2) = 1 on the kernel direction (1, -1) / sqrt(2) of T(1)
+            assert rep.witnesses["max_residual"] == pytest.approx(np.sqrt(0.5))
+        assert check_cdiv(fam).verdict == "fail"
+        assert check_cdiv(bare).verdict == "inconclusive"
+
+    def test_eternal_is_the_quantum_contrast(self):
+        family = map_family(eternal_me(), np.arange(0.0, 3.01, 0.5))
+        assert check_divisibility(family, tol=1e-9).verdict == "fail"
+        assert check_distinguishability(family, tol=1e-9).verdict == "pass"
+
+    def test_singular_interval_needs_a_stochastic_step_that_composes(self):
+        t1 = np.array([[0.3, 0.3], [0.7, 0.7]])
+        t2 = np.array([[0.6, 0.6], [0.4, 0.4]])      # vanishes on ker T(1)
+        bare = check_classical_disting(TransitionFamily([1, 2], [t1, t2]))
+        assert bare.verdict == "inconclusive"
+        assert "[[1, 2]]" in bare.reason
+        composing = {(1, 2): t2.copy()}
+        nonstochastic = {(1, 2): np.array([[1.3, 0.3], [-0.3, 0.7]])}
+        assert np.allclose(nonstochastic[(1, 2)] @ t1, t2)
+        verdicts = [check_classical_disting(TransitionFamily([1, 2], [t1, t2], s)).verdict
+                    for s in (composing, nonstochastic)]
+        assert verdicts == ["pass", "inconclusive"]
+
+    def test_families_build_only_consecutive_steps(self):
+        consecutive = [(1, 2), (2, 3), (3, 4)]
+        assert sorted(TransitionFamily.from_process(CHAIN).steps) == consecutive
+        assert sorted(TransitionFamily.from_step_matrix(STEP, 4).steps) == consecutive
 
 
 class TestBlockwise:

@@ -8,7 +8,7 @@ from oqmarkov.core import (PAULIS, SX, ket, plus_state, random_density,
                            random_hermitian, random_pure, random_unitary,
                            trace_norm)
 from oqmarkov.criteria import (CriterionReport, check_composability,
-                               criterion_settings,
+                               criterion_settings, default_gqrf_op_sets,
                                check_distinguishability, check_divisibility,
                                check_fa, check_fdd, check_gqrf, check_nib,
                                check_nqib, check_qrf, check_semigroup,
@@ -589,6 +589,44 @@ class TestFdd:
         model = collision()
         rep = check_fdd(model, [([], [])], tol=1e-12)
         assert rep.verdict == "pass"
+
+
+class TestCaseArgumentsReadOnce:
+    """Each checker lists its case arguments at entry, so a generator gives
+    the report that a list gives."""
+
+    TIMES = [(0.5, 1.0), (1.0, 2.0)]
+
+    def test_qrf(self):
+        model = tam()
+        pairs = [(SX, SX), (PAULIS["Z"], SX)]
+        want = check_qrf(model, pairs, self.TIMES).to_dict()
+        got = check_qrf(model, (p for p in pairs), (t for t in self.TIMES))
+        assert got.to_dict() == want
+        assert want["grid"] == "2 operator pairs x 2 time pairs, both orderings"
+
+    def test_gqrf(self):
+        model = tam()
+        sets = default_gqrf_op_sets(2, 2, n_sets=3)
+        want = check_gqrf(model, sets, self.TIMES).to_dict()
+        got = check_gqrf(model, (s for s in sets), (t for t in self.TIMES))
+        assert got.to_dict() == want
+        assert want["grid"] == "6 operator sequences over 2 time sets"
+
+    def test_composability(self):
+        model = tam()
+        triples = [(0.0, 0.5, 1.0), (0.0, 1.0, 2.0)]
+        want = check_composability(model, triples).to_dict()
+        assert check_composability(model, (t for t in triples)).to_dict() == want
+        assert want["grid"] == "2 time triples"
+        assert want["verdict"] == "fail"
+
+    def test_fdd(self):
+        model = tam()
+        seqs = [([SX, SX], [0.5, 1.0]), ([SX], [1.0])]
+        want = check_fdd(model, seqs).to_dict()
+        assert check_fdd(model, (s for s in seqs)).to_dict() == want
+        assert want["grid"] == "2 pulse sequences"
 
 
 EXPECTED_ROWS = {

@@ -431,3 +431,12 @@ class TestDdApply:
     def test_nonunitary_pulse_rejected(self):
         with pytest.raises(ValueError):
             dd_apply(static_dephasing(), [np.diag([1.0, 0.5])], [1.0])
+
+    def test_pulse_times_must_not_run_backwards(self):
+        for times in ([1.0, 0.5], [-0.5, 1.0]):
+            with pytest.raises(ValueError, match="t0 <= times"):
+                dd_apply(tam(), [SX, SX], times)
+
+    def test_end_time_before_last_pulse_rejected(self):
+        with pytest.raises(ValueError, match="t_end"):
+            dd_apply(tam(), [SX, SX], [0.5, 1.0], t_end=0.8)

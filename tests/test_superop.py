@@ -8,7 +8,7 @@ from oqmarkov.core import (DensityOperator, SM, SX, SY, SZ, random_density,
                            random_unitary)
 from oqmarkov.models import eternal_me
 from oqmarkov.superop import (LindbladSpec, SuperOperator, canonical_decompose,
-                              choi_of, compose, dissipator, gell_mann_basis,
+                              choi_of, compose, dissipator,
                               generator_from_maps, hamiltonian_superop,
                               identity_superop, intermediate_map, is_cptp,
                               me_integrate, pinv, superop_of, unitary_superop,
@@ -253,16 +253,6 @@ class TestGeneratorFromMaps:
 
 
 class TestCanonicalDecompose:
-    def test_gell_mann_orthonormal(self):
-        for d in (2, 3, 4):
-            basis = gell_mann_basis(d)
-            assert len(basis) == d * d - 1
-            for i, a in enumerate(basis):
-                assert abs(np.trace(a)) < 1e-12
-                for j, b in enumerate(basis):
-                    assert np.isclose(np.trace(a.conj().T @ b),
-                                      1.0 if i == j else 0.0, atol=1e-12)
-
     def test_single_decay_channel(self):
         gen = canonical_decompose(SuperOperator(2 * dissipator(SM).mat, 2))
         assert np.isclose(gen.rates[0], 2.0, atol=1e-10)
