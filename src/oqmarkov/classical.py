@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .criteria import CriterionReport, PASS, FAIL, INCONCLUSIVE
+from .criteria import CriterionReport, PASS, FAIL, INCONCLUSIVE, worst_case
 from .unravel import _chunked, _fill_draws, _prepare_grid, _Streams
 
 TABLE_CAP = 2 ** 20
@@ -110,23 +110,22 @@ def check_cm(process: FiniteProcess, tol: float = 1e-10) -> CriterionReport:
     conditioning on the immediately preceding one alone."""
     t = process.n_times
     k = len(process.values)
-    worst, worst_subset = 0.0, None
-    for size in range(3, t + 1):
-        for subset in itertools.combinations(range(t), size):
-            joint = process.marginal(subset)
-            past = joint.sum(axis=-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                full_cond = joint / past[..., None]
-            pair = process.two_time_conditional(subset[-2], subset[-1])  # (to, from)
-            markov = pair.T.reshape((1,) * (size - 2) + (k, k))
-            mask = np.isfinite(full_cond) & np.isfinite(markov + np.zeros_like(full_cond))
-            if mask.any():
-                r = float(np.max(np.abs((full_cond - markov)[mask])))
-                if r > worst:
-                    worst, worst_subset = r, subset
-    witnesses = {"max_residual": worst,
-                 "worst_subset": list(worst_subset) if worst_subset else []}
-    verdict = PASS if worst <= tol else FAIL
+
+    def residuals():
+        for size in range(3, t + 1):
+            for subset in itertools.combinations(range(t), size):
+                joint = process.marginal(subset)
+                past = joint.sum(axis=-1)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    full_cond = joint / past[..., None]
+                pair = process.two_time_conditional(subset[-2], subset[-1])  # (to, from)
+                markov = pair.T.reshape((1,) * (size - 2) + (k, k))
+                mask = np.isfinite(full_cond) & np.isfinite(markov + np.zeros_like(full_cond))
+                if mask.any():
+                    yield float(np.max(np.abs((full_cond - markov)[mask]))), subset
+
+    worst, subset, verdict = worst_case(residuals(), tol)
+    witnesses = {"max_residual": worst, "worst_subset": list(subset) if subset else []}
     return CriterionReport("cm", verdict, witnesses, tol,
                            "all increasing time subsets of size >= 3")
 
@@ -157,35 +156,26 @@ def check_crf(process: FiniteProcess, n: int, tol: float = 1e-10) -> CriterionRe
     t = process.n_times
     if n < 1 or n >= t:
         raise ValueError(f"order n={n} out of range for {t} time labels")
-    worst, worst_tuple = 0.0, None
-    for later in itertools.combinations(range(1, t), n):
-        r = _chain_residual(process, (0,) + later)
-        if r > worst:
-            worst, worst_tuple = r, (0,) + later
-    witnesses = {"max_residual": worst,
-                 "worst_tuple": list(worst_tuple) if worst_tuple else []}
+    worst, tup, verdict = worst_case(
+        ((_chain_residual(process, (0,) + later), (0,) + later)
+         for later in itertools.combinations(range(1, t), n)), tol)
+    witnesses = {"max_residual": worst, "worst_tuple": list(tup) if tup else []}
     grid = f"all {n}+1-time tuples anchored at the initial time"
-    verdict = PASS if worst <= tol else FAIL
     return CriterionReport(f"crf{n}", verdict, witnesses, tol, grid)
 
 
 def check_cke(process: FiniteProcess, tol: float = 1e-10) -> CriterionReport:
     """Two-time conditionals must compose through every intermediate time."""
-    t = process.n_times
-    worst, worst_triple = 0.0, None
-    for t1, t2, t3 in itertools.combinations(range(t), 3):
-        direct = process.two_time_conditional(t1, t3)
-        step2 = process.two_time_conditional(t2, t3)
-        step1 = process.two_time_conditional(t1, t2)
-        composed = step2 @ step1
-        mask = np.isfinite(direct) & np.isfinite(composed)
-        if mask.any():
-            r = float(np.max(np.abs(direct[mask] - composed[mask])))
-            if r > worst:
-                worst, worst_triple = r, (t1, t2, t3)
-    witnesses = {"max_residual": worst,
-                 "worst_triple": list(worst_triple) if worst_triple else []}
-    verdict = PASS if worst <= tol else FAIL
+    def residuals():
+        for t1, t2, t3 in itertools.combinations(range(process.n_times), 3):
+            direct = process.two_time_conditional(t1, t3)
+            composed = process.two_time_conditional(t2, t3) @ process.two_time_conditional(t1, t2)
+            mask = np.isfinite(direct) & np.isfinite(composed)
+            if mask.any():
+                yield float(np.max(np.abs(direct[mask] - composed[mask]))), (t1, t2, t3)
+
+    worst, triple, verdict = worst_case(residuals(), tol)
+    witnesses = {"max_residual": worst, "worst_triple": list(triple) if triple else []}
     return CriterionReport("cke", verdict, witnesses, tol, "all time triples")
 
 
@@ -239,37 +229,48 @@ class TransitionFamily:
 
 
 def connecting_steps(family: TransitionFamily):
-    """Yield (t1, t2, T(t1), T(t2), step, invertible, residual) for each
-    consecutive pair of grid times. The step of an invertible T(t1) is the
-    unique T(t2) T(t1)^{-1}; for a singular one it is the family's own step
-    matrix, or None. The residual is the step's `stochastic_residual`, also
-    covering its composition error for a singular T(t1); None without a step."""
+    """Yield (t1, t2, T(t1), T(t2), step, invertible, residual, undefined)
+    for each consecutive pair of grid times. The step of an invertible T(t1)
+    is the unique T(t2) T(t1)^{-1}; for a singular one it is the family's own
+    step matrix, or None. The residual is the step's `stochastic_residual`,
+    also covering its composition error for a singular T(t1); None without a
+    step. `undefined` lists the source columns where T(t1) or T(t2) is not
+    finite (a source state of zero probability); such an interval has no
+    step and no residual."""
     points = list(zip(family.times, family.maps))
     for (t1, m1), (t2, m2) in zip(points, points[1:]):
+        undefined = np.flatnonzero(~np.all(np.isfinite(m1) & np.isfinite(m2), axis=0)).tolist()
+        if undefined:
+            yield t1, t2, m1, m2, None, False, None, undefined
+            continue
         invertible = np.linalg.matrix_rank(m1, tol=1e-12) == m1.shape[0]
         step = m2 @ np.linalg.inv(m1) if invertible else family.steps.get((t1, t2))
         resid = None if step is None else stochastic_residual(step)
         if step is not None and not invertible:
             resid = max(resid, float(np.max(np.abs(step @ m1 - m2))))
-        yield t1, t2, m1, m2, step, invertible, resid
+        yield t1, t2, m1, m2, step, invertible, resid, undefined
 
 
-def _interval_report(name: str, residuals: list, tol: float, grid: str,
+def _interval_report(name: str, intervals: list, tol: float, grid: str,
                      reason: str = "") -> CriterionReport:
-    """Report on [((t1, t2), residual)]; a None residual leaves its interval
-    undecided."""
-    worst, worst_pair = 0.0, []
-    for pair, resid in residuals:
-        if resid is not None and resid > worst:
-            worst, worst_pair = resid, list(pair)
-    inconclusive = [list(pair) for pair, resid in residuals if resid is None]
-    witnesses = {"max_residual": worst, "worst_pair": worst_pair,
-                 "n_inconclusive": float(len(inconclusive))}
-    if worst > tol:
+    """Report on [((t1, t2), residual, undefined columns)]; a None residual
+    leaves its interval undecided: a singular T(t1) (`reason` says what is
+    missing), or transition matrices undefined in the named columns."""
+    worst, pair, verdict = worst_case(
+        ((r, list(p)) for p, r, _ in intervals if r is not None), tol)
+    singular = [list(p) for p, r, cols in intervals if r is None and not cols]
+    undefined = [f"{cols} at {list(p)}" for p, _, cols in intervals if cols]
+    witnesses = {"max_residual": worst, "worst_pair": pair or [],
+                 "n_inconclusive": float(len(singular) + len(undefined))}
+    if verdict == FAIL:
         return CriterionReport(name, FAIL, witnesses, tol, grid)
-    if inconclusive:
-        return CriterionReport(name, INCONCLUSIVE, witnesses, tol, grid,
-                               reason=f"singular transition matrix at {inconclusive}{reason}")
+    why = []
+    if singular:
+        why.append(f"singular transition matrix at {singular}{reason}")
+    if undefined:
+        why.append(f"transition matrix not finite in source columns {', '.join(undefined)}")
+    if why:
+        return CriterionReport(name, INCONCLUSIVE, witnesses, tol, grid, reason="; ".join(why))
     return CriterionReport(name, PASS, witnesses, tol, grid)
 
 
@@ -278,8 +279,8 @@ def check_cdiv(family: TransitionFamily, tol: float = 1e-10) -> CriterionReport:
     transition matrices. The connecting step of an invertible T(t1) is
     unique; for a singular T(t1) the family's own step is tried as an
     existence witness, and absent that the interval is inconclusive."""
-    residuals = [((t1, t2), r) for t1, t2, *_, r in connecting_steps(family)]
-    return _interval_report("cdiv", residuals, tol,
+    intervals = [((t1, t2), r, cols) for t1, t2, *_, r, cols in connecting_steps(family)]
+    return _interval_report("cdiv", intervals, tol,
                             f"{len(family.times)} grid times, consecutive pairs")
 
 
@@ -287,16 +288,10 @@ def check_stochastic_semigroup(family: TransitionFamily,
                                tol: float = 1e-10) -> CriterionReport:
     """Homogeneity composition: T(r+s) = T(r) T(s) on the available grid."""
     lookup = dict(zip(family.times, family.maps))
-    worst, worst_pair = 0.0, None
-    for r in family.times:
-        for s in family.times:
-            if (r + s) in lookup:
-                resid = float(np.max(np.abs(lookup[r + s] - lookup[r] @ lookup[s])))
-                if resid > worst:
-                    worst, worst_pair = resid, (r, s)
-    witnesses = {"max_residual": worst,
-                 "worst_pair": list(worst_pair) if worst_pair else []}
-    verdict = PASS if worst <= tol else FAIL
+    worst, pair, verdict = worst_case(
+        ((float(np.max(np.abs(lookup[r + s] - lookup[r] @ lookup[s]))), (r, s))
+         for r in family.times for s in family.times if (r + s) in lookup), tol)
+    witnesses = {"max_residual": worst, "worst_pair": list(pair) if pair else []}
     return CriterionReport("stochastic-semigroup", verdict, witnesses, tol,
                            f"duration pairs within {family.times}")
 
@@ -318,9 +313,11 @@ def check_classical_disting(family: TransitionFamily,
     inconclusive."""
     anchored = TransitionFamily([0, *family.times], [np.eye(len(family.maps[0])),
                                                      *family.maps], family.steps)
-    residuals = []
-    for t1, t2, m1, m2, step, invertible, step_resid in connecting_steps(anchored):
-        if invertible:
+    intervals = []
+    for t1, t2, m1, m2, step, invertible, step_resid, cols in connecting_steps(anchored):
+        if cols:
+            resid = None
+        elif invertible:
             resid = max(0.0, -float(np.min(step)))
         else:
             _, sv, vh = np.linalg.svd(m1)
@@ -328,9 +325,9 @@ def check_classical_disting(family: TransitionFamily,
             if resid <= tol:
                 undecided = step_resid is None or step_resid > tol
                 resid = None if undecided else max(resid, step_resid)
-        residuals.append(((t1, t2), resid))
+        intervals.append(((t1, t2), resid, cols))
     return _interval_report(
-        "classical-distinguishability", residuals, tol,
+        "classical-distinguishability", intervals, tol,
         f"{len(family.times)} grid times from the identity at t = 0, consecutive pairs",
         " without a stochastic step that composes")
 

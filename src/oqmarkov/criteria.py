@@ -68,6 +68,18 @@ class CriterionReport:
         return out
 
 
+def worst_case(cases, tol: float):
+    """The worst-case rule every residual sweep shares: over (residual,
+    place) cases, the first strict maximum wins and a NaN never does.
+    Returns (worst, place, verdict): (0.0, None) when no residual is
+    positive, and the verdict passes iff worst <= tol."""
+    worst, place = 0.0, None
+    for r, at in cases:
+        if r > worst:
+            worst, place = r, at
+    return worst, place, PASS if worst <= tol else FAIL
+
+
 # ---------------------------------------------------------------------------
 # Map extraction
 # ---------------------------------------------------------------------------
@@ -98,16 +110,12 @@ def replacement_map(model: JointModel, t1: float, t2: float,
     return assemble_map(model, branches, (t1, t2), (None, None))
 
 
-def map_family(model, grid, analytic: bool | None = None):
-    """[(t, map from t0)] for a joint or map-only model over a time grid."""
-    pts = list(grid)
+def map_family(model, grid):
+    """[(t, map from t0)] over a time grid: a map-only model's own maps, a
+    joint model's tomographs."""
     if isinstance(model, MapFamilyModel):
-        return [(t, model.map(t)) for t in pts]
-    if analytic is None:
-        analytic = hasattr(model, "analytic_map")
-    if analytic:
-        return [(t, model.analytic_map(model.t0, t)) for t in pts]
-    return [(t, tomograph(model, model.t0, t)) for t in pts]
+        return [(t, model.map(t)) for t in grid]
+    return [(t, tomograph(model, model.t0, t)) for t in grid]
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +290,16 @@ def _default_rho0(ds: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _regression_residuals(model: JointModel, cases, rho_s0):
+    """(|exact - regression-predicted correlation|, times) of each
+    (times, c_ops) case, with one cache of replaced-bath maps."""
+    gen_maps: dict = {}
+    for times, c_ops in cases:
+        lhs = multitime_correlation(model, c_ops, times, rho_s0)
+        rhs = regression_prediction(model, c_ops, times, rho_s0, gen_maps)
+        yield abs(lhs - rhs), times
+
+
 def check_qrf(model: JointModel, op_pairs=None, time_pairs=((0.5, 1.0),),
               tol: float = 1e-8, rho_s0=None) -> CriterionReport:
     """Two-time regression check, both operator orderings per pair."""
@@ -292,24 +310,15 @@ def check_qrf(model: JointModel, op_pairs=None, time_pairs=((0.5, 1.0),),
     op_pairs, time_pairs = list(op_pairs), list(time_pairs)
     rho_s0 = _default_rho0(ds) if rho_s0 is None else rho_s0
     ident = np.eye(ds, dtype=complex)
-    worst, worst_at = 0.0, None
-    cache: dict = {}
-    for t1, t2 in time_pairs:
-        for a, b in op_pairs:
-            # ordering <B(t2) A(t1)>: insert X -> A X at t1, trace B at t2
-            # ordering <A(t1) B(t2)>: insert X -> X A at t1, trace B at t2
-            for c1 in ((ident, a), (a, ident)):
-                c_ops = [(ident, ident), c1, (ident, b)]
-                times = (model.t0, t1, t2)
-                lhs = multitime_correlation(model, c_ops, times, rho_s0)
-                rhs = regression_prediction(model, c_ops, times, rho_s0, cache)
-                r = abs(lhs - rhs)
-                if r > worst:
-                    worst, worst_at = r, (t1, t2)
+    # ordering <B(t2) A(t1)>: insert X -> A X at t1, trace B at t2
+    # ordering <A(t1) B(t2)>: insert X -> X A at t1, trace B at t2
+    cases = (((model.t0, t1, t2), [(ident, ident), c1, (ident, b)])
+             for t1, t2 in time_pairs for a, b in op_pairs
+             for c1 in ((ident, a), (a, ident)))
+    worst, times, verdict = worst_case(_regression_residuals(model, cases, rho_s0), tol)
     witnesses = {"max_residual": worst,
-                 "worst_time_pair": list(worst_at) if worst_at else []}
+                 "worst_time_pair": list(times[1:]) if times else []}
     grid = f"{len(op_pairs)} operator pairs x {len(time_pairs)} time pairs, both orderings"
-    verdict = PASS if worst <= tol else FAIL
     return CriterionReport("qrf", verdict, witnesses, tol, grid)
 
 
@@ -334,26 +343,19 @@ def default_gqrf_op_sets(ds: int, n_steps: int, n_sets: int = 40,
 
 def check_gqrf(model: JointModel, op_sets=None, time_sets=((0.5, 1.0, 1.5),),
                tol: float = 1e-8, rho_s0=None) -> CriterionReport:
-    """Multi-time regression check over sequences of system-operator pairs."""
+    """Multi-time regression check over sequences of system-operator pairs;
+    `op_sets=None` samples `default_gqrf_op_sets` for each time set."""
     rho_s0 = _default_rho0(model.dim_s) if rho_s0 is None else rho_s0
-    op_sets, time_sets = list(op_sets or ()), list(time_sets)
-    worst, worst_at = 0.0, None
-    cache: dict = {}
-    n_sets = 0
-    for ts in time_sets:
-        times = (model.t0,) + tuple(ts)
-        sets = op_sets or default_gqrf_op_sets(model.dim_s, len(ts))
-        for seq in sets:
-            n_sets += 1
-            lhs = multitime_correlation(model, seq, times, rho_s0)
-            rhs = regression_prediction(model, seq, times, rho_s0, cache)
-            r = abs(lhs - rhs)
-            if r > worst:
-                worst, worst_at = r, times
-    witnesses = {"max_residual": worst,
-                 "worst_times": list(worst_at) if worst_at else []}
-    grid = f"{n_sets} operator sequences over {len(time_sets)} time sets"
-    verdict = PASS if worst <= tol else FAIL
+    time_sets = list(time_sets)
+    if op_sets is not None:
+        op_sets = list(op_sets)
+        if not op_sets:
+            raise ValueError("op_sets is empty; pass None for the default sequences")
+    cases = [((model.t0,) + tuple(ts), seq) for ts in time_sets
+             for seq in (op_sets or default_gqrf_op_sets(model.dim_s, len(ts)))]
+    worst, times, verdict = worst_case(_regression_residuals(model, cases, rho_s0), tol)
+    witnesses = {"max_residual": worst, "worst_times": list(times) if times else []}
+    grid = f"{len(cases)} operator sequences over {len(time_sets)} time sets"
     return CriterionReport("gqrf", verdict, witnesses, tol, grid)
 
 
@@ -361,25 +363,24 @@ def check_gqrf(model: JointModel, op_sets=None, time_sets=((0.5, 1.0, 1.5),),
 # Environment interventions
 # ---------------------------------------------------------------------------
 
-def check_composability(model: JointModel, time_triples, tol: float = 1e-9,
-                        analytic: bool | None = None) -> CriterionReport:
+def check_composability(model: JointModel, time_triples, tol: float = 1e-9) -> CriterionReport:
     """Resetting the bath to its initial state at the midpoint must
     reproduce the map."""
     time_triples = list(time_triples)
-    worst, worst_triple, details = 0.0, None, {}
-    for (t0, t1, t2) in time_triples:
-        e2 = map_family(model, [t2], analytic=analytic)[0][1]
-        e1 = map_family(model, [t1], analytic=analytic)[0][1]
-        chained = compose(generalized_map(model, t1, t2), e1)
-        res = map_residual(e2, chained)
-        if res["residual"] > worst:
-            worst, worst_triple, details = res["residual"], (t0, t1, t2), res
+
+    def residuals():
+        for t0, t1, t2 in time_triples:
+            chained = compose(generalized_map(model, t1, t2), tomograph(model, t0, t1))
+            res = map_residual(tomograph(model, t0, t2), chained)
+            yield res["residual"], ((t0, t1, t2), res)
+
+    worst, at, verdict = worst_case(residuals(), tol)
+    triple, details = at or ([], {})
     witnesses = {"max_residual": worst,
                  "max_entry": details.get("max_entry", 0.0),
                  "action_norm": details.get("action_norm", 0.0),
-                 "worst_triple": list(worst_triple) if worst_triple else []}
+                 "worst_triple": list(triple)}
     grid = f"{len(time_triples)} time triples"
-    verdict = PASS if worst <= tol else FAIL
     return CriterionReport("composability", verdict, witnesses, tol, grid)
 
 
@@ -479,9 +480,8 @@ class _AffineResidual:
 
 
 def _check_nib_convex(model: JointModel, time_triple, cands, tol: float) -> CriterionReport:
-    _, t1, t2 = time_triple
-    e2 = map_family(model, [t2])[0][1]
-    e1 = map_family(model, [t1])[0][1]
+    t0, t1, t2 = time_triple
+    e2, e1 = tomograph(model, t0, t2), tomograph(model, t0, t1)
     base, ops, feasible = _nib_coordinates(model)
 
     def chained(op):
@@ -545,8 +545,7 @@ def check_nib(model: JointModel, time_triple=(0.0, 1.0, 2.0),
     if model.env_kind in ("qubit", "register"):
         return _check_nib_convex(model, time_triple, cands, tol)
     t0, t1, t2 = time_triple
-    e2 = map_family(model, [t2])[0][1]
-    e1 = map_family(model, [t1])[0][1]
+    e2, e1 = tomograph(model, t0, t2), tomograph(model, t0, t1)
     best_res, best_sigma = None, None
     for sigma in cands:
         res = map_residual(e2, compose(replacement_map(model, t1, t2, sigma), e1))
@@ -647,17 +646,11 @@ def check_semigroup(map_at: Callable[[float], SuperOperator], pairs,
                     tol: float = 1e-9) -> CriterionReport:
     """Duration-composition identity E(r+s) = E(r)E(s) on supplied pairs."""
     pairs = list(pairs)
-    worst, worst_pair = 0.0, None
-    for r, s in pairs:
-        whole = map_at(r + s)
-        parts = compose(map_at(r), map_at(s))
-        res = map_residual(whole, parts)["residual"]
-        if res > worst:
-            worst, worst_pair = res, (r, s)
-    witnesses = {"max_residual": worst,
-                 "worst_pair": list(worst_pair) if worst_pair else []}
+    worst, pair, verdict = worst_case(
+        ((map_residual(map_at(r + s), compose(map_at(r), map_at(s)))["residual"], (r, s))
+         for r, s in pairs), tol)
+    witnesses = {"max_residual": worst, "worst_pair": list(pair) if pair else []}
     grid = f"{len(pairs)} duration pairs"
-    verdict = PASS if worst <= tol else FAIL
     return CriterionReport("semigroup", verdict, witnesses, tol, grid)
 
 
@@ -714,31 +707,27 @@ def check_distinguishability(family, state_pairs=None, w_grid=None,
 
 def check_fdd(model: JointModel, pulse_sequences, tol: float = 1e-9) -> CriterionReport:
     """Pulse sequences must commute through the dynamics as a chain of
-    replaced-bath maps interleaved with the pulses: after the first
-    segment, each one starts from the bath reset to its initial state."""
-    from .superop import unitary_superop
+    replaced-bath maps interleaved with the pulses: each segment starts from
+    the bath in its initial state, so the first one is the map from t0."""
+    from .superop import identity_superop, unitary_superop
     pulse_sequences = list(pulse_sequences)
-    worst, worst_seq = 0.0, None
-    for seq_idx, (pulses, times) in enumerate(pulse_sequences):
-        hahn = dd_apply(model, pulses, times)
-        chain = None
-        tcur = model.t0
-        for pulse, tk in zip(pulses, times):
-            seg = generalized_map(model, tcur, tk) if tcur > model.t0 \
-                else map_family(model, [tk])[0][1]
-            step = compose(unitary_superop(np.asarray(pulse, dtype=complex)), seg)
-            chain = step if chain is None else compose(step, chain)
-            tcur = tk
-        if chain is None:
-            from .superop import identity_superop
-            chain = identity_superop(model.dim_s)
-        res = map_residual(hahn, chain)["residual"]
-        if res > worst:
-            worst, worst_seq = res, seq_idx
+
+    def residuals():
+        for seq_idx, (pulses, times) in enumerate(pulse_sequences):
+            chain, tcur = None, model.t0
+            for pulse, tk in zip(pulses, times):
+                step = compose(unitary_superop(np.asarray(pulse, dtype=complex)),
+                               generalized_map(model, tcur, tk))
+                chain = step if chain is None else compose(step, chain)
+                tcur = tk
+            if chain is None:
+                chain = identity_superop(model.dim_s)
+            yield map_residual(dd_apply(model, pulses, times), chain)["residual"], seq_idx
+
+    worst, seq_idx, verdict = worst_case(residuals(), tol)
     witnesses = {"max_residual": worst,
-                 "worst_sequence_index": float(worst_seq if worst_seq is not None else -1)}
+                 "worst_sequence_index": float(-1 if seq_idx is None else seq_idx)}
     grid = f"{len(pulse_sequences)} pulse sequences"
-    verdict = PASS if worst <= tol else FAIL
     return CriterionReport("fdd", verdict, witnesses, tol, grid)
 
 
@@ -864,14 +853,14 @@ _TIME_FIELDS = ("times", "time_pairs", "time_sets", "triples", "triple", "sequen
 _X = PAULIS["X"]
 _ECHO = ((_X, _X), (0.5, 1.0))      # pulses and pulse times of a Hahn echo
 
-# The context each preset's verdicts are reached in. Per model: the
-# map-family grid, `analytic=False` where maps come from the model's
-# numerics rather than its formula, a `tol` for every criterion without its
-# own (declared or not), `slots` where times (and durations) are slot
-# numbers read through `model.slot_times`, and the hierarchy report's
-# `extras`. Per criterion:
-# its times, tolerance, and operator or pulse sets ("random": a Haar unitary
-# drawn from the run's seed).
+# The context each preset's verdicts are reached in: times, tolerances and
+# operator sets only. Every map a checker reads comes from the model's own
+# dynamics (`tomograph`, `generalized_map`), never from a closed form. Per
+# model: the map-family grid, a `tol` for every criterion without its own
+# (declared or not), `slots` where times (and durations) are slot numbers
+# read through `model.slot_times`, and the hierarchy report's `extras`. Per
+# criterion: its times, tolerance, and operator or pulse sets ("random": a
+# Haar unitary drawn from the run's seed).
 MODEL_SETTINGS = {
     "collision": dict(
         slots=True, tol=1e-9, grid=(0, 1, 2, 3, 4, 5, 6),
@@ -886,15 +875,14 @@ MODEL_SETTINGS = {
         fdd=dict(sequences=((("random",) * 3, (1, 2, 3)), ((_X, _X), (1, 2))))),
     "afl": dict(
         tol=1e-5,    # no lower: the quadrature error of the discretized bath
-        grid=np.arange(0.0, 2.01, 0.25), analytic=False,
+        grid=np.arange(0.0, 2.01, 0.25),
         fa=dict(times=(0.25, 0.5), tol=1e-7),
         qrf=dict(time_pairs=((0.2, 0.5), (0.2, 1.0), (0.5, 1.0))),
         gqrf=dict(time_sets=((0.5, 1.0, 1.5),)),
         composability=dict(triples=((0.0, 0.5, 1.0), (0.0, 0.2, 0.7))),
         nib=dict(triple=(0.0, 0.5, 1.0)),
         divisibility={}, distinguishability={},
-        semigroup=dict(pairs=((0.2, 0.3), (0.5, 0.5), (0.5, 1.0)),
-                       source=lambda model, tau: model.dephasing_map(0.0, tau, analytic=False)),
+        semigroup=dict(pairs=((0.2, 0.3), (0.5, 0.5), (0.5, 1.0))),
         fdd=dict(sequences=(_ECHO,)),
         extras=lambda model: {"echo_effect": dd_effectiveness(model, *_ECHO)}),
     "tam": dict(
@@ -969,7 +957,12 @@ def criterion_settings(model, names=None, times=(None, None, None), grid=None,
     declares) on the model. A criterion the model does not declare runs on
     the window t0, t1, t2 = `times`, each 0, 1, 2 where not given; a given
     time puts that window's times in place of a declared entry's. `grid`
-    replaces the map-family grid and `tol` every tolerance."""
+    replaces the map-family grid and `tol` every tolerance. Every map is
+    read from the model's initial time, so a given t0 other than
+    `model.t0` is a ValueError."""
+    if times[0] is not None and abs(float(times[0]) - model.t0) > 1e-12:
+        raise ValueError(f"t0 = {times[0]}: maps are defined from the model's "
+                         f"initial time {model.t0}")
     table = MODEL_SETTINGS[model.name]
     if names is None:
         names = [k for k in CRITERIA + ("pu",) if k in table]
@@ -977,8 +970,7 @@ def criterion_settings(model, names=None, times=(None, None, None), grid=None,
     slots = model.slot_times if table.get("slots") else None
     if grid is None:
         grid = table["grid"] if slots is None else _on_slots(table["grid"], slots)
-    analytic = table.get("analytic")
-    family = functools.cache(lambda: map_family(model, grid, analytic))
+    family = functools.cache(lambda: map_family(model, grid))
     out = {}
     for name in names:
         s = dict(table[name] if name in table else window.get(name, {}))
@@ -990,7 +982,7 @@ def criterion_settings(model, names=None, times=(None, None, None), grid=None,
             s.update((k, v) for k, v in window.get(name, {}).items() if k in _TIME_FIELDS)
         default = s.get("tol", table.get("tol", _WINDOW_TOL.get(name)))
         s["tol"] = default if tol is None else tol
-        s.update(analytic=analytic, family=family)
+        s["family"] = family
         out[name] = s
     return out
 
@@ -1009,7 +1001,7 @@ def run_criterion(name: str, model, settings: dict, seed: int) -> CriterionRepor
     if name == "gqrf":
         return check_gqrf(model, time_sets=s["time_sets"], tol=tol)
     if name == "composability":
-        return check_composability(model, s["triples"], tol, analytic=s["analytic"])
+        return check_composability(model, s["triples"], tol)
     if name == "nib":
         return check_nib(model, s["triple"], tol=tol)
     if name == "nqib":
@@ -1020,8 +1012,8 @@ def run_criterion(name: str, model, settings: dict, seed: int) -> CriterionRepor
     if name == "divisibility":
         return check_divisibility(s["family"](), tol)
     if name == "semigroup":
-        source = s.get("source", lambda m, tau: map_family(m, [m.t0 + tau], s["analytic"])[0][1])
-        return check_semigroup(functools.partial(source, model), s["pairs"], tol)
+        return check_semigroup(lambda tau: map_family(model, [model.t0 + tau])[0][1],
+                               s["pairs"], tol)
     if name == "distinguishability":
         return check_distinguishability(s["family"](), seed=seed, tol=tol)
     if name == "fdd":

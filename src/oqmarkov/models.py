@@ -12,8 +12,8 @@ a replaced-environment map resets the bath to its initial state.
 `apply_propagator(t1, t2, joint)` is the one propagation contract: each
 joint model defines it as the action of U(t2, t1) on a joint vector,
 without forming the joint matrix (the collision model applies one pair
-unitary per slot). The dense `propagator` is derived from it, column by
-column, and only exists for joint dimensions up to `DENSE_JOINT_LIMIT`.
+unitary per slot). Every map a checker reads is assembled from it by
+`assemble_map`; a model's closed-form `analytic_map` is a test oracle only.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Operator, SM, SP, SX, SZ, ket
+from .core import SM, SP, SX, SZ, ket
 from .superop import SuperOperator, LindbladSpec, vec
 
 DENSE_JOINT_LIMIT = 4096
@@ -58,14 +58,6 @@ class JointModel:
     def apply_propagator(self, t1: float, t2: float, joint: np.ndarray) -> np.ndarray:
         """U(t2, t1) applied to a joint vector (system index major)."""
         raise NotImplementedError
-
-    def propagator(self, t1: float, t2: float) -> Operator:
-        """Dense U(t2, t1), one apply_propagator call per column."""
-        d = self.dim_s * self.dim_e
-        if d > DENSE_JOINT_LIMIT:
-            raise ValueError(f"{self.name}: joint dimension {d} too large for a dense propagator")
-        cols = [self.apply_propagator(t1, t2, e) for e in np.eye(d, dtype=complex)]
-        return Operator(np.column_stack(cols), (self.dim_s, self.dim_e))
 
     def nib_candidates(self, t1: float):
         """Replacement-state candidates worth trying before any grid search."""
@@ -242,18 +234,16 @@ class AflModel(JointModel):
         m[1] *= phase.conj()   # sigma_z eigenvalue -1
         return m.reshape(-1)
 
-    def dephasing_map(self, t1: float, t2: float, analytic: bool = True) -> SuperOperator:
-        chi = self.chi_exact if analytic else self.chi_grid
+    def analytic_map(self, t0: float, t: float) -> SuperOperator:
+        """Closed-form dephasing map: each coherence is multiplied by
+        chi_exact of its accumulated phase slope."""
         lam = (1.0, -1.0)
         m = np.zeros((4, 4), dtype=complex)
         for r in range(2):
             for c in range(2):
-                a = (self.g / 2) * (lam[r] - lam[c]) * (t2 - t1)
-                m[r + 2 * c, r + 2 * c] = chi(a)
+                a = (self.g / 2) * (lam[r] - lam[c]) * (t - t0)
+                m[r + 2 * c, r + 2 * c] = self.chi_exact(a)
         return SuperOperator(m, 2)
-
-    def analytic_map(self, t0: float, t: float) -> SuperOperator:
-        return self.dephasing_map(t0, t, analytic=True)
 
     # --- multi-time correlation oracles -----------------------------------
     def chi_of_accumulated(self, segments) -> float:

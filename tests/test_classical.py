@@ -258,6 +258,20 @@ class TestClassicalDistinguishability:
                     for s in (composing, nonstochastic)]
         assert verdicts == ["pass", "inconclusive"]
 
+    def test_unreachable_initial_state_reads_inconclusive(self):
+        # the second initial state has probability 0, so every T(t) has a NaN
+        # column 1 where the checks used to stop in an SVD
+        fam = TransitionFamily.from_process(markov_chain([[0.9, 0.2], [0.1, 0.8]], [1.0, 0.0], 3))
+        assert np.isnan(fam.maps[0][:, 1]).all() and np.isfinite(fam.maps[0][:, 0]).all()
+        cdiv, disting = check_cdiv(fam), check_classical_disting(fam)
+        for rep, intervals in ((cdiv, ["[1, 2]", "[2, 3]"]),
+                               (disting, ["[0, 1]", "[1, 2]", "[2, 3]"])):
+            assert rep.verdict == "inconclusive"
+            assert rep.witnesses == {"max_residual": 0.0, "worst_pair": [],
+                                     "n_inconclusive": float(len(intervals))}
+            assert "not finite in source columns" in rep.reason
+            assert rep.reason.endswith(", ".join(f"[1] at {p}" for p in intervals))
+
     def test_families_build_only_consecutive_steps(self):
         consecutive = [(1, 2), (2, 3), (3, 4)]
         assert sorted(TransitionFamily.from_process(CHAIN).steps) == consecutive

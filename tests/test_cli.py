@@ -172,6 +172,20 @@ class TestAnalyzeSettings:
         assert rep["nqib"]["grid"] == "triple=[0.0, 1.0, 3.0]"
         assert rep["nqib"]["verdict"] == "inconclusive"
 
+    @pytest.mark.parametrize("model, criteria", [("tam", "composability,nib"),
+                                                 ("collision", "fa,nqib")])
+    def test_t0_other_than_the_model_initial_time_exit_2(self, tmp_path, monkeypatch,
+                                                         capsys, model, criteria):
+        import oqmarkov.criteria
+        ran = []
+        monkeypatch.setattr(oqmarkov.criteria, "run_criterion", lambda *a: ran.append(a))
+        out = tmp_path / "x.json"
+        assert run(["analyze", "--model", model, "--criteria", criteria, "--t0", "0.5",
+                    "--out", str(out)]) == 2
+        assert "t0 = 0.5: maps are defined from the model's initial time 0.0" \
+            in capsys.readouterr().err
+        assert ran == [] and not out.exists()
+
 
 class TestHierarchy:
     def test_nqib_table(self, tmp_path):

@@ -15,10 +15,12 @@ from oqmarkov.criteria import (CriterionReport, check_composability,
                                dd_effectiveness, hierarchy_report, map_family,
                                map_residual, multitime_correlation,
                                generalized_map, regression_prediction,
-                               replacement_map, tomograph)
+                               replacement_map, tomograph, worst_case)
 from oqmarkov.models import (afl, collision, eternal_me, nqib_qubit,
                              partial_swap, static_dephasing, tam)
 from oqmarkov.superop import SuperOperator, compose, is_cptp, vec
+
+from dense_reference import dense_propagator
 
 
 class TestCriterionReport:
@@ -34,6 +36,17 @@ class TestCriterionReport:
         rep = CriterionReport("x", "pass", {"z": 1 + 2j}, 1e-9, "g")
         d = rep.to_dict()
         assert d["witnesses"]["z_re"] == 1.0 and d["witnesses"]["z_im"] == 2.0
+
+
+class TestWorstCase:
+    def test_first_strict_maximum_wins_and_nan_never_does(self):
+        cases = [(0.5, "a"), (float("nan"), "nan"), (2.0, "b"), (2.0, "c"), (1.0, "d")]
+        assert worst_case(cases, 2.0) == (2.0, "b", "pass")
+        assert worst_case(cases, 1.0) == (2.0, "b", "fail")
+
+    def test_no_positive_residual_has_no_place(self):
+        for cases in ([], [(0.0, "a"), (-1.0, "b"), (float("nan"), "c")]):
+            assert worst_case(iter(cases), 0.0) == (0.0, None, "pass")
 
 
 class TestTomograph:
@@ -154,6 +167,15 @@ class TestEnvironmentInterventions:
         rep = check_composability(model, [(0.0, 0.0, 1.0)], tol=1e-9)
         assert rep.verdict == "pass"
 
+    @pytest.mark.parametrize("factory", [tam, collision])
+    def test_maps_are_read_from_the_model_initial_time(self, factory):
+        # E(t1) and E(t2) are tomographs from the triple's own t0
+        model = factory()
+        with pytest.raises(ValueError, match="initial time"):
+            check_composability(model, [(0.0, 1.0, 2.0), (0.5, 1.0, 2.0)])
+        with pytest.raises(ValueError, match="initial time"):
+            check_nib(model, (0.5, 1.0, 2.0))
+
     def test_tam_nib_fails_with_ground_among_best(self):
         from oqmarkov.criteria import compose, map_residual, replacement_map
         model = tam()
@@ -203,8 +225,8 @@ def _dense_intervened_map(model, time_triple, povm, states):
     sum_k Tr_E[(1 (x) F_k) .] (x) s_k, then U2 . U2^dag and Tr_E."""
     t0, t1, t2 = time_triple
     ds, de = model.dim_s, model.dim_e
-    u1 = model.propagator(t0, t1).mat
-    u2 = model.propagator(t1, t2).mat
+    u1 = dense_propagator(model, t0, t1)
+    u2 = dense_propagator(model, t1, t2)
     rho_e = model.rho_e0_matrix()
     m = np.zeros((ds * ds, ds * ds), dtype=complex)
     for i in range(ds):
@@ -393,6 +415,18 @@ class TestNibConvex:
                 value = _nib_residual(model, t1, t2, np.diag(p).astype(complex))
                 assert value >= w["lower_bound"] - 1e-12
                 assert value >= w["min_residual"] - 1e-9
+
+
+class TestGqrfOperatorSets:
+    def test_none_selects_the_defaults_and_empty_is_rejected(self):
+        model = tam()
+        rep = check_gqrf(model, op_sets=None, time_sets=((0.5, 1.0),))
+        assert rep.grid == "40 operator sequences over 1 time sets"
+        assert rep.to_dict() == check_gqrf(model, default_gqrf_op_sets(2, 2),
+                                           ((0.5, 1.0),)).to_dict()
+        for empty in ([], ()):
+            with pytest.raises(ValueError, match="op_sets is empty"):
+                check_gqrf(model, op_sets=empty)
 
 
 class TestNonQubitSystems:
