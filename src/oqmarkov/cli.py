@@ -109,7 +109,7 @@ def _emit(args, cfg, payload, out_default: str):
 
 
 def cmd_analyze(args) -> int:
-    from .criteria import criterion_settings, run_criterion
+    from .criteria import criterion_settings, run_criteria
     from .models import make_model, PRESETS
     cfg = _load_config(args.config)
     model_name = _merged(args, cfg, "model")
@@ -134,7 +134,7 @@ def cmd_analyze(args) -> int:
         model, names, times=[_number(args, cfg, k) for k in ("t0", "t1", "t2")],
         grid=_parse_grid(grid_text) if grid_text else None,
         tol=None if tol is None else float(tol))
-    reports = [run_criterion(c, model, settings[c], seed) for c in names]
+    reports = list(run_criteria(model, settings, seed).values())
     payload = {
         "artifact_version": ARTIFACT_VERSION,
         "config": {"command": "analyze", "model": model_name,

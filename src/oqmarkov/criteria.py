@@ -7,10 +7,15 @@ at least one witness exceeds the tolerance it was tested against, and every
 "inconclusive" carries a reason string. Any finite time grid only samples
 the underlying quantified-over-all-times definitions; the grid descriptor
 in the report records exactly what was sampled.
+
+Every map from a joint model's initial bath comes from `generalized_map`,
+which builds each (t1, t2) map once per `run_criteria` run (the run loop of
+`hierarchy_report` and `analyze`) and keeps nothing outside a run.
 """
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
 import itertools
@@ -84,19 +89,29 @@ def worst_case(cases, tol: float):
 # Map extraction
 # ---------------------------------------------------------------------------
 
+# (model, {(t1, t2): map}) of the run in progress, set by `run_criteria`
+_RUN_MAPS = contextvars.ContextVar("run_maps", default=(None, None))
+
+
 def tomograph(model: JointModel, t0: float, t: float) -> SuperOperator:
     """Dynamical map from t0 to t, reconstructed by evolving the matrix-unit
     basis tensored with the initial bath state and tracing the bath out."""
     if abs(t0 - model.t0) > 1e-12:
         raise ValueError(f"maps are defined from the model's initial time {model.t0}")
-    return assemble_map(model, model.env_branches(), (t0, t), (None, None))
+    return generalized_map(model, t0, t)
 
 
 def generalized_map(model: JointModel, t1: float, t2: float) -> SuperOperator:
     """Replaced-bath map: the bath is reset at t1 to its initial state
     before the joint propagation to t2 (the model is written in the bath's
-    interaction picture, where that state does not evolve freely)."""
-    return assemble_map(model, model.env_branches(), (t1, t2), (None, None))
+    interaction picture, where that state does not evolve freely). Within a
+    `run_criteria` run on this model, each (t1, t2) map is built once."""
+    run_model, maps = _RUN_MAPS.get()
+    if model is not run_model:
+        maps = {}
+    if (t1, t2) not in maps:
+        maps[t1, t2] = assemble_map(model, model.env_branches(), (t1, t2), (None, None))
+    return maps[t1, t2]
 
 
 def replacement_map(model: JointModel, t1: float, t2: float,
@@ -268,19 +283,11 @@ def multitime_correlation(model: JointModel, c_ops, times, rho_s0) -> complex:
     return complex(total)
 
 
-def regression_prediction(model: JointModel, c_ops, times, rho_s0,
-                          gen_maps: dict | None = None) -> complex:
+def regression_prediction(model: JointModel, c_ops, times, rho_s0) -> complex:
     """The same correlation computed from system-only replaced-bath maps."""
     x = _apply_cop(c_ops[0], np.asarray(rho_s0, dtype=complex))
     for j in range(1, len(times)):
-        key = (times[j - 1], times[j])
-        if gen_maps is not None and key in gen_maps:
-            emap = gen_maps[key]
-        else:
-            emap = generalized_map(model, times[j - 1], times[j])
-            if gen_maps is not None:
-                gen_maps[key] = emap
-        x = emap(x)
+        x = generalized_map(model, times[j - 1], times[j])(x)
         x = _apply_cop(c_ops[j], x)
     return complex(np.trace(x))
 
@@ -292,11 +299,10 @@ def _default_rho0(ds: int) -> np.ndarray:
 
 def _regression_residuals(model: JointModel, cases, rho_s0):
     """(|exact - regression-predicted correlation|, times) of each
-    (times, c_ops) case, with one cache of replaced-bath maps."""
-    gen_maps: dict = {}
+    (times, c_ops) case."""
     for times, c_ops in cases:
         lhs = multitime_correlation(model, c_ops, times, rho_s0)
-        rhs = regression_prediction(model, c_ops, times, rho_s0, gen_maps)
+        rhs = regression_prediction(model, c_ops, times, rho_s0)
         yield abs(lhs - rhs), times
 
 
@@ -385,8 +391,9 @@ def check_composability(model: JointModel, time_triples, tol: float = 1e-9) -> C
 
 
 def _nib_candidate_states(model: JointModel, t1: float) -> list:
+    """The model's candidates and, last, the initial bath state: a dense
+    matrix, or on a bath above 64 levels its own branch list."""
     cands = list(model.nib_candidates(t1))
-    # the initial bath state is always worth trying
     branches = model.env_branches()
     if model.dim_e <= 64:
         cands.append(sum(p * np.outer(v, v.conj()) for p, v in branches))
@@ -548,7 +555,10 @@ def check_nib(model: JointModel, time_triple=(0.0, 1.0, 2.0),
     e2, e1 = tomograph(model, t0, t2), tomograph(model, t0, t1)
     best_res, best_sigma = None, None
     for sigma in cands:
-        res = map_residual(e2, compose(replacement_map(model, t1, t2, sigma), e1))
+        # a branch list is the initial bath: its map is the replaced-bath map
+        emap = (generalized_map(model, t1, t2) if isinstance(sigma, list)
+                else replacement_map(model, t1, t2, sigma))
+        res = map_residual(e2, compose(emap, e1))
         if best_res is None or res["residual"] < best_res["residual"]:
             best_res, best_sigma = res, sigma
     witnesses = {"min_residual": best_res["residual"],
@@ -799,8 +809,7 @@ def hierarchy_report(model, seed: int = 23) -> HierarchyReport:
     if isinstance(model, str):
         from .models import make_model
         model = make_model(model)
-    reports = {name: run_criterion(name, model, s, seed)
-               for name, s in criterion_settings(model).items()}
+    reports = run_criteria(model, criterion_settings(model), seed)
     extras = MODEL_SETTINGS[model.name].get("extras", lambda m: {})(model)
     implications, consistent = _check_implications(reports)
     return HierarchyReport(model.name, reports, implications, consistent, extras)
@@ -860,7 +869,8 @@ _ECHO = ((_X, _X), (0.5, 1.0))      # pulses and pulse times of a Hahn echo
 # (declared or not), `slots` where times (and durations) are slot numbers
 # read through `model.slot_times`, and the hierarchy report's `extras`. Per
 # criterion: its times, tolerance, and operator or pulse sets ("random": a
-# Haar unitary drawn from the run's seed).
+# Haar unitary drawn from the run's seed). Times without `slots` are offsets
+# from the model's initial time; durations (`pairs`) are durations.
 MODEL_SETTINGS = {
     "collision": dict(
         slots=True, tol=1e-9, grid=(0, 1, 2, 3, 4, 5, 6),
@@ -939,52 +949,73 @@ def _window(t0: float, t1: float, t2: float) -> dict:
                 nib=dict(triple=(t0, t1, t2)),
                 nqib=dict(triple=(t0, t1, t2)),
                 semigroup=dict(pairs=((0.5, 0.5), (0.5, 1.0), (1.0, 1.0))),
-                fdd=dict(sequences=(((_X, _X), (t2 / 2, t2)),)))
+                fdd=dict(sequences=(((_X, _X), ((t0 + t2) / 2, t2)),)))
 
 
-def _on_slots(value, slot_times):
-    """Slot numbers, also nested in tuples, as slot boundary times."""
-    if isinstance(value, int):
-        return float(slot_times[value])
+def _model_times(value, t0: float, slot_times):
+    """Declared times, also nested in tuples, as times of the model: slot
+    numbers read through `slot_times` (a number beyond them is a
+    ValueError), or offsets from the initial time t0 where `slot_times` is
+    None."""
     if isinstance(value, tuple):
-        return tuple(_on_slots(v, slot_times) for v in value)
+        return tuple(_model_times(v, t0, slot_times) for v in value)
+    if slot_times is None:
+        return t0 + value if isinstance(value, (int, float)) else value
+    if isinstance(value, int):
+        if not 0 <= value < len(slot_times):
+            raise ValueError(f"slot {value} is beyond the model's slots: "
+                             f"n_slots = {len(slot_times) - 1}")
+        return float(slot_times[value])
     return value
 
 
 def criterion_settings(model, names=None, times=(None, None, None), grid=None,
                        tol=None) -> dict:
     """Settings of each named criterion (default: every one the preset model
-    declares) on the model. A criterion the model does not declare runs on
-    the window t0, t1, t2 = `times`, each 0, 1, 2 where not given; a given
-    time puts that window's times in place of a declared entry's. `grid`
-    replaces the map-family grid and `tol` every tolerance. Every map is
-    read from the model's initial time, so a given t0 other than
-    `model.t0` is a ValueError."""
-    if times[0] is not None and abs(float(times[0]) - model.t0) > 1e-12:
+    declares) on the model, declared times read through `_model_times`. A
+    criterion the model does not declare runs on the window t0, t1, t2 =
+    `times`, each model.t0 + 0, 1, 2 where not given; a given time puts that
+    window's times in place of a declared entry's. `grid` replaces the
+    map-family grid and `tol` every tolerance. Every map is read from the
+    model's initial time, so a given t0 other than `model.t0` is a
+    ValueError."""
+    t0 = model.t0
+    if times[0] is not None and abs(float(times[0]) - t0) > 1e-12:
         raise ValueError(f"t0 = {times[0]}: maps are defined from the model's "
-                         f"initial time {model.t0}")
+                         f"initial time {t0}")
     table = MODEL_SETTINGS[model.name]
     if names is None:
         names = [k for k in CRITERIA + ("pu",) if k in table]
-    window = _window(*(d if t is None else float(t) for t, d in zip(times, (0.0, 1.0, 2.0))))
+    window = _window(*(t0 + d if t is None else float(t)
+                       for t, d in zip(times, (0.0, 1.0, 2.0))))
     slots = model.slot_times if table.get("slots") else None
     if grid is None:
-        grid = table["grid"] if slots is None else _on_slots(table["grid"], slots)
-    family = functools.cache(lambda: map_family(model, grid))
+        grid = _model_times(tuple(table["grid"]), t0, slots)
     out = {}
     for name in names:
         s = dict(table[name] if name in table else window.get(name, {}))
-        if slots is not None and name in table:
-            s.update({k: _on_slots(v, slots) for k, v in s.items() if k in _TIME_FIELDS})
-            if "pairs" in s:    # durations: slot counts
-                s["pairs"] = _on_slots(s["pairs"], slots - slots[0])
+        if name in table:
+            s.update({k: _model_times(v, t0, slots) for k, v in s.items() if k in _TIME_FIELDS})
+            if slots is not None and "pairs" in s:
+                s["pairs"] = _model_times(s["pairs"], 0.0, slots - slots[0])
         if any(t is not None for t in times):
             s.update((k, v) for k, v in window.get(name, {}).items() if k in _TIME_FIELDS)
         default = s.get("tol", table.get("tol", _WINDOW_TOL.get(name)))
         s["tol"] = default if tol is None else tol
-        s["family"] = family
+        s["grid"] = list(grid)
         out[name] = s
     return out
+
+
+def run_criteria(model, settings: dict, seed: int) -> dict:
+    """Run each criterion of `settings` (as criterion_settings resolves
+    them) on the model: name -> report. The run keeps one map store, so
+    each map `generalized_map` reads of the model is built once in it."""
+    token = _RUN_MAPS.set((model, {}))
+    try:
+        return {name: run_criterion(name, model, s, seed) for name, s in settings.items()}
+    finally:
+        _RUN_MAPS.reset(token)
 
 
 def run_criterion(name: str, model, settings: dict, seed: int) -> CriterionReport:
@@ -1010,12 +1041,12 @@ def run_criterion(name: str, model, settings: dict, seed: int) -> CriterionRepor
                    model.breaking_channel(t1) if hasattr(model, "breaking_channel") else None)
         return check_nqib(model, s["triple"], channel, tol)
     if name == "divisibility":
-        return check_divisibility(s["family"](), tol)
+        return check_divisibility(map_family(model, s["grid"]), tol)
     if name == "semigroup":
         return check_semigroup(lambda tau: map_family(model, [model.t0 + tau])[0][1],
                                s["pairs"], tol)
     if name == "distinguishability":
-        return check_distinguishability(s["family"](), seed=seed, tol=tol)
+        return check_distinguishability(map_family(model, s["grid"]), seed=seed, tol=tol)
     if name == "fdd":
         from .core import random_unitary
         rng = np.random.default_rng(seed)

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from .core import DensityOperator, Operator, ket
-from .models import assemble_map
+from .criteria import tomograph
 from .superop import LindbladSpec
 
 MAX_STEP_PROB = 0.1
@@ -116,7 +116,7 @@ def mean_deviation_from_map(ens: Ensemble, model, rho0, times) -> float:
     state rho0, over the grid times."""
     dev = 0.0
     for t in times:
-        target = assemble_map(model, model.env_branches(), (model.t0, t), (None, None))(rho0)
+        target = tomograph(model, model.t0, t)(rho0)
         dev = max(dev, float(np.max(np.abs(ensemble_mean(ens, t).mat - target))))
     return dev
 

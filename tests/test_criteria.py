@@ -582,8 +582,9 @@ class TestDistinguishabilitySweep:
             assert rep.witnesses == {"max_increase": 0.0, "worst": []}
 
     def test_generators_are_read_once(self):
-        family = criterion_settings(nqib_qubit(), ["distinguishability"])[
-            "distinguishability"]["family"]()
+        model = nqib_qubit()
+        family = map_family(model, criterion_settings(model, ["distinguishability"])[
+            "distinguishability"]["grid"])
         rng = np.random.default_rng(5)
         pairs = [tuple(random_density(2, rng, rank=1) for _ in range(2)) for _ in range(6)]
         weights = (0.2, 0.5, 0.8)
@@ -677,6 +678,63 @@ EXPECTED_ROWS = {
 }
 
 
+class TestMapStore:
+    """One `hierarchy` run builds each initial-bath map once; nothing is
+    kept outside a run."""
+
+    @staticmethod
+    def _count_builds(monkeypatch, model):
+        """Pin the model's initial bath to one branch list and count, per
+        (t1, t2), the maps assemble_map builds from it."""
+        import collections
+        from oqmarkov import criteria
+        from oqmarkov.models import assemble_map as assemble
+        branches = model.env_branches()
+        monkeypatch.setattr(model, "env_branches", lambda: branches, raising=False)
+        builds, total = collections.Counter(), [0]
+
+        def counted(m, b, times, ops, effect=None):
+            total[0] += 1
+            if b is branches and effect is None:
+                builds[tuple(times)] += 1
+            return assemble(m, b, times, ops, effect)
+        monkeypatch.setattr(criteria, "assemble_map", counted)
+        return builds, total
+
+    def test_hierarchy_builds_each_map_once(self, monkeypatch):
+        from oqmarkov.models import make_model
+        total = 0
+        for name in ("tam", "nqib", "collision", "static-dephasing", "afl"):
+            model = make_model(name)
+            builds, calls = self._count_builds(monkeypatch, model)
+            hierarchy_report(model)
+            assert builds and max(builds.values()) == 1, (name, builds)
+            total += calls[0]
+        assert total <= 104
+
+    def test_no_store_outside_a_run(self, monkeypatch):
+        model = tam()
+        builds, _ = self._count_builds(monkeypatch, model)
+        first, second = generalized_map(model, 0.5, 1.0), generalized_map(model, 0.5, 1.0)
+        assert builds[(0.5, 1.0)] == 2 and first is not second
+        assert np.array_equal(first.mat, second.mat)
+
+    def test_model_freed_after_a_run(self):
+        import gc
+        import weakref
+        from oqmarkov.criteria import run_criteria
+        model = tam()
+        hierarchy_report(model)
+        settings = criterion_settings(model, ["composability", "fa"])
+        del settings["fa"]["times"]         # the second checker raises
+        with pytest.raises(KeyError):
+            run_criteria(model, settings, 0)
+        ref = weakref.ref(model)
+        del model, settings
+        gc.collect()
+        assert ref() is None
+
+
 class TestHierarchy:
     @pytest.mark.parametrize("name", sorted(EXPECTED_ROWS))
     def test_preset_rows_and_consistency(self, name):
@@ -708,13 +766,29 @@ class TestHierarchy:
         assert s["nib"]["triple"] == (0.0, 1.0, 2.0)
         assert s["fdd"]["sequences"][1][1] == (0.5, 1.0)
         assert s["semigroup"]["pairs"][2] == (1.0, 1.5)     # durations
-        assert [t for t, _ in s["divisibility"]["family"]()] == list(model.slot_times)
+        assert ([t for t, _ in map_family(model, s["divisibility"]["grid"])]
+                == list(model.slot_times))
         rep = hierarchy_report(model)
         preset = hierarchy_report("collision")
         assert ({k: r.verdict for k, r in rep.reports.items()}
                 == {k: r.verdict for k, r in preset.reports.items()})
         # the past-ancilla channel measures the two ancillas used by t1 = 1.0
         assert rep.reports["nqib"].grid.endswith("supplied channel with 4 outcomes")
+
+    def test_declared_times_are_offsets_from_t0(self):
+        rep = hierarchy_report(tam(t0=0.5))
+        assert rep.consistent, rep.implications
+        assert rep.reports["fa"].grid.startswith("times=[1.0, 1.5]")
+        assert rep.reports["nib"].grid.startswith("triple=[0.5, 1.5, 2.5]")
+        s = criterion_settings(tam(t0=0.5), ["semigroup", "fdd"])
+        assert s["semigroup"]["pairs"] == ((0.5, 0.5), (0.5, 1.0), (1.0, 1.0))  # durations
+        assert s["fdd"]["sequences"][0][1] == (1.5, 2.5)     # the window from t0
+
+    def test_slot_beyond_the_model_is_a_value_error(self):
+        with pytest.raises(ValueError, match="slot 4 .*n_slots = 3"):
+            criterion_settings(collision(n_slots=3))
+        with pytest.raises(ValueError, match="n_slots = 3"):
+            hierarchy_report(collision(n_slots=3))
 
     def test_nqib_negativity_extra(self):
         rep = hierarchy_report("nqib")
