@@ -11,6 +11,9 @@ in the report records exactly what was sampled.
 Every map from a joint model's initial bath comes from `generalized_map`,
 which builds each (t1, t2) map once per `run_criteria` run (the run loop of
 `hierarchy_report` and `analyze`) and keeps nothing outside a run.
+`replacement_map` resets the bath to any Hermitian operator instead. `nib`
+seeds from the initial bath state, and `nqib` tests the channel of the
+model's own `breaking_channel`.
 """
 
 from __future__ import annotations
@@ -115,13 +118,13 @@ def generalized_map(model: JointModel, t1: float, t2: float) -> SuperOperator:
 
 
 def replacement_map(model: JointModel, t1: float, t2: float,
-                    sigma_e) -> SuperOperator:
-    """Map generated by resetting the bath to an arbitrary state at t1.
-
-    The state may be a dense matrix or a pre-decomposed list of
-    (weight, vector) branches; the latter keeps huge product or grid baths
-    tractable."""
-    branches = sigma_e if isinstance(sigma_e, list) else _eig_branches(sigma_e)
+                    sigma_e: np.ndarray) -> SuperOperator:
+    """Map generated by resetting the bath to the Hermitian operator sigma_e
+    at t1, which is linear in it: a state, or one of the signed coordinate
+    operators of `nib`'s convex search."""
+    sigma_e = np.asarray(sigma_e, dtype=complex)
+    w, v = np.linalg.eigh((sigma_e + sigma_e.conj().T) / 2)
+    branches = [(float(w[i]), v[:, i]) for i in range(len(w)) if abs(w[i]) > 1e-12]
     return assemble_map(model, branches, (t1, t2), (None, None))
 
 
@@ -390,25 +393,6 @@ def check_composability(model: JointModel, time_triples, tol: float = 1e-9) -> C
     return CriterionReport("composability", verdict, witnesses, tol, grid)
 
 
-def _nib_candidate_states(model: JointModel, t1: float) -> list:
-    """The model's candidates and, last, the initial bath state: a dense
-    matrix, or on a bath above 64 levels its own branch list."""
-    cands = list(model.nib_candidates(t1))
-    branches = model.env_branches()
-    if model.dim_e <= 64:
-        cands.append(sum(p * np.outer(v, v.conj()) for p, v in branches))
-    else:
-        cands.append(branches)
-    return cands
-
-
-def _signed_branches(h: np.ndarray) -> list:
-    """Spectral branches [(weight, vector)] of a Hermitian operator; the
-    weights may be negative, which assemble_map accepts."""
-    w, v = np.linalg.eigh(h)
-    return [(float(w[i]), v[:, i]) for i in range(len(w)) if abs(w[i]) > 1e-12]
-
-
 def _nib_coordinates(model: JointModel):
     """Affine coordinates sigma(x) = base + sum_k x_k ops[k] of the bath
     replacement states, with x in the unit ball (qubit bath: the Bloch
@@ -486,24 +470,20 @@ class _AffineResidual:
         return cut
 
 
-def _check_nib_convex(model: JointModel, time_triple, cands, tol: float) -> CriterionReport:
+def _check_nib_convex(model: JointModel, time_triple, tol: float) -> CriterionReport:
     t0, t1, t2 = time_triple
     e2, e1 = tomograph(model, t0, t2), tomograph(model, t0, t1)
     base, ops, feasible = _nib_coordinates(model)
 
     def chained(op):
-        return assemble_map(model, _signed_branches(op), (t1, t2), (None, None)).mat @ e1.mat
+        return replacement_map(model, t1, t2, op).mat @ e1.mat
 
     res = _AffineResidual(e2.mat - chained(base), [chained(op) for op in ops],
                           model.dim_s, feasible)
-    norms = [float(np.real(np.trace(op @ op))) for op in ops]
+    rho_e0 = model.rho_e0_matrix()
+    x0 = [np.real(np.trace(rho_e0 @ op)) / np.real(np.trace(op @ op)) for op in ops]
     centre = np.zeros(len(ops)) if feasible == "ball" else np.full(len(ops), 1.0 / len(ops))
-    seeds = [centre]
-    for sigma in cands:
-        if isinstance(sigma, list):
-            sigma = sum(p * np.outer(v, v.conj()) for p, v in sigma)
-        x = [np.real(np.trace(sigma @ op)) / n for op, n in zip(ops, norms)]
-        seeds.append(res.project(np.array(x)))
+    seeds = [centre, res.project(np.array(x0))]
     values = [res.value(x) for x in seeds]
     best = int(np.argmin(values))
     x, fx, n_evals = seeds[best], values[best], len(seeds)
@@ -544,35 +524,24 @@ def check_nib(model: JointModel, time_triple=(0.0, 1.0, 2.0),
               tol: float = 1e-8) -> CriterionReport:
     """Search for a bath replacement state at t1 that reproduces the map to
     t2. For qubit and register baths the residual is convex in the state:
-    it is minimised from a few seeds, and a subgradient cut at the minimiser
-    gives the witness lower_bound, which certifies a fail when it exceeds
-    the tolerance. Other baths try only the model's candidate states, so
-    their fails are not certified, and the report says so."""
-    cands = _nib_candidate_states(model, time_triple[1])
+    it is minimised from two seeds (the centre and the initial bath state),
+    and a subgradient cut at the minimiser gives the witness lower_bound,
+    which certifies a fail when it exceeds the tolerance. Other baths try
+    only the initial bath state, whose map is the run's replaced-bath map,
+    so their fails are not certified, and the report says so."""
     if model.env_kind in ("qubit", "register"):
-        return _check_nib_convex(model, time_triple, cands, tol)
+        return _check_nib_convex(model, time_triple, tol)
     t0, t1, t2 = time_triple
     e2, e1 = tomograph(model, t0, t2), tomograph(model, t0, t1)
-    best_res, best_sigma = None, None
-    for sigma in cands:
-        # a branch list is the initial bath: its map is the replaced-bath map
-        emap = (generalized_map(model, t1, t2) if isinstance(sigma, list)
-                else replacement_map(model, t1, t2, sigma))
-        res = map_residual(e2, compose(emap, e1))
-        if best_res is None or res["residual"] < best_res["residual"]:
-            best_res, best_sigma = res, sigma
-    witnesses = {"min_residual": best_res["residual"],
-                 "max_entry": best_res["max_entry"],
-                 "action_norm": best_res["action_norm"],
-                 "n_candidates": float(len(cands))}
-    grid = (f"triple={list(time_triple)}, {len(cands)} candidate states only; "
+    res = map_residual(e2, compose(generalized_map(model, t1, t2), e1))
+    witnesses = {"min_residual": res["residual"],
+                 "max_entry": res["max_entry"],
+                 "action_norm": res["action_norm"],
+                 "n_candidates": 1.0}
+    grid = (f"triple={list(time_triple)}, 1 candidate states only; "
             f"a fail is not certified")
-    verdict = PASS if best_res["residual"] <= tol else FAIL
-    report = CriterionReport("nib", verdict, witnesses, tol, grid)
-    if isinstance(best_sigma, np.ndarray) and best_sigma.shape[0] <= 16:
-        report.witnesses["best_sigma_diag"] = [float(np.real(best_sigma[i, i]))
-                                               for i in range(best_sigma.shape[0])]
-    return report
+    verdict = PASS if res["residual"] <= tol else FAIL
+    return CriterionReport("nib", verdict, witnesses, tol, grid)
 
 
 def _intervened_map(model: JointModel, time_triple, povm, states) -> SuperOperator:
@@ -580,7 +549,7 @@ def _intervened_map(model: JointModel, time_triple, povm, states) -> SuperOperat
     re-prepared in s_k: the sum over outcomes of the replacement map of s_k
     after the map to t1 read through the effect F_k."""
     t0, t1, t2 = time_triple
-    m = sum(replacement_map(model, t1, t2, np.asarray(s, dtype=complex)).mat
+    m = sum(replacement_map(model, t1, t2, s).mat
             @ assemble_map(model, model.env_branches(), (t0, t1), (None, None), f).mat
             for f, s in zip(povm, states))
     return SuperOperator(m, model.dim_s)
@@ -815,27 +784,6 @@ def hierarchy_report(model, seed: int = 23) -> HierarchyReport:
     return HierarchyReport(model.name, reports, implications, consistent, extras)
 
 
-def _collision_past_channel(model, t1):
-    """Measure the already-used ancillas projectively and re-prepare the
-    measured state with fresh states on the untouched slots."""
-    k_past = int(np.searchsorted(model.slot_times, t1 - 1e-9))
-    da, n = model.dim_a, model.n_slots
-    anc = model.ancilla_vector()
-    fresh_future = None
-    for _ in range(n - k_past):
-        blk = np.outer(anc, anc.conj())
-        fresh_future = blk if fresh_future is None else np.kron(fresh_future, blk)
-    povm, states = [], []
-    for idx in itertools.product(range(da), repeat=k_past):
-        proj = None
-        for i in idx:
-            p = np.outer(ket(i, da), ket(i, da).conj())
-            proj = p if proj is None else np.kron(proj, p)
-        povm.append(np.kron(proj, np.eye(da ** (n - k_past))))
-        states.append(np.kron(proj, fresh_future))
-    return povm, states
-
-
 def _check_pu(model, times, tol: float) -> CriterionReport:
     """The register-basis pure unravelling's exact branch sum must reproduce
     the map's output at every time."""
@@ -879,7 +827,7 @@ MODEL_SETTINGS = {
         gqrf=dict(time_sets=((1, 2, 3),)),
         composability=dict(triples=((0, 1, 2), (0, 2, 4), (0, 3, 6))),
         nib=dict(triple=(0, 2, 4)),
-        nqib=dict(triple=(0, 2, 4), channel=_collision_past_channel),
+        nqib=dict(triple=(0, 2, 4)),
         divisibility={}, distinguishability={},
         semigroup=dict(pairs=((1, 1), (1, 2), (2, 3))),
         fdd=dict(sequences=((("random",) * 3, (1, 2, 3)), ((_X, _X), (1, 2))))),
@@ -1036,9 +984,8 @@ def run_criterion(name: str, model, settings: dict, seed: int) -> CriterionRepor
     if name == "nib":
         return check_nib(model, s["triple"], tol=tol)
     if name == "nqib":
-        t1 = s["triple"][1]
-        channel = (s["channel"](model, t1) if "channel" in s else
-                   model.breaking_channel(t1) if hasattr(model, "breaking_channel") else None)
+        channel = (model.breaking_channel(s["triple"][1])
+                   if hasattr(model, "breaking_channel") else None)
         return check_nqib(model, s["triple"], channel, tol)
     if name == "divisibility":
         return check_divisibility(map_family(model, s["grid"]), tol)

@@ -7,7 +7,10 @@ environment state). The criterion checkers only need two things from a
 model: the spectral branches of the initial environment state and the
 action of the joint propagator on vectors. Every joint model is written in
 the interaction picture of its bath (the bath has no free Hamiltonian), so
-a replaced-environment map resets the bath to its initial state.
+a replaced-environment map resets the bath to its initial state, and `nib`
+seeds its search from that state. `nqib` tests only the measure-and-prepare
+bath channel a model supplies through `breaking_channel(t1)` (the nqib and
+collision presets).
 
 `apply_propagator(t1, t2, joint)` is the one propagation contract: each
 joint model defines it as the action of U(t2, t1) on a joint vector,
@@ -18,6 +21,7 @@ unitary per slot). Every map a checker reads is assembled from it by
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -58,10 +62,6 @@ class JointModel:
     def apply_propagator(self, t1: float, t2: float, joint: np.ndarray) -> np.ndarray:
         """U(t2, t1) applied to a joint vector (system index major)."""
         raise NotImplementedError
-
-    def nib_candidates(self, t1: float):
-        """Replacement-state candidates worth trying before any grid search."""
-        return []
 
     def joint_branches(self, rho_s0: np.ndarray, t: float):
         """Branches [(weight, joint vector at time t)] from a factorized start."""
@@ -166,6 +166,15 @@ def _lorentz_grid_weights(n_points: int, cutoff: float, taper_start: float,
     return x, w + missing * bump
 
 
+# quadrature of the standardized bath coordinate x / gamma: the grid spans
+# [-cutoff, cutoff], tapers from half the cutoff, and re-deposits the lost
+# tail mass as a central Gaussian of the bump width; its characteristic
+# function is checked on the band of phase slopes
+_AFL_CUTOFF = 200.0
+_AFL_BUMP_WIDTH = 30.0
+_AFL_BAND = (0.3, 12.0)
+
+
 class AflModel(JointModel):
     """Qubit dephasing through a single Lorentzian-distributed bath coordinate.
 
@@ -181,8 +190,6 @@ class AflModel(JointModel):
     env_kind = "grid"
 
     def __init__(self, gamma: float = 1.0, g: float = 2.0, n_points: int = 4001,
-                 cutoff: float | None = None, taper_start: float | None = None,
-                 bump_width: float | None = None, band=(0.3, 12.0),
                  quad_tol: float = 1e-5):
         if gamma <= 0 or g <= 0:
             raise ValueError("gamma and g must be positive")
@@ -190,21 +197,17 @@ class AflModel(JointModel):
             raise ValueError("grid too coarse")
         self.gamma = float(gamma)
         self.g = float(g)
-        cutoff = 200.0 if cutoff is None else cutoff / gamma
-        taper_start = cutoff / 2 if taper_start is None else taper_start / gamma
-        bump_width = 30.0 if bump_width is None else bump_width / gamma
-        u, w = _lorentz_grid_weights(n_points, cutoff, taper_start, bump_width)
+        u, w = _lorentz_grid_weights(n_points, _AFL_CUTOFF, _AFL_CUTOFF / 2, _AFL_BUMP_WIDTH)
         if np.min(w) < 0:
             raise ValueError("grid too coarse: tapered weights go negative")
         self._u = u                      # standardized coordinate x / gamma
         self.x = gamma * u
         self.weights = w
-        self.band = band
         self.quadrature_error = self._band_error()
         if self.quadrature_error > quad_tol:
             raise ValueError(
                 f"grid too coarse: characteristic-function error "
-                f"{self.quadrature_error:.3e} > {quad_tol:.1e} on band {band}")
+                f"{self.quadrature_error:.3e} > {quad_tol:.1e} on band {_AFL_BAND}")
         self.amplitudes = np.sqrt(w).astype(complex)  # bath phases are immaterial:
         # the joint evolution is diagonal in x, so a local phase on the bath
         # never enters reduced states, correlations, or entanglement.
@@ -212,7 +215,7 @@ class AflModel(JointModel):
         self.dim_e = n_points
 
     def _band_error(self) -> float:
-        b = np.linspace(self.band[0], self.band[1], 600)
+        b = np.linspace(_AFL_BAND[0], _AFL_BAND[1], 600)
         vals = np.array([np.sum(self.weights * np.cos(bb * self._u)) for bb in b])
         return float(np.max(np.abs(vals - np.exp(-b))))
 
@@ -380,9 +383,6 @@ class TamModel(JointModel):
         m[2, 2] = c
         return SuperOperator(m, 2)
 
-    def nib_candidates(self, t1: float):
-        return [np.diag([1.0, 0.0]).astype(complex)]
-
 
 def tam(t0: float = 0.0) -> TamModel:
     return TamModel(t0)
@@ -509,6 +509,12 @@ class CollisionModel(JointModel):
             raise ValueError("slot_times must be n_slots+1 strictly increasing boundaries")
         self.t0 = float(self.slot_times[0])
         self.dim_e = self.dim_a ** self.n_slots
+        branches = [(1.0, np.ones(1, dtype=complex))]
+        for _ in range(self.n_slots):
+            branches = [(p * q, np.kron(v, a)) for p, v in branches for q, a in anc_branches]
+        for _, v in branches:
+            v.setflags(write=False)
+        self._env_branches = branches
         import scipy.linalg
         t, z = scipy.linalg.schur(u, output="complex")   # unitary is normal
         self._pair_eig = (np.angle(np.diag(t)), z)
@@ -519,20 +525,29 @@ class CollisionModel(JointModel):
         return self._anc_branches[0][1]
 
     def env_branches(self):
-        out = [(1.0, np.ones(1, dtype=complex))]
-        for _ in range(self.n_slots):
-            out = [(p * q, np.kron(v, a)) for p, v in out for q, a in self._anc_branches]
-        return out
+        """The product branches of the initial bath, built once (read-only)."""
+        return self._env_branches
 
-    def fresh_env_state(self) -> np.ndarray:
-        rho = None
-        anc = sum(p * np.outer(v, v.conj()) for p, v in self._anc_branches)
-        for _ in range(self.n_slots):
-            rho = anc if rho is None else np.kron(rho, anc)
-        return rho
-
-    def nib_candidates(self, t1: float):
-        return [self.fresh_env_state()]
+    def breaking_channel(self, t1: float):
+        """Measure the ancillas already used by t1 projectively and
+        re-prepare the measured state, with fresh ancillas on the untouched
+        slots: a measure-and-prepare channel on the bath."""
+        k_past = int(np.searchsorted(self.slot_times, t1 - 1e-9))
+        da, n = self.dim_a, self.n_slots
+        anc = self.ancilla_vector()
+        fresh_future = None
+        for _ in range(n - k_past):
+            blk = np.outer(anc, anc.conj())
+            fresh_future = blk if fresh_future is None else np.kron(fresh_future, blk)
+        povm, states = [], []
+        for idx in itertools.product(range(da), repeat=k_past):
+            proj = None
+            for i in idx:
+                p = np.outer(ket(i, da), ket(i, da).conj())
+                proj = p if proj is None else np.kron(proj, p)
+            povm.append(np.kron(proj, np.eye(da ** (n - k_past))))
+            states.append(np.kron(proj, fresh_future))
+        return povm, states
 
     def _pair_power(self, s: float) -> np.ndarray:
         if abs(s - 1.0) < 1e-12:

@@ -414,8 +414,8 @@ def collision_unravel(model, basis_per_slot=None, psi0=None,
                     {"exact": False, "M": M}, records)
 
 
-def static_unravel(model, times, psi0=None, basis: str | np.ndarray = "register",
-                   M: int | None = None) -> Ensemble:
+def static_unravel(model, times, psi0=None,
+                   basis: str | np.ndarray = "register") -> Ensemble:
     """Unravel the static-register model by measuring the register.
 
     In the register basis the branch states are exactly pure and the branch

@@ -218,6 +218,26 @@ class TestEnvironmentInterventions:
         assert rep.verdict == "pass"
         assert rep.witnesses["min_residual"] < 1e-10
 
+    def test_collision_nib_is_the_replaced_bath_residual(self, monkeypatch):
+        # a product bath tries only its initial state, through the replaced-bath
+        # map: the residual is composability's, and no replacement map is built
+        from oqmarkov import criteria
+
+        def refuse(*args):
+            raise AssertionError("replacement_map called")
+        monkeypatch.setattr(criteria, "replacement_map", refuse)
+        model = collision()
+        rep = check_nib(model, (0.0, 2.0, 4.0))
+        comp = check_composability(model, [(0.0, 2.0, 4.0)])
+        assert rep.witnesses["min_residual"] == comp.witnesses["max_residual"]
+        assert rep.witnesses["n_candidates"] == 1.0
+
+    def test_nqib_channel_follows_the_model(self):
+        # the collision channel comes from the model, not the settings table
+        from oqmarkov.criteria import run_criterion
+        rep = run_criterion("nqib", collision(), {"triple": (0.0, 2.0, 4.0), "tol": 1e-9}, 0)
+        assert rep.verdict == "pass", rep.reason
+
 
 def _dense_intervened_map(model, time_triple, povm, states):
     """Reference for the measure-and-prepare map of check_nqib, built from
@@ -278,10 +298,9 @@ class TestNqibAgainstDense:
     def test_collision_past_channel(self, seed, t1, frac, rotated):
         # the past channel as built, or (rotated) conjugated by a random bath
         # unitary so that bath coherences reach the effects
-        from oqmarkov.criteria import _collision_past_channel
         rng = np.random.default_rng(seed)
         model = collision(3, random_unitary(4, rng), random_pure(2, rng))
-        povm, states = _collision_past_channel(model, t1)
+        povm, states = model.breaking_channel(t1)
         if rotated:
             v = random_unitary(model.dim_e, rng)
             povm = [v @ f @ v.conj().T for f in povm]
@@ -327,12 +346,11 @@ class TestNibConvex:
     @given(factory=st.sampled_from([tam, nqib_qubit]), r=bloch_vectors,
            t1=st.floats(0.0, 3.0), dt=st.floats(0.0, 3.0))
     def test_basis_maps_rebuild_replacement_map(self, factory, r, t1, dt):
-        from oqmarkov.criteria import (_nib_coordinates, _signed_branches,
-                                       replacement_map)
+        from oqmarkov.criteria import _nib_coordinates, replacement_map
         model = factory()
         base, ops, feasible = _nib_coordinates(model)
         assert feasible == "ball"
-        q = [replacement_map(model, t1, t1 + dt, _signed_branches(op)).mat
+        q = [replacement_map(model, t1, t1 + dt, op).mat
              for op in [base] + ops]
         combined = q[0] + sum(c * qk for c, qk in zip(r, q[1:]))
         direct = replacement_map(model, t1, t1 + dt, _bloch_state(r)).mat
@@ -361,7 +379,7 @@ class TestNibConvex:
              y=np.zeros(3), t1=1.0, dt=1.0)
     def test_cut_at_any_point_bounds_every_state(self, factory, x, y, t1, dt):
         from oqmarkov.criteria import (_AffineResidual, _nib_coordinates,
-                                       _signed_branches, replacement_map)
+                                       replacement_map)
         model = factory()
         t2 = t1 + dt
         e1 = map_family(model, [t1])[0][1].mat
@@ -369,7 +387,7 @@ class TestNibConvex:
         base, ops, feasible = _nib_coordinates(model)
 
         def chained(op):
-            return replacement_map(model, t1, t2, _signed_branches(op)).mat @ e1
+            return replacement_map(model, t1, t2, op).mat @ e1
 
         res = _AffineResidual(e2 - chained(base), [chained(op) for op in ops], 2, feasible)
         direct = _nib_residual(model, t1, t2, _bloch_state(y))
@@ -710,7 +728,9 @@ class TestMapStore:
             hierarchy_report(model)
             assert builds and max(builds.values()) == 1, (name, builds)
             total += calls[0]
-        assert total <= 104
+            if name == "collision":     # nib reads the store's (2, 4) map
+                assert calls[0] <= 20
+        assert total <= 93
 
     def test_no_store_outside_a_run(self, monkeypatch):
         model = tam()
