@@ -458,37 +458,42 @@ def mcsm(spec: SDESpec, x0, grid, M: int, seed: int, dt: float = 1e-3,
     streams = _Streams(seed)
 
     def run_chunk(idxs, out: np.ndarray) -> None:
-        m = len(idxs)
         # path streams are keyed apart from the trajectory streams of unravel
         normals = _fill_draws(streams, [i | (1 << 32) for i in idxs],
-                              (n_steps, spec.n_noise), "standard_normal")
+                              (n_steps, spec.n_noise), "standard_normal") \
+            if spec.n_noise else None
         jumps = _fill_draws(streams, [(i + (1 << 40)) | (1 << 32) for i in idxs],
                             (n_steps, n_jump), "random") if n_jump else None
-        x = np.tile(x0, (m, 1))
+        x = np.tile(x0, (len(idxs), 1))
         out[:, 0] = x
         for s in range(n_steps):
             t = step_times[s]
             drift = np.asarray(spec.drift(x, t), dtype=float)
-            bmat = np.asarray(spec.diffusion(x, t), dtype=float)
-            if bmat.ndim == 2:
-                noise = normals[:, s] @ bmat.T * sqrt_dt
+            if normals is None:
+                # the zeros an empty noise product would add: -0.0 becomes 0.0
+                noise = 0.0
             else:
-                noise = np.einsum("pij,pj->pi", bmat, normals[:, s]) * sqrt_dt
+                bmat = np.asarray(spec.diffusion(x, t), dtype=float)
+                if bmat.ndim == 2:
+                    noise = normals[:, s] @ bmat.T * sqrt_dt
+                else:
+                    noise = np.einsum("pij,pj->pi", bmat, normals[:, s]) * sqrt_dt
+            # a fresh array, which the jumps below update in place
             x = x + drift * dt + noise
             for j in range(n_jump):
                 rates = np.asarray(spec.jump_rates[j](x, t), dtype=float)
-                rates = np.broadcast_to(rates, (m,))
-                if np.any(rates < 0):
+                if rates.ndim > 1:
+                    raise ValueError("a jump rate is a scalar or one value per path")
+                # fmin skips NaN, as the elementwise test did
+                if np.fmin.reduce(rates, axis=None) < 0:
                     raise ValueError(f"negative jump rate at t={t:.4g}")
-                if np.max(rates) * dt >= MAX_JUMP_STEP_PROB:
+                top = rates.max() * dt
+                if top >= MAX_JUMP_STEP_PROB:
                     raise ValueError(
-                        f"jump probability {np.max(rates) * dt:.3f} per step at "
-                        f"t={t:.4g}; reduce dt")
-                fired = jumps[:, s, j] < rates * dt
-                if np.any(fired):
-                    eff = np.asarray(spec.jump_effects[j](x[fired]), dtype=float)
-                    x = x.copy()
-                    x[fired] += eff
+                        f"jump probability {top:.3f} per step at t={t:.4g}; reduce dt")
+                fired = np.flatnonzero(jumps[:, s, j] < rates * dt)
+                if fired.size:
+                    x[fired] += np.asarray(spec.jump_effects[j](x[fired]), dtype=float)
             if slot[s + 1] >= 0:
                 out[:, slot[s + 1]] = x
 

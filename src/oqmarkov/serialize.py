@@ -1,7 +1,9 @@
 """Deterministic serialization: canonical JSON with fixed key order and
 17-significant-digit floats (lossless round trip for doubles), plus
-column-wise CSV writing with the same float convention. Identical inputs
-always produce byte-identical output."""
+column-wise CSV writing with the same float convention: rows go out in
+blocks of CSV_BLOCK_ROWS, and within a block each distinct float bit pattern
+of a column is formatted once. Identical inputs always produce
+byte-identical output."""
 
 from __future__ import annotations
 
@@ -58,10 +60,23 @@ def write_json(path, obj) -> None:
     Path(path).write_text(dumps_canonical(obj) + "\n")
 
 
+def _float_cells(values: np.ndarray) -> list:
+    """Each float with 17 significant digits. A value is formatted once per
+    distinct bit pattern, so repeats, -0.0 against 0.0 and every NaN payload
+    keep their own cells; a long double, which has no unsigned integer of its
+    width, is formatted cell by cell."""
+    if values.itemsize > 8:
+        return list(map("{:.17g}".format, values.tolist()))
+    bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    cells = np.array(list(map("{:.17g}".format, bits.view(values.dtype).tolist())),
+                     dtype=object)
+    return cells[inverse].tolist()
+
+
 def _csv_cells(column) -> list:
     values = np.asarray(column)
     if values.dtype.kind == "f":
-        return list(map("{:.17g}".format, values.tolist()))
+        return _float_cells(values)
     # A numpy unicode array drops trailing NULs, so text cells come from the
     # caller's own sequence rather than from ``values``.
     if values.dtype.kind == "U" and not isinstance(column, np.ndarray):

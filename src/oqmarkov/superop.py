@@ -237,6 +237,12 @@ class LindbladSpec:
             l = l + self.rate(k, t) * diss
         return l
 
+    @property
+    def constant(self) -> bool:
+        """True when H and every rate are constants, so that ``rates``,
+        ``hamiltonian`` and ``generator`` read the same at every time."""
+        return self._generator is not None
+
     def generator(self, t: float) -> np.ndarray:
         if self._generator is not None:
             return self._generator

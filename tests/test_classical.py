@@ -363,6 +363,36 @@ class TestMcsm:
         old = mcsm(one_zero_column, [0.0], grid, M=40, seed=3, dt=1e-3, jobs=jobs)
         assert new.paths.tobytes() == old.paths.tobytes()
 
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_scalar_jump_rate_keeps_paths(self, jobs):
+        def counting(rate_of):
+            return SDESpec(lambda x, t: np.zeros_like(x), lambda x, t: np.zeros((1, 0)),
+                           jump_rates=[rate_of], jump_effects=[lambda x: np.ones_like(x)],
+                           dim=1, n_noise=0)
+
+        grid = [0.0, 0.5, 1.0]
+        scalar = mcsm(counting(lambda x, t: 2.0), [0.0], grid, M=40, seed=4, dt=1e-3,
+                      jobs=jobs)
+        full = mcsm(counting(lambda x, t: np.full(x.shape[0], 2.0)), [0.0], grid, M=40,
+                    seed=4, dt=1e-3, jobs=jobs)
+        assert scalar.paths.tobytes() == full.paths.tobytes()
+        assert scalar.paths[:, -1].max() > 0
+
+    @pytest.mark.parametrize("rates", [-1.0, [0.5, -1.0, 0.5], [math.nan, -1.0, 0.5]])
+    def test_negative_jump_rate_rejected(self, rates):
+        spec = SDESpec(lambda x, t: np.zeros_like(x), lambda x, t: np.zeros((1, 0)),
+                       jump_rates=[lambda x, t: np.asarray(rates)],
+                       jump_effects=[lambda x: np.ones_like(x)], dim=1, n_noise=0)
+        with pytest.raises(ValueError, match="negative jump rate"):
+            mcsm(spec, [0.0], [0.0, 0.1], M=3, seed=0, dt=1e-3)
+
+    def test_jump_rate_of_paths_by_one_rejected(self):
+        spec = SDESpec(lambda x, t: np.zeros_like(x), lambda x, t: np.zeros((1, 0)),
+                       jump_rates=[lambda x, t: np.full((x.shape[0], 1), 0.5)],
+                       jump_effects=[lambda x: np.ones_like(x)], dim=1, n_noise=0)
+        with pytest.raises(ValueError, match="one value per path"):
+            mcsm(spec, [0.0], [0.0, 0.1], M=3, seed=0, dt=1e-3)
+
     def test_jump_probability_guard(self):
         with pytest.raises(ValueError, match="reduce dt"):
             mcsm(poisson_spec(500.0), [0.0], [0.0, 0.1], M=2, seed=0, dt=1e-3)

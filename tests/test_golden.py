@@ -115,7 +115,7 @@ def test_stochastic_matches_fixture(name, tmp_path):
         assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
 
 
-@pytest.mark.parametrize("name", ["mcwf-jump", "mcwf-diffusive", "mcsm-ou"])
+@pytest.mark.parametrize("name", sorted(STOCHASTIC))
 def test_stochastic_outputs_independent_of_jobs(name, tmp_path):
     files = {}
     for jobs in ("1", "3"):

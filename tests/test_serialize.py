@@ -95,3 +95,22 @@ def test_blocks_keep_the_whole_column_type(tmp_path, monkeypatch):
     write_csv(blocks, ["f", "s", "n"], columns)
     assert whole.read_text() == "f,s,n\n0.5,a,1\n1.152921504606847e+18,\x00,2\n1,b,3\n"
     assert blocks.read_bytes() == whole.read_bytes()
+
+
+def test_repeated_floats_over_two_blocks_match_per_cell_formatter(tmp_path):
+    """Columns that repeat 0.0, -0.0 and nan (two payloads) past the first
+    block: each distinct bit pattern keeps its own cell, in float64 and
+    float32 alike."""
+    n_rows = serialize.CSV_BLOCK_ROWS + 905
+    other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    cycle = [0.0, -0.0, math.nan, 0.1, other_nan, -math.nan, 1e30, -0.0, 0.0]
+    repeated = np.array([cycle[i % len(cycle)] for i in range(n_rows)])
+    distinct = np.random.default_rng(3).standard_normal(n_rows)
+    single = repeated.astype(np.float32)
+    ints = np.arange(n_rows, dtype=np.int64) % 7
+    header = ["r", "x", "f32", "n"]
+    columns = [repeated, distinct, single, ints]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, columns)
+    rows = [list(row) for row in zip(*columns)]
+    assert path.read_bytes() == per_cell_csv(header, rows).encode()

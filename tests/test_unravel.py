@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oqmarkov.core import SM, SX, SZ, plus_state
 from oqmarkov.criteria import tomograph
@@ -17,6 +17,36 @@ from oqmarkov.unravel import (Ensemble, _chunked, _fill_draws, _prepare_grid, _S
 
 DECAY = LindbladSpec(2, None, [(SM, 2.0)])
 EXCITED = np.array([0.0, 1.0], dtype=complex)
+
+
+def _random_spec(d, seed):
+    """A constant spec on d levels, a random Hermitian H plus two random
+    channels, and a random start."""
+    rng = np.random.default_rng(seed)
+
+    def mat():
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    h = mat()
+    spec = LindbladSpec(d, (h + h.conj().T) / 2, [(mat() / d, 0.8), (mat() / d, 1.3)])
+    return spec, rng.standard_normal(d) + 1j * rng.standard_normal(d)
+
+
+# (spec, start) pairs on which the samplers equal their references bit for bit
+REFERENCE_CASES = {
+    "constant": (LindbladSpec(2, 0.3 * SX, [(SM, 2.0), (SX, 0.7), (SZ, 1.1)]), EXCITED),
+    "time-dependent": (LindbladSpec(2, lambda t: 0.5 * t * SZ,
+                                    [(SM, lambda t: 1.0 + t), (SX, 0.4)]), EXCITED),
+    "qutrit": _random_spec(3, 5),
+}
+REFERENCE_RUN = dict(grid=[0.0, 0.1, 0.3], m=300, seed=11, dt=2e-3)
+
+
+def _sampled(sampler, spec, psi0):
+    """The states of a REFERENCE_RUN of a sampler, split into four chunks."""
+    run = REFERENCE_RUN
+    return sampler(spec, psi0, run["grid"], M=run["m"], seed=run["seed"], dt=run["dt"],
+                   jobs=4).states
 
 
 def excited_population(ens, t):
@@ -88,23 +118,22 @@ class TestMcwfJump:
         pooled_ratio = (traj_small / small) / (traj_large / large)
         assert abs(pooled_ratio / (large / small) - 1.0) < 0.1, pooled_ratio
 
-    @pytest.mark.parametrize("spec", [
-        LindbladSpec(2, 0.3 * SX, [(SM, 2.0), (SX, 0.7), (SZ, 1.1)]),
-        LindbladSpec(2, lambda t: 0.5 * t * SZ, [(SM, lambda t: 1.0 + t), (SX, 0.4)]),
-    ], ids=["constant", "time-dependent"])
-    def test_matches_per_step_reference(self, spec):
-        grid, m, dt = [0.0, 0.1, 0.3], 300, 2e-3
-        ens = mcwf_jump(spec, EXCITED, grid, M=m, seed=11, dt=dt, jobs=4)
-        assert ens.states.tobytes() == _reference_jump(spec, EXCITED, grid, m, 11, dt).tobytes()
+    @pytest.mark.parametrize("case", [*REFERENCE_CASES, "four-level"])
+    def test_matches_per_step_reference(self, case):
+        # real state-axis sums keep numpy's order for d < 8, so four levels
+        # stay bitwise here too
+        spec, psi0 = REFERENCE_CASES[case] if case in REFERENCE_CASES else _random_spec(4, 6)
+        assert _sampled(mcwf_jump, spec, psi0).tobytes() == \
+            _reference_jump(spec, psi0, **REFERENCE_RUN).tobytes()
 
 
 def _reference_jump(spec, psi0, grid, m, seed, dt):
-    """The jump sampler as one chunk, rebuilding h_eff every step and choosing
-    channels over every row."""
+    """The jump sampler as one chunk, rebuilding h_eff every step, choosing
+    channels over every row and reducing over the state axis with numpy."""
     _, step_times, slot = _prepare_grid(grid, dt)
     c_ops = [c for c, _ in spec.channels]
     uni = _fill_draws(_Streams(seed), range(m), (len(step_times) - 1,), "random")
-    psi = np.tile(psi0, (m, 1))
+    psi = np.tile(psi0 / np.linalg.norm(psi0), (m, 1))
     out = np.empty((m, len(grid), len(psi0)), dtype=complex)
     out[:, 0] = psi
     for s, t in enumerate(step_times[:-1]):
@@ -130,7 +159,49 @@ def _reference_jump(spec, psi0, grid, m, seed, dt):
     return out
 
 
+def _reference_diffusive(spec, psi0, grid, m, seed, dt):
+    """The diffusive sampler as one chunk, reading H and the rates every step
+    and reducing over the state axis with numpy."""
+    _, step_times, slot = _prepare_grid(grid, dt)
+    c_ops = [c for c, _ in spec.channels]
+    dw = _fill_draws(_Streams(seed), range(m), (len(step_times) - 1, len(c_ops)),
+                     "standard_normal")
+    psi = np.tile(psi0 / np.linalg.norm(psi0), (m, 1))
+    out = np.empty((m, len(grid), len(psi0)), dtype=complex)
+    out[:, 0] = psi
+    for s, t in enumerate(step_times[:-1]):
+        drift = -1j * (psi @ spec.hamiltonian(t).T)
+        noise = np.zeros_like(psi)
+        for k, (c, cdc, g) in enumerate(zip(c_ops, spec.jump_products, spec.rates(t))):
+            if g == 0.0:
+                continue
+            cpsi = psi @ c.T
+            ev = 2.0 * np.sum(psi.conj() * cpsi, axis=1).real
+            drift += -0.5 * g * (psi @ cdc.T - ev[:, None] * cpsi
+                                 + 0.25 * (ev ** 2)[:, None] * psi)
+            noise += np.sqrt(g) * (cpsi - 0.5 * ev[:, None] * psi) \
+                * (dw[:, s, k] * np.sqrt(dt))[:, None]
+        psi = psi + drift * dt + noise
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        if slot[s + 1] >= 0:
+            out[:, slot[s + 1]] = psi
+    return out
+
+
 class TestMcwfDiffusive:
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_matches_per_step_reference(self, case):
+        spec, psi0 = REFERENCE_CASES[case]
+        assert _sampled(mcwf_diffusive, spec, psi0).tobytes() == \
+            _reference_diffusive(spec, psi0, **REFERENCE_RUN).tobytes()
+
+    def test_four_levels_move_only_the_last_bits(self):
+        # numpy sums a complex row of four or more entries pairwise, so the
+        # column-wise real part of <C + C^dag> may differ in the last bits
+        spec, psi0 = _random_spec(4, 6)
+        ref = _reference_diffusive(spec, psi0, **REFERENCE_RUN)
+        assert np.max(np.abs(_sampled(mcwf_diffusive, spec, psi0) - ref)) <= 1e-12
+
     def test_decay_within_three_sigma(self):
         grid = [0.0, 0.25, 0.5, 1.0]
         m = 5000
@@ -408,3 +479,44 @@ class TestFillDraws:
             # standard_normal() can differ
             assert np.array_equal(normal_row, _fresh(seed, key).normal(size=(n_steps, width)))
             assert np.array_equal(uniform_row, _fresh(seed, key).random(n_steps))
+
+
+# signed zeros, the smallest subnormal, the largest normal, infinities and nan
+EDGE_REALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              math.inf, -math.inf, math.nan, 1.0, -0.1]
+REALS = st.one_of(st.sampled_from(EDGE_REALS),
+                  st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@st.composite
+def state_rows(draw, dtype=float):
+    """An (m, d) array with d = 1-3 (every CLI spec has d = 2); a complex
+    entry draws both parts from REALS."""
+    m, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    x = np.empty((m, d), dtype=dtype)
+    for part in ("real", "imag") if dtype is complex else ("real",):
+        getattr(x, part)[:] = np.reshape(draw(st.lists(REALS, min_size=m * d,
+                                                       max_size=m * d)), (m, d))
+    return x
+
+
+class TestStateAxisReductions:
+    """The samplers' column-wise state reductions equal numpy's axis-1
+    reductions bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=state_rows())
+    @example(x=np.array([[-0.0], [0.0]]))
+    @example(x=np.array([[-0.0, -0.0, -0.0], [math.inf, -math.inf, 1.0]]))
+    def test_row_sum_is_numpys_axis_sum(self, x):
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert unravel._row_sum(x).tobytes() == np.sum(x, axis=1).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(z=state_rows(complex))
+    @example(z=np.array([[-0.0 + 1e308j, 1e308 - 0.0j]]))
+    @example(z=np.array([[complex(math.inf, math.nan)], [5e-324j]]))
+    def test_row_norm_is_numpys_norm(self, z):
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert unravel._row_norm(z).tobytes() == \
+                np.linalg.norm(z, axis=1, keepdims=True).tobytes()
