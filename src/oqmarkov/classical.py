@@ -1,7 +1,8 @@
 """Finite classical stochastic-process toolkit: Markovianity and
 regression-formula checks, Chapman-Kolmogorov and divisibility of transition
 matrices, the blockwise correlated-family counterexamples, and Monte-Carlo
-simulation of jump-diffusion dynamics.
+simulation of jump-diffusion dynamics on the sample loop and step
+probability cap of `unravel`.
 
 Classical distinguishability is decided exactly from the same connecting
 steps that divisibility (`cdiv`) reads, so the two coincide on invertible
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .criteria import CriterionReport, PASS, FAIL, INCONCLUSIVE, worst_case
-from .unravel import _chunked, _fill_draws, _prepare_grid, _Streams
+from .unravel import MAX_STEP_PROB, _sample
 
 TABLE_CAP = 2 ** 20
 
@@ -449,64 +450,47 @@ def mcsm(spec: SDESpec, x0, grid, M: int, seed: int, dt: float = 1e-3,
     """Euler-Maruyama with Bernoulli-thinned jumps, evolved in lockstep over
     the sample paths. Per-path random streams keyed by (seed, path index)
     make results bitwise seed-reproducible and independent of chunking."""
-    grid, step_times, slot = _prepare_grid(grid, dt)
-    n_steps = len(step_times) - 1
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (spec.dim,))
     n_jump = len(spec.jump_rates)
-    chunks = _chunked(M, jobs, n_steps * (spec.n_noise + n_jump) * 8)
     sqrt_dt = math.sqrt(dt)
-    streams = _Streams(seed)
 
-    def run_chunk(idxs, out: np.ndarray) -> None:
-        # path streams are keyed apart from the trajectory streams of unravel
-        normals = _fill_draws(streams, [i | (1 << 32) for i in idxs],
-                              (n_steps, spec.n_noise), "standard_normal") \
-            if spec.n_noise else None
-        jumps = _fill_draws(streams, [(i + (1 << 40)) | (1 << 32) for i in idxs],
-                            (n_steps, n_jump), "random") if n_jump else None
-        x = np.tile(x0, (len(idxs), 1))
-        out[:, 0] = x
-        for s in range(n_steps):
-            t = step_times[s]
-            drift = np.asarray(spec.drift(x, t), dtype=float)
-            if normals is None:
-                # the zeros an empty noise product would add: -0.0 becomes 0.0
-                noise = 0.0
+    def step(x, t, normals, jumps):
+        drift = np.asarray(spec.drift(x, t), dtype=float)
+        if not spec.n_noise:
+            # the zeros an empty noise product would add: -0.0 becomes 0.0
+            noise = 0.0
+        else:
+            bmat = np.asarray(spec.diffusion(x, t), dtype=float)
+            if bmat.ndim == 2:
+                noise = normals @ bmat.T * sqrt_dt
             else:
-                bmat = np.asarray(spec.diffusion(x, t), dtype=float)
-                if bmat.ndim == 2:
-                    noise = normals[:, s] @ bmat.T * sqrt_dt
-                else:
-                    noise = np.einsum("pij,pj->pi", bmat, normals[:, s]) * sqrt_dt
-            # a fresh array, which the jumps below update in place
-            x = x + drift * dt + noise
-            for j in range(n_jump):
-                rates = np.asarray(spec.jump_rates[j](x, t), dtype=float)
-                if rates.ndim > 1:
-                    raise ValueError("a jump rate is a scalar or one value per path")
-                # fmin skips NaN, as the elementwise test did
-                if np.fmin.reduce(rates, axis=None) < 0:
-                    raise ValueError(f"negative jump rate at t={t:.4g}")
-                top = rates.max() * dt
-                if top >= MAX_JUMP_STEP_PROB:
-                    raise ValueError(
-                        f"jump probability {top:.3f} per step at t={t:.4g}; reduce dt")
-                fired = np.flatnonzero(jumps[:, s, j] < rates * dt)
-                if fired.size:
-                    x[fired] += np.asarray(spec.jump_effects[j](x[fired]), dtype=float)
-            if slot[s + 1] >= 0:
-                out[:, slot[s + 1]] = x
+                noise = np.einsum("pij,pj->pi", bmat, normals) * sqrt_dt
+        # a fresh array, which the jumps below update in place
+        x = x + drift * dt + noise
+        for j in range(n_jump):
+            rates = np.asarray(spec.jump_rates[j](x, t), dtype=float)
+            if rates.ndim > 1:
+                raise ValueError("a jump rate is a scalar or one value per path")
+            # fmin skips NaN, as the elementwise test did
+            if np.fmin.reduce(rates, axis=None) < 0:
+                raise ValueError(f"negative jump rate at t={t:.4g}")
+            top = rates.max() * dt
+            if top >= MAX_STEP_PROB:
+                raise ValueError(
+                    f"jump probability {top:.3f} per step at t={t:.4g}; reduce dt")
+            fired = np.flatnonzero(jumps[:, j] < rates * dt)
+            if fired.size:
+                x[fired] += np.asarray(spec.jump_effects[j](x[fired]), dtype=float)
+        return x
 
-    paths = np.empty((M, len(grid), spec.dim))
-    for c in chunks:
-        run_chunk(c, paths[c.start:c.stop])
+    # path streams are keyed apart from the trajectory streams of unravel
+    grid, paths = _sample(grid, dt, M, jobs, seed, x0,
+                          [(lambda i: i | (1 << 32), spec.n_noise, "standard_normal"),
+                           (lambda i: (i + (1 << 40)) | (1 << 32), n_jump, "random")], step)
     mean = paths.mean(axis=0)
     var = paths.var(axis=0, ddof=1) if M > 1 else np.full_like(mean, np.nan)
     se = np.sqrt(var / M) if M > 1 else np.full_like(mean, np.nan)
     return MCSMResult(grid, paths, mean, var, se, seed)
-
-
-MAX_JUMP_STEP_PROB = 0.1
 
 
 def ou_spec(k: float = 1.0, sigma: float = 0.5) -> SDESpec:

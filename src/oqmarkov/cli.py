@@ -77,10 +77,11 @@ def _seed_from(args, cfg) -> int:
 
 
 def _parse_grid(text: str) -> list:
-    """Times from `start:stop:step` or a comma list."""
+    """Times from `start:stop:step` (none past `stop`) or a comma list."""
     if ":" in text:
         start, stop, step = (float(x) for x in text.split(":"))
-        n = int(round((stop - start) / step)) if step > 0 and math.isfinite(stop - start) else -1
+        span = stop - start
+        n = math.floor(span / step + 1e-9) if step > 0 and math.isfinite(span) else -1
         grid = [start + i * step for i in range(n + 1)]
     else:
         grid = [float(x) for x in text.split(",")]

@@ -926,7 +926,8 @@ def criterion_settings(model, names=None, times=(None, None, None), grid=None,
     window's times in place of a declared entry's. `grid` replaces the
     map-family grid and `tol` every tolerance. Every map is read from the
     model's initial time, so a given t0 other than `model.t0` is a
-    ValueError."""
+    ValueError, and so is a window with a given time that is not
+    t0 < t1 < t2."""
     t0 = model.t0
     if times[0] is not None and abs(float(times[0]) - t0) > 1e-12:
         raise ValueError(f"t0 = {times[0]}: maps are defined from the model's "
@@ -934,8 +935,12 @@ def criterion_settings(model, names=None, times=(None, None, None), grid=None,
     table = MODEL_SETTINGS[model.name]
     if names is None:
         names = [k for k in CRITERIA + ("pu",) if k in table]
-    window = _window(*(t0 + d if t is None else float(t)
-                       for t, d in zip(times, (0.0, 1.0, 2.0))))
+    given = any(t is not None for t in times)
+    w = [t0 + d if t is None else float(t) for t, d in zip(times, (0.0, 1.0, 2.0))]
+    if given and not w[0] < w[1] < w[2]:
+        raise ValueError(f"window t0, t1, t2 = {w[0]}, {w[1]}, {w[2]}: the times "
+                         "must strictly increase")
+    window = _window(*w)
     slots = model.slot_times if table.get("slots") else None
     if grid is None:
         grid = _model_times(tuple(table["grid"]), t0, slots)
@@ -946,7 +951,7 @@ def criterion_settings(model, names=None, times=(None, None, None), grid=None,
             s.update({k: _model_times(v, t0, slots) for k, v in s.items() if k in _TIME_FIELDS})
             if slots is not None and "pairs" in s:
                 s["pairs"] = _model_times(s["pairs"], 0.0, slots - slots[0])
-        if any(t is not None for t in times):
+        if given:
             s.update((k, v) for k, v in window.get(name, {}).items() if k in _TIME_FIELDS)
         default = s.get("tol", table.get("tol", _WINDOW_TOL.get(name)))
         s["tol"] = default if tol is None else tol

@@ -4,7 +4,10 @@ unravellings of the collision and static-register models.
 
 Randomness is counter-based: every trajectory owns a Philox stream keyed by
 (master seed, trajectory index), so runs split into any number of chunks
-(``jobs``) produce bitwise identical ensembles.
+(``jobs``) produce bitwise identical ensembles. Both MCWF samplers and
+``classical.mcsm`` run on one sample loop, ``_sample``, and keep only their
+step arithmetic; MAX_STEP_PROB caps the jump probability of a step in both
+jump samplers.
 """
 
 from __future__ import annotations
@@ -148,17 +151,6 @@ class _Streams:
         return self._gen
 
 
-def _scan_rates(spec: LindbladSpec, t_values: np.ndarray) -> None:
-    for k in range(len(spec.channels)):
-        rates = np.array([spec.rate(k, t) for t in t_values])
-        bad = np.where(rates < 0)[0]
-        if bad.size:
-            t_bad = t_values[bad[0]]
-            raise ValueError(
-                f"negative rate gamma_{k} = {rates[bad[0]]:.6g} at t = {t_bad:.6g}; "
-                "jump/diffusive sampling requires nonnegative rates")
-
-
 def _prepare_grid(grid, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The output grid, the integration times, and the output slot of every
     integration step (-1 where the state is not recorded)."""
@@ -219,9 +211,57 @@ def _fill_draws(streams: _Streams, keys, shape: tuple, method: str) -> np.ndarra
     """One row of draws per stream key, filled in place: row i holds what
     ``Generator(Philox(key=[seed, keys[i]])).<method>(size=shape)`` draws."""
     out = np.empty((len(keys),) + shape)
-    for row, key in zip(out, keys):
-        getattr(streams(key), method)(out=row)
+    if out.size:        # an empty row draws nothing: no stream is keyed
+        for row, key in zip(out, keys):
+            getattr(streams(key), method)(out=row)
     return out
+
+
+def _sample(grid, dt: float, M: int, jobs: int, seed: int, x0: np.ndarray,
+            draws: list, step) -> tuple[np.ndarray, np.ndarray]:
+    """The output grid and (M, len(grid), x0.size) states of M samples from
+    x0, advanced in lockstep by ``x = step(x, t, *draws)`` at each integration
+    time t. Per entry (key, width, method) of `draws`, sample i draws `width`
+    values of ``Generator.<method>`` a step from its stream keyed ``key(i)``,
+    and `step` gets that step's (m, width) draws. The run is split into at
+    least `jobs` chunks whose draws fit in DRAW_BUDGET."""
+    grid, step_times, slot = _prepare_grid(grid, dt)
+    n_steps = len(step_times) - 1
+    chunks = _chunked(M, jobs, n_steps * sum(width for _, width, _ in draws) * 8)
+    streams = _Streams(seed)
+    states = np.empty((M, len(grid), x0.size), dtype=x0.dtype)
+    for c in chunks:
+        filled = [_fill_draws(streams, [key(i) for i in c], (n_steps, width), method)
+                  for key, width, method in draws]
+        out = states[c.start:c.stop]
+        x = np.tile(x0, (len(c), 1))
+        out[:, 0] = x
+        for s in range(n_steps):
+            x = step(x, step_times[s], *[d[:, s] for d in filled])
+            if slot[s + 1] >= 0:
+                out[:, slot[s + 1]] = x
+        # free this chunk's draws before the next chunk's are filled
+        del filled
+    return grid, states
+
+
+def _read_spec(spec: LindbladSpec, psi0, grid, dt: float):
+    """The normalised start state of an MCWF run, the jump operators and, for
+    a constant spec, its rates and Hamiltonian, read once (else None). Every
+    rate is first checked nonnegative at each integration step."""
+    _, step_times, _ = _prepare_grid(grid, dt)
+    for k in range(len(spec.channels)):
+        rates = np.array([spec.rate(k, t) for t in step_times[:-1]])
+        bad = np.where(rates < 0)[0]
+        if bad.size:
+            t_bad = step_times[bad[0]]
+            raise ValueError(
+                f"negative rate gamma_{k} = {rates[bad[0]]:.6g} at t = {t_bad:.6g}; "
+                "jump/diffusive sampling requires nonnegative rates")
+    psi0 = np.asarray(psi0, dtype=complex)
+    t0 = step_times[0]
+    constant = (spec.rates(t0), spec.hamiltonian(t0)) if spec.constant else None
+    return psi0 / np.linalg.norm(psi0), [c for c, _ in spec.channels], constant
 
 
 def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
@@ -231,64 +271,45 @@ def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
     otherwise the state evolves under the non-Hermitian effective
     Hamiltonian and is renormalized. First-order scheme; the run aborts if
     the per-step total jump probability ever reaches 0.1."""
-    grid, step_times, slot = _prepare_grid(grid, dt)
-    _scan_rates(spec, step_times[:-1])
-    psi0 = np.asarray(psi0, dtype=complex)
-    psi0 = psi0 / np.linalg.norm(psi0)
-    d = psi0.size
-    n_steps = len(step_times) - 1
-    chunks = _chunked(M, jobs, n_steps * 8)
-    c_ops = [c for c, _ in spec.channels]
-    streams = _Streams(seed)
+    psi0, c_ops, constant = _read_spec(spec, psi0, grid, dt)
 
-    def rates_and_h_eff(t):
-        rates = spec.rates(t)
-        h_eff = spec.hamiltonian(t).astype(complex)
+    def with_h_eff(rates, h):
+        h_eff = h.astype(complex)
         for cdc, g in zip(spec.jump_products, rates):
             h_eff = h_eff - 0.5j * g * cdc
         return rates, h_eff
 
-    # constant H and rates: one h_eff
-    constant = rates_and_h_eff(step_times[0]) if spec.constant else None
+    if constant:
+        constant = with_h_eff(*constant)
 
-    def run_chunk(indices, out: np.ndarray) -> None:
-        m = len(indices)
-        uni = _fill_draws(streams, indices, (n_steps,), "random")
-        psi = np.tile(psi0, (m, 1))
-        out[:, 0] = psi
-        for s in range(n_steps):
-            t = step_times[s]
-            rates, h_eff = constant or rates_and_h_eff(t)
-            jump_amps = np.stack([psi @ c.T for c in c_ops]) if c_ops else np.zeros((0, m, d))
-            probs = np.stack([g * dt * _row_sum(np.abs(a) ** 2)
-                              for a, g in zip(jump_amps, rates)]) if c_ops else np.zeros((0, m))
-            ptot = probs.sum(axis=0)
-            if ptot.size and ptot.max() >= MAX_STEP_PROB:
-                raise ValueError(
-                    f"total jump probability {ptot.max():.3f} >= {MAX_STEP_PROB} at "
-                    f"t = {t:.6g}; reduce dt")
-            u = uni[:, s]
-            no_jump = (psi - 1j * dt * (psi @ h_eff.T))
-            no_jump /= _row_norm(no_jump)
-            new = no_jump
-            if c_ops:
-                rows = np.flatnonzero(u < ptot)
-                if rows.size:
-                    cum = np.cumsum(probs[:, rows], axis=0)
-                    channel = np.argmax(u[rows][None, :] < cum, axis=0)
-                    for k in range(len(c_ops)):
-                        sel = rows[channel == k]
-                        if sel.size:
-                            amp = jump_amps[k][sel]
-                            amp = amp / _row_norm(amp)
-                            new[sel] = amp
-            psi = new
-            if slot[s + 1] >= 0:
-                out[:, slot[s + 1]] = psi
+    def step(psi, t, u):
+        m, d = psi.shape
+        u = u[:, 0]
+        rates, h_eff = constant or with_h_eff(spec.rates(t), spec.hamiltonian(t))
+        jump_amps = np.stack([psi @ c.T for c in c_ops]) if c_ops else np.zeros((0, m, d))
+        probs = np.stack([g * dt * _row_sum(np.abs(a) ** 2)
+                          for a, g in zip(jump_amps, rates)]) if c_ops else np.zeros((0, m))
+        ptot = probs.sum(axis=0)
+        if ptot.size and ptot.max() >= MAX_STEP_PROB:
+            raise ValueError(
+                f"total jump probability {ptot.max():.3f} >= {MAX_STEP_PROB} at "
+                f"t = {t:.6g}; reduce dt")
+        new = psi - 1j * dt * (psi @ h_eff.T)
+        new /= _row_norm(new)
+        if c_ops:
+            rows = np.flatnonzero(u < ptot)
+            if rows.size:
+                cum = np.cumsum(probs[:, rows], axis=0)
+                channel = np.argmax(u[rows][None, :] < cum, axis=0)
+                for k in range(len(c_ops)):
+                    sel = rows[channel == k]
+                    if sel.size:
+                        amp = jump_amps[k][sel]
+                        amp = amp / _row_norm(amp)
+                        new[sel] = amp
+        return new
 
-    states = np.empty((M, len(grid), d), dtype=complex)
-    for c in chunks:
-        run_chunk(c, states[c.start:c.stop])
+    grid, states = _sample(grid, dt, M, jobs, seed, psi0, [(lambda i: i, 1, "random")], step)
     return Ensemble(grid, states, np.full(M, 1.0 / M), "mcwf-jump", seed,
                     {"dt": dt, "M": M})
 
@@ -299,48 +320,29 @@ def mcwf_diffusive(spec: LindbladSpec, psi0, grid, M: int, seed: int,
     diffusive stochastic state equation with one Gaussian increment per
     channel per step, renormalizing after each step. The ensemble mean
     converges to the same master-equation solution as the jump scheme."""
-    grid, step_times, slot = _prepare_grid(grid, dt)
-    _scan_rates(spec, step_times[:-1])
-    psi0 = np.asarray(psi0, dtype=complex)
-    psi0 = psi0 / np.linalg.norm(psi0)
-    d = psi0.size
-    n_steps = len(step_times) - 1
-    c_ops = [c for c, _ in spec.channels]
-    n_ch = len(c_ops)
-    chunks = _chunked(M, jobs, n_steps * n_ch * 8)
+    psi0, c_ops, constant = _read_spec(spec, psi0, grid, dt)
     sqrt_dt = np.sqrt(dt)
-    streams = _Streams(seed)
-    # constant H and rates: read once
-    constant = (spec.rates(step_times[0]), spec.hamiltonian(step_times[0])) \
-        if spec.constant else None
 
-    def run_chunk(indices, out: np.ndarray) -> None:
-        dw = _fill_draws(streams, indices, (n_steps, n_ch), "standard_normal")
-        psi = np.tile(psi0, (len(indices), 1))
-        out[:, 0] = psi
-        for s in range(n_steps):
-            t = step_times[s]
-            rates, h = constant or (spec.rates(t), spec.hamiltonian(t))
-            drift = -1j * (psi @ h.T)
-            noise = np.zeros_like(psi)
-            for k, (c, cdc, g) in enumerate(zip(c_ops, spec.jump_products, rates)):
-                if g == 0.0:
-                    continue
-                cpsi = psi @ c.T
-                cdag_c_psi = psi @ cdc.T
-                ev = 2.0 * _row_sum((psi.conj() * cpsi).real)   # <C + C^dag>
-                drift += -0.5 * g * (cdag_c_psi - ev[:, None] * cpsi
-                                     + 0.25 * (ev ** 2)[:, None] * psi)
-                noise += np.sqrt(g) * (cpsi - 0.5 * ev[:, None] * psi) \
-                    * (dw[:, s, k] * sqrt_dt)[:, None]
-            psi = psi + drift * dt + noise
-            psi /= _row_norm(psi)
-            if slot[s + 1] >= 0:
-                out[:, slot[s + 1]] = psi
+    def step(psi, t, dw):
+        rates, h = constant or (spec.rates(t), spec.hamiltonian(t))
+        drift = -1j * (psi @ h.T)
+        noise = np.zeros_like(psi)
+        for k, (c, cdc, g) in enumerate(zip(c_ops, spec.jump_products, rates)):
+            if g == 0.0:
+                continue
+            cpsi = psi @ c.T
+            cdag_c_psi = psi @ cdc.T
+            ev = 2.0 * _row_sum((psi.conj() * cpsi).real)   # <C + C^dag>
+            drift += -0.5 * g * (cdag_c_psi - ev[:, None] * cpsi
+                                 + 0.25 * (ev ** 2)[:, None] * psi)
+            noise += np.sqrt(g) * (cpsi - 0.5 * ev[:, None] * psi) \
+                * (dw[:, k] * sqrt_dt)[:, None]
+        psi = psi + drift * dt + noise
+        psi /= _row_norm(psi)
+        return psi
 
-    states = np.empty((M, len(grid), d), dtype=complex)
-    for c in chunks:
-        run_chunk(c, states[c.start:c.stop])
+    grid, states = _sample(grid, dt, M, jobs, seed, psi0,
+                           [(lambda i: i, len(c_ops), "standard_normal")], step)
     return Ensemble(grid, states, np.full(M, 1.0 / M), "mcwf-diffusive", seed,
                     {"dt": dt, "M": M})
 

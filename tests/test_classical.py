@@ -13,6 +13,7 @@ from oqmarkov.classical import (FiniteProcess, SDESpec, StochasticMatrix,
 from oqmarkov.criteria import (check_distinguishability, check_divisibility,
                                map_family)
 from oqmarkov.models import eternal_me
+from oqmarkov.unravel import _fill_draws, _prepare_grid, _Streams
 
 STEP = np.array([[0.9, 0.3], [0.1, 0.7]])   # column-stochastic
 CHAIN = markov_chain(STEP, [0.6, 0.4], 4)
@@ -316,7 +317,68 @@ class TestBlockwise:
         assert np.allclose(joint, 0.25)
 
 
+def _reference_mcsm(spec, x0, grid, m, seed, dt):
+    """mcsm as one chunk: each path's normals and jump uniforms drawn up
+    front from its own keyed streams, the spec called every step."""
+    _, step_times, slot = _prepare_grid(grid, dt)
+    n_steps, n_jump = len(step_times) - 1, len(spec.jump_rates)
+    streams = _Streams(seed)
+    normals = _fill_draws(streams, [i | (1 << 32) for i in range(m)],
+                          (n_steps, spec.n_noise), "standard_normal")
+    jumps = _fill_draws(streams, [(i + (1 << 40)) | (1 << 32) for i in range(m)],
+                        (n_steps, n_jump), "random")
+    x = np.tile(np.asarray(x0, dtype=float), (m, 1))
+    out = np.empty((m, len(grid), spec.dim))
+    out[:, 0] = x
+    for s, t in enumerate(step_times[:-1]):
+        noise = 0.0
+        if spec.n_noise:
+            bmat = np.asarray(spec.diffusion(x, t), dtype=float)
+            noise = (normals[:, s] @ bmat.T if bmat.ndim == 2
+                     else np.einsum("pij,pj->pi", bmat, normals[:, s])) * math.sqrt(dt)
+        x = x + np.asarray(spec.drift(x, t), dtype=float) * dt + noise
+        for j in range(n_jump):
+            fired = jumps[:, s, j] < np.asarray(spec.jump_rates[j](x, t), dtype=float) * dt
+            x[fired] += np.asarray(spec.jump_effects[j](x[fired]), dtype=float)
+        if slot[s + 1] >= 0:
+            out[:, slot[s + 1]] = x
+    return out
+
+
+def _jump_diffusion_2d():
+    """Two coordinates, two noise channels with a per-path (paths, 2, 2)
+    diffusion, and two jump channels with per-path rates."""
+    a = np.array([[-1.0, 0.4], [0.3, -0.6]])
+
+    def diffusion(x, t):
+        b = np.zeros((len(x), 2, 2))
+        b[:, 0, 0] = 0.5
+        b[:, 0, 1] = 0.2 * np.tanh(x[:, 1])
+        b[:, 1, 1] = 0.3 + 0.1 * np.cos(x[:, 0] + t)
+        return b
+
+    return SDESpec(lambda x, t: x @ a.T + np.array([t, 0.5]), diffusion,
+                   jump_rates=[lambda x, t: 2.0 + np.sin(x[:, 0]),
+                               lambda x, t: 3.0 * np.exp(-x[:, 1] ** 2)],
+                   jump_effects=[lambda x: np.stack([np.ones(len(x)), -0.5 * x[:, 1]], axis=1),
+                                 lambda x: -0.3 * x],
+                   dim=2, n_noise=2)
+
+
+MCSM_REFERENCE_CASES = {"ou": (ou_spec(), [1.0]), "poisson": (poisson_spec(3.0), [0.0]),
+                        "jump-diffusion-2d": (_jump_diffusion_2d(), [0.2, -0.4])}
+
+
 class TestMcsm:
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("case", MCSM_REFERENCE_CASES)
+    def test_matches_per_step_reference(self, case, jobs):
+        spec, x0 = MCSM_REFERENCE_CASES[case]
+        run = dict(grid=[0.0, 0.1, 0.3], m=60, seed=11, dt=2e-3)
+        paths = mcsm(spec, x0, run["grid"], M=run["m"], seed=run["seed"], dt=run["dt"],
+                     jobs=jobs).paths
+        assert paths.tobytes() == _reference_mcsm(spec, x0, **run).tobytes()
+
     def test_ou_moments_within_three_sigma(self):
         k, sigma, x0 = 1.0, 0.5, 1.0
         grid = [0.0, 0.5, 1.0]

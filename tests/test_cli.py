@@ -154,11 +154,32 @@ class TestAnalyzeSettings:
         assert run(["analyze", "--model", "eternal", "--criteria", "divisibility",
                     f"--grid={grid}", "--out", str(tmp_path / "x.json")]) == 2
 
-    @pytest.mark.parametrize("grid,n_maps", [("0:2:0.5", 5), ("0,0.5,1", 3)])
+    @pytest.mark.parametrize("grid,n_maps", [("0:2:0.5", 5), ("0,0.5,1", 3), ("0:1:0.6", 2),
+                                             ("0:0.3:0.1", 4)])
     def test_grid_flag_replaces_declared_grid(self, tmp_path, grid, n_maps):
         rep = self.reports(tmp_path, ["--model", "eternal", "--criteria",
                                       "divisibility", "--grid", grid])
         assert rep["divisibility"]["grid"].startswith(f"{n_maps} grid maps")
+
+    def test_grid_step_stops_within_the_slots(self, tmp_path):
+        # 0:6:4 is [0, 4]: a point at 8 would lie beyond collision's slots
+        rep = self.reports(tmp_path, ["--model", "collision", "--criteria",
+                                      "divisibility", "--grid", "0:6:4"])
+        assert rep["divisibility"]["grid"].startswith("2 grid maps")
+
+    @pytest.mark.parametrize("criteria, flags, window", [
+        ("nib", ["--t1", "2", "--t2", "1"], "0.0, 2.0, 1.0"),
+        ("fa", ["--t1", "1.0", "--t2", "0.5"], "0.0, 1.0, 0.5"),
+        ("nib", ["--t1", "3"], "0.0, 3.0, 2.0"),
+        ("nib", ["--t1", "1", "--t2", "1"], "0.0, 1.0, 1.0")],
+        ids=["t2-below-t1", "fa-t2-below-t1", "t1-past-default-t2", "t1-equals-t2"])
+    def test_window_not_increasing_exit_2(self, tmp_path, capsys, criteria, flags, window):
+        out = tmp_path / "x.json"
+        assert run(["analyze", "--model", "tam", "--criteria", criteria, *flags,
+                    "--out", str(out)]) == 2
+        assert f"window t0, t1, t2 = {window}: the times must strictly increase" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_time_flag_replaces_declared_times_only(self, tmp_path):
         rep = self.reports(tmp_path, ["--model", "tam", "--criteria", "nib", "--t1", "0.5"])
