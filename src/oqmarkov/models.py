@@ -21,6 +21,7 @@ unitary per slot). Every map a checker reads is assembled from it by
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -183,7 +184,9 @@ class AflModel(JointModel):
     coherence by the bath characteristic function chi(a) = exp(-gamma|a|)
     evaluated at the accumulated phase slope. The model carries both this
     analytic kernel and a quadrature grid whose discretization error is
-    measured on construction.
+    measured on construction, at 600 evenly spaced phase slopes of the band
+    `_AFL_BAND` (`quadrature_error`); a grid whose error exceeds `quad_tol`
+    is rejected. gamma and g must be finite and positive.
     """
 
     name = "afl"
@@ -191,12 +194,13 @@ class AflModel(JointModel):
 
     def __init__(self, gamma: float = 1.0, g: float = 2.0, n_points: int = 4001,
                  quad_tol: float = 1e-5):
-        if gamma <= 0 or g <= 0:
-            raise ValueError("gamma and g must be positive")
+        gamma, g = float(gamma), float(g)
+        if not (math.isfinite(gamma) and math.isfinite(g) and gamma > 0 and g > 0):
+            raise ValueError(f"gamma and g must be finite and positive, got {gamma} and {g}")
         if n_points < 3:
             raise ValueError("grid too coarse")
-        self.gamma = float(gamma)
-        self.g = float(g)
+        self.gamma = gamma
+        self.g = g
         u, w = _lorentz_grid_weights(n_points, _AFL_CUTOFF, _AFL_CUTOFF / 2, _AFL_BUMP_WIDTH)
         if np.min(w) < 0:
             raise ValueError("grid too coarse: tapered weights go negative")
@@ -215,8 +219,18 @@ class AflModel(JointModel):
         self.dim_e = n_points
 
     def _band_error(self) -> float:
+        """Largest deviation of the grid's characteristic function from
+        exp(-b) over 600 evenly spaced slopes b of the band. The phases
+        exp(i b u) at one slope are those at the previous slope times
+        exp(i db u): one complex multiply per grid point and slope in place
+        of a cosine."""
         b = np.linspace(_AFL_BAND[0], _AFL_BAND[1], 600)
-        vals = np.array([np.sum(self.weights * np.cos(bb * self._u)) for bb in b])
+        z = self.weights * np.exp(1j * b[0] * self._u)
+        step = np.exp(1j * (b[1] - b[0]) * self._u)
+        vals = np.empty(len(b))
+        for k in range(len(b)):
+            vals[k] = z.real.sum()
+            z *= step
         return float(np.max(np.abs(vals - np.exp(-b))))
 
     # chi(a) = integral of exp(-i a x) against the bath distribution
@@ -477,6 +491,10 @@ class CollisionModel(JointModel):
     During the k-th slot the system interacts with ancilla k only; a query
     strictly inside a slot interpolates the pair unitary by a fractional
     matrix power, so the slot boundaries are the exact discrete time set.
+    The power is taken through a complex Schur factorisation of the pair
+    unitary (scipy), computed on the first such query: a model queried on
+    slot boundaries only never imports scipy. n_slots must be at least 1,
+    and slot_times n_slots + 1 finite, strictly increasing boundaries.
     """
 
     name = "collision"
@@ -489,6 +507,8 @@ class CollisionModel(JointModel):
         if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-10:
             raise ValueError("pair_unitary is not unitary")
         self.n_slots = int(n_slots)
+        if self.n_slots < 1:
+            raise ValueError(f"n_slots must be at least 1, got {self.n_slots}")
         d2 = u.shape[0]
         self.dim_a = int(round(math.sqrt(d2)))
         self.dim_s = d2 // self.dim_a
@@ -505,8 +525,9 @@ class CollisionModel(JointModel):
         if slot_times is None:
             slot_times = np.arange(self.n_slots + 1, dtype=float)
         self.slot_times = np.asarray(slot_times, dtype=float)
-        if len(self.slot_times) != self.n_slots + 1 or np.any(np.diff(self.slot_times) <= 0):
-            raise ValueError("slot_times must be n_slots+1 strictly increasing boundaries")
+        if (len(self.slot_times) != self.n_slots + 1 or not np.all(np.isfinite(self.slot_times))
+                or np.any(np.diff(self.slot_times) <= 0)):
+            raise ValueError("slot_times must be n_slots+1 finite, strictly increasing boundaries")
         self.t0 = float(self.slot_times[0])
         self.dim_e = self.dim_a ** self.n_slots
         branches = [(1.0, np.ones(1, dtype=complex))]
@@ -515,9 +536,6 @@ class CollisionModel(JointModel):
         for _, v in branches:
             v.setflags(write=False)
         self._env_branches = branches
-        import scipy.linalg
-        t, z = scipy.linalg.schur(u, output="complex")   # unitary is normal
-        self._pair_eig = (np.angle(np.diag(t)), z)
 
     def ancilla_vector(self) -> np.ndarray:
         if len(self._anc_branches) != 1:
@@ -548,6 +566,15 @@ class CollisionModel(JointModel):
             povm.append(np.kron(proj, np.eye(da ** (n - k_past))))
             states.append(np.kron(proj, fresh_future))
         return povm, states
+
+    @functools.cached_property
+    def _pair_eig(self):
+        """Eigenphases and orthonormal eigenvectors of the pair unitary. A
+        unitary is normal, so its complex Schur form is diagonal; np.linalg.eig
+        would not give orthonormal vectors for degenerate eigenvalues."""
+        import scipy.linalg
+        t, z = scipy.linalg.schur(self.pair_unitary, output="complex")
+        return np.angle(np.diag(t)), z
 
     def _pair_power(self, s: float) -> np.ndarray:
         if abs(s - 1.0) < 1e-12:

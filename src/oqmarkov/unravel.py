@@ -194,10 +194,12 @@ def _chunked(m: int, jobs: int, row_bytes: int):
 def _row_sum(x: np.ndarray) -> np.ndarray:
     """``np.sum(x, axis=1)`` of a real (m, d) array, bit for bit for d < 8:
     numpy adds the columns in order onto a zero, one strided row at a time,
-    while whole-column adds take a tenth of the time at d = 2."""
+    while whole-column adds take a tenth of the time at d = 2. Each add
+    writes a fresh array: an in-place add of two NaNs keeps the other
+    operand's payload."""
     total = x[:, 0] + 0.0
     for j in range(1, x.shape[1]):
-        total += x[:, j]
+        total = total + x[:, j]
     return total
 
 

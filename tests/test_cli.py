@@ -417,12 +417,33 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_samplers_never_load_scipy(tmp_path):
-    """Only the hierarchy and analyze paths import scipy, at its call sites."""
+PRESETS_WITHOUT_SCIPY = """
+import sys
+from oqmarkov.criteria import hierarchy_report
+from oqmarkov.models import PRESETS, make_model
+models = {name: make_model(name) for name in PRESETS}
+assert hierarchy_report(models["collision"]).consistent
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def _scipy_modules_after(script, cwd):
+    """The scipy modules loaded once `script` has run in a fresh interpreter."""
     src = str(Path(oqmarkov.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", SAMPLERS_WITHOUT_SCIPY], cwd=tmp_path,
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_samplers_never_load_scipy(tmp_path):
+    """The samplers run on numpy alone."""
+    assert _scipy_modules_after(SAMPLERS_WITHOUT_SCIPY, tmp_path) == "[]"
+
+
+def test_presets_and_collision_hierarchy_never_load_scipy(tmp_path):
+    """Building every preset and running collision's hierarchy, whose
+    queries all fall on slot boundaries, import no scipy module."""
+    assert _scipy_modules_after(PRESETS_WITHOUT_SCIPY, tmp_path) == "[]"

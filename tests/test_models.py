@@ -119,6 +119,15 @@ class TestPropagationContract:
         _check_against_dense(tam(), t1, t1 + dt, scipy.linalg.expm(-1j * phi * exchange), rng)
 
 
+def _cosine_band_error(model) -> float:
+    """afl's band check evaluated directly: one row of cosines over the grid
+    per phase slope of the band."""
+    from oqmarkov.models import _AFL_BAND
+    b = np.linspace(_AFL_BAND[0], _AFL_BAND[1], 600)
+    vals = np.array([np.sum(model.weights * np.cos(bb * model._u)) for bb in b])
+    return float(np.max(np.abs(vals - np.exp(-b))))
+
+
 class TestAfl:
     def test_quadrature_error_reported_and_small(self):
         m = afl()
@@ -127,6 +136,19 @@ class TestAfl:
     def test_grid_too_coarse_rejected(self):
         with pytest.raises(ValueError):
             afl(n_points=101)
+
+    @pytest.mark.parametrize("gamma, g", [(math.nan, 2.0), (1.0, math.nan), (1.0, math.inf),
+                                          (math.inf, 2.0), (0.0, 2.0), (1.0, -2.0)])
+    def test_non_finite_or_non_positive_parameters_rejected(self, gamma, g):
+        with pytest.raises(ValueError, match="finite and positive"):
+            afl(gamma=gamma, g=g)
+
+    @pytest.mark.parametrize("n_points", [1001, 2001, 4001])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
+    def test_band_error_matches_cosine_oracle(self, n_points, gamma):
+        m = afl(gamma=gamma, n_points=n_points, quad_tol=1.0)
+        assert m.quadrature_error == m._band_error()
+        assert abs(m.quadrature_error - _cosine_band_error(m)) < 1e-13
 
     def test_chi_identities(self):
         m = afl()
@@ -296,6 +318,32 @@ class TestCollision:
     def test_time_beyond_schedule_rejected(self):
         with pytest.raises(ValueError):
             collision(n_slots=2).apply_propagator(0.0, 3.0, np.eye(8, dtype=complex)[0])
+
+    @pytest.mark.parametrize("n_slots", [0, -1])
+    def test_fewer_than_one_slot_rejected(self, n_slots):
+        with pytest.raises(ValueError, match="n_slots"):
+            collision(n_slots=n_slots)
+
+    @pytest.mark.parametrize("slot_times", [[0.0, math.nan, 2.0], [math.nan, 1.0, 2.0],
+                                            [0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]])
+    def test_non_finite_slot_times_rejected(self, slot_times):
+        with pytest.raises(ValueError, match="finite"):
+            collision(n_slots=2, slot_times=slot_times)
+
+    def test_schur_factors_built_on_first_fractional_query(self):
+        """Slot-boundary queries never factorise the pair unitary; a query
+        inside a slot applies the Schur-form power of it. The preset's
+        partial swap has degenerate eigenvalues, where np.linalg.eig need
+        not return orthonormal eigenvectors; a Schur factor is unitary."""
+        model = collision(n_slots=1)
+        assert "_pair_eig" not in vars(model)
+        assert np.array_equal(dense_propagator(model, 0.0, 1.0), model.pair_unitary)
+        assert "_pair_eig" not in vars(model)
+        t, z = scipy.linalg.schur(model.pair_unitary, output="complex")
+        power = (z * np.exp(1j * np.angle(np.diag(t)) * 0.25)) @ z.conj().T
+        assert np.array_equal(dense_propagator(model, 0.5, 0.75), power)
+        assert "_pair_eig" in vars(model)
+        assert model._pair_power(0.25).tobytes() == power.tobytes()
 
     def test_reversed_times_rejected(self):
         model = collision(n_slots=2)

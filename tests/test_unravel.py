@@ -500,6 +500,15 @@ def state_rows(draw, dtype=float):
     return x
 
 
+def _bits(*patterns) -> np.ndarray:
+    """Floats with the given IEEE 754 bit patterns."""
+    return np.array(patterns, dtype=np.uint64).view(float)
+
+
+# quiet NaNs: NAN_1 differs from NAN in payload, NEG_NAN in sign only
+NAN, NAN_1, NEG_NAN = 0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000
+
+
 class TestStateAxisReductions:
     """The samplers' column-wise state reductions equal numpy's axis-1
     reductions bit for bit."""
@@ -508,6 +517,8 @@ class TestStateAxisReductions:
     @given(x=state_rows())
     @example(x=np.array([[-0.0], [0.0]]))
     @example(x=np.array([[-0.0, -0.0, -0.0], [math.inf, -math.inf, 1.0]]))
+    @example(x=_bits(NAN, NAN_1).reshape(1, 2))
+    @example(x=_bits(NAN, NEG_NAN, NAN_1).reshape(1, 3))
     def test_row_sum_is_numpys_axis_sum(self, x):
         with np.errstate(invalid="ignore", over="ignore"):
             assert unravel._row_sum(x).tobytes() == np.sum(x, axis=1).tobytes()
@@ -516,6 +527,8 @@ class TestStateAxisReductions:
     @given(z=state_rows(complex))
     @example(z=np.array([[-0.0 + 1e308j, 1e308 - 0.0j]]))
     @example(z=np.array([[complex(math.inf, math.nan)], [5e-324j]]))
+    @example(z=_bits(0, NAN, 0, NEG_NAN).view(complex).reshape(1, 2))
+    @example(z=_bits(0, NAN, 0, NAN_1).view(complex).reshape(1, 2))
     def test_row_norm_is_numpys_norm(self, z):
         with np.errstate(invalid="ignore", over="ignore"):
             assert unravel._row_norm(z).tobytes() == \
