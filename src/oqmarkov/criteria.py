@@ -18,9 +18,11 @@ model's own `breaking_channel`.
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import dataclasses
 import functools
+import heapq
 import itertools
 import math
 from typing import Callable
@@ -266,6 +268,169 @@ def check_fa(model: JointModel, initial_states=None, times=(0.5, 1.0),
 # Multi-time correlation functions
 # ---------------------------------------------------------------------------
 
+def _op_key(op: np.ndarray) -> tuple:
+    """An operator's identity in a schedule tree: its bytes, never its value
+    (eye.conj().T equals eye but carries -0.0 imaginary parts), with its
+    shape and strides, as BLAS may take a transposed operand on a path whose
+    last bits differ."""
+    return op.shape, op.strides, op.tobytes()
+
+
+def _visit_order(node_sets) -> list:
+    """An order in which to visit cases, each reading a set of shared
+    values, that keeps few values held at once. A value is held from its
+    first reader to its last. A case's score is the number of values its
+    visit would start holding less the number it would release, and the
+    next case is always one of lowest score (the lowest index among equals).
+    A visit changes the scores of the other readers of its values only, so
+    the whole order costs about one heap push per read."""
+    readers = collections.defaultdict(set)
+    for c, nodes in enumerate(node_sets):
+        for n in nodes:
+            readers[n].add(c)
+    score = [sum(len(readers[n]) > 1 for n in nodes) for nodes in node_sets]
+    heap = [(s, c) for c, s in enumerate(score)]
+    heapq.heapify(heap)
+    held, order = set(), []
+    while heap:
+        s, c = heapq.heappop(heap)
+        if s != score[c]:
+            continue                    # visited, or since rescored lower
+        score[c] = None
+        order.append(c)
+        for n in node_sets[c]:
+            others = readers[n]
+            others.discard(c)
+            if n not in held and others:
+                # the others no longer start holding n; the last one releases it
+                held.add(n)
+                drop = 2 if len(others) == 1 else 1
+            elif n in held and len(others) == 1:
+                drop = 1
+            else:
+                continue
+            for c2 in others:
+                score[c2] -= drop
+                heapq.heappush(heap, (score[c2], c2))
+    return order
+
+
+def _prefix_paths(cases) -> list:
+    """Node ids along every chain of (key, step) pairs of every case (a
+    list of chains): prefixes with equal keys get one id, the empty prefix
+    is 0."""
+    ids, paths = {}, []
+    for chains in cases:
+        case_paths = []
+        for chain in chains:
+            node, path = 0, []
+            for key, _ in chain:
+                node = ids.setdefault((node, key), len(ids) + 1)
+                path.append(node)
+            case_paths.append(path)
+        paths.append(case_paths)
+    return paths
+
+
+def _prefix_walk(cases, paths, order, root, advance):
+    """End values of the chains of each case, the cases visited in `order`;
+    yields (case index, end values). Each distinct prefix (see
+    `_prefix_paths`) is evaluated once: its value is advance(value one
+    step shorter, step), and the empty prefix's is `root`. A value is kept
+    until the last chain through it, counted over all cases up front, has
+    passed."""
+    remaining = collections.Counter(n for case_paths in paths for path in case_paths
+                                    for n in path)
+    values = {}
+    for c in order:
+        ends = []
+        for chain, path in zip(cases[c], paths[c]):
+            value = root
+            for (_, step), node in zip(chain, path):
+                value = values[node] if node in values else advance(value, step)
+                remaining[node] -= 1
+                if remaining[node]:
+                    values[node] = value
+                else:
+                    values.pop(node, None)
+            ends.append(value)
+        yield c, ends
+
+
+def _schedule(times, c_ops) -> tuple:
+    """A case's times as a tuple and its operator pairs as complex arrays."""
+    times = tuple(times)
+    if len(times) != len(c_ops):
+        raise ValueError(f"{len(c_ops)} operator pairs for {len(times)} times")
+    return times, [(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+                   for a, b in c_ops]
+
+
+def _evolve_chain(times, ops) -> list:
+    """`evolve(model, v, times, ops)` as a chain for `_prefix_walk`: step k
+    applies ops[k] and propagates to times[k + 1]; the last one only
+    applies. Each step's value is the vector before the next op acts."""
+    chain = []
+    for k, op in enumerate(ops):
+        ts = times[k:k + 2]
+        chain.append(((ts, _op_key(op)), (ts, (op, None) if len(ts) == 2 else (op,))))
+    return chain
+
+
+def _regression_chain(times, c_ops) -> list:
+    """`regression_prediction` as a chain for `_prefix_walk`: step j applies
+    the replaced-bath map from times[j - 1] (none at j = 0), then the
+    operator pair at times[j]."""
+    chain = []
+    for j, (a, b) in enumerate(c_ops):
+        ts = times[max(j - 1, 0):j + 1]
+        chain.append(((ts, _op_key(a), _op_key(b)), (ts, (a, b))))
+    return chain
+
+
+def _exact_correlations(model: JointModel, cases, rho_s0) -> list:
+    """multitime_correlation of each (times, c_ops) case, on one schedule
+    tree per start branch whose nodes are the bra and ket joint vectors
+    after each shared prefix of ops and propagations. Every node is built as
+    `evolve` builds it, and each case sums q * p * <bra|ket> over the start
+    branches in their order, so the values are those of one `evolve` per
+    bra and ket."""
+    pairs = []
+    for times, c_ops in cases:
+        times, c_ops = _schedule(times, c_ops)
+        if abs(times[0] - model.t0) > 1e-12:
+            raise ValueError("times[0] must be the model's initial time")
+        pairs.append([_evolve_chain(times, [a.conj().T for a, _ in c_ops]),
+                      _evolve_chain(times, [b for _, b in c_ops])])
+    paths = _prefix_paths(pairs)
+    order = _visit_order([{n for path in case_paths for n in path} for case_paths in paths])
+    totals = [0.0 + 0.0j] * len(cases)
+    for q, s in _eig_branches(np.asarray(rho_s0, dtype=complex), 1e-14):
+        for p, phi in model.env_branches():
+            for c, (bra, ket) in _prefix_walk(pairs, paths, order, np.kron(s, phi),
+                                              lambda v, step: evolve(model, v, *step)):
+                totals[c] += q * p * np.vdot(bra, ket)
+    return [complex(t) for t in totals]
+
+
+def _predicted_correlations(model: JointModel, cases, rho_s0) -> list:
+    """regression_prediction of each (times, c_ops) case, with the operator
+    insertions and replaced-bath map applications of each shared prefix of
+    the schedules made once."""
+    chains = [[_regression_chain(*_schedule(times, c_ops))] for times, c_ops in cases]
+
+    def advance(x, step):
+        ts, c_op = step
+        if len(ts) == 2:
+            x = generalized_map(model, *ts)(x)
+        return _apply_cop(c_op, x)
+
+    # d x d values: held all at once they are still small, so in case order
+    walk = _prefix_walk(chains, _prefix_paths(chains), range(len(chains)),
+                        np.asarray(rho_s0, dtype=complex), advance)
+    return [complex(np.trace(x)) for _, (x,) in walk]
+
+
 def multitime_correlation(model: JointModel, c_ops, times, rho_s0) -> complex:
     """Exact time-ordered correlation Tr[C_n U ... C_1 U C_0 rho_se(t0)]
     with C_j X = B_j X A_j inserted on the system at times[j].
@@ -273,26 +438,12 @@ def multitime_correlation(model: JointModel, c_ops, times, rho_s0) -> complex:
     Evaluated as an inner product of two propagated joint vectors per
     spectral branch, so it works even for very large product baths.
     """
-    if abs(times[0] - model.t0) > 1e-12:
-        raise ValueError("times[0] must be the model's initial time")
-    kets = [b for _, b in c_ops]
-    bras = [np.asarray(a, dtype=complex).conj().T for a, _ in c_ops]
-    total = 0.0 + 0.0j
-    for q, s in _eig_branches(np.asarray(rho_s0, dtype=complex), 1e-14):
-        for p, phi in model.env_branches():
-            start = np.kron(s, phi)
-            total += q * p * np.vdot(evolve(model, start, times, bras),
-                                     evolve(model, start, times, kets))
-    return complex(total)
+    return _exact_correlations(model, [(times, c_ops)], rho_s0)[0]
 
 
 def regression_prediction(model: JointModel, c_ops, times, rho_s0) -> complex:
     """The same correlation computed from system-only replaced-bath maps."""
-    x = _apply_cop(c_ops[0], np.asarray(rho_s0, dtype=complex))
-    for j in range(1, len(times)):
-        x = generalized_map(model, times[j - 1], times[j])(x)
-        x = _apply_cop(c_ops[j], x)
-    return complex(np.trace(x))
+    return _predicted_correlations(model, [(times, c_ops)], rho_s0)[0]
 
 
 def _default_rho0(ds: int) -> np.ndarray:
@@ -300,13 +451,13 @@ def _default_rho0(ds: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _regression_residuals(model: JointModel, cases, rho_s0):
+def _regression_residuals(model: JointModel, cases, rho_s0) -> list:
     """(|exact - regression-predicted correlation|, times) of each
-    (times, c_ops) case."""
-    for times, c_ops in cases:
-        lhs = multitime_correlation(model, c_ops, times, rho_s0)
-        rhs = regression_prediction(model, c_ops, times, rho_s0)
-        yield abs(lhs - rhs), times
+    (times, c_ops) case, the cases evaluated together."""
+    cases = list(cases)
+    return [(abs(lhs - rhs), times) for (times, _), lhs, rhs in
+            zip(cases, _exact_correlations(model, cases, rho_s0),
+                _predicted_correlations(model, cases, rho_s0))]
 
 
 def check_qrf(model: JointModel, op_pairs=None, time_pairs=((0.5, 1.0),),

@@ -186,7 +186,8 @@ class AflModel(JointModel):
     analytic kernel and a quadrature grid whose discretization error is
     measured on construction, at 600 evenly spaced phase slopes of the band
     `_AFL_BAND` (`quadrature_error`); a grid whose error exceeds `quad_tol`
-    is rejected. gamma and g must be finite and positive.
+    is rejected. gamma and g must be finite and positive, quad_tol finite
+    and nonnegative.
     """
 
     name = "afl"
@@ -197,6 +198,9 @@ class AflModel(JointModel):
         gamma, g = float(gamma), float(g)
         if not (math.isfinite(gamma) and math.isfinite(g) and gamma > 0 and g > 0):
             raise ValueError(f"gamma and g must be finite and positive, got {gamma} and {g}")
+        quad_tol = float(quad_tol)
+        if not (math.isfinite(quad_tol) and quad_tol >= 0):
+            raise ValueError(f"quad_tol must be finite and nonnegative, got {quad_tol}")
         if n_points < 3:
             raise ValueError("grid too coarse")
         self.gamma = gamma
@@ -494,7 +498,9 @@ class CollisionModel(JointModel):
     The power is taken through a complex Schur factorisation of the pair
     unitary (scipy), computed on the first such query: a model queried on
     slot boundaries only never imports scipy. n_slots must be at least 1,
-    and slot_times n_slots + 1 finite, strictly increasing boundaries.
+    slot_times n_slots + 1 finite, strictly increasing boundaries, and
+    ancilla_state a finite nonzero vector or a finite matrix with a positive
+    eigenvalue.
     """
 
     name = "collision"
@@ -516,11 +522,17 @@ class CollisionModel(JointModel):
             raise ValueError("pair unitary side must be dim_s * dim_a with dim_s == dim_a")
         self.pair_unitary = u
         anc = ket(0, self.dim_a) if ancilla_state is None else np.asarray(ancilla_state, dtype=complex)
+        if not np.all(np.isfinite(anc)):
+            raise ValueError("ancilla_state has non-finite entries")
         if anc.ndim == 2:
             anc_branches = _eig_branches(anc)
+            if not anc_branches:
+                raise ValueError("ancilla_state has no positive eigenvalue")
         else:
-            anc = anc / np.linalg.norm(anc)
-            anc_branches = [(1.0, anc)]
+            norm = np.linalg.norm(anc)
+            if norm == 0:
+                raise ValueError("ancilla_state is the zero vector")
+            anc_branches = [(1.0, anc / norm)]
         self._anc_branches = anc_branches
         if slot_times is None:
             slot_times = np.arange(self.n_slots + 1, dtype=float)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from oqmarkov.core import (PAULIS, SX, ket, plus_state, random_density,
                            random_hermitian, random_pure, random_unitary,
                            trace_norm)
+from oqmarkov import criteria
 from oqmarkov.criteria import (CriterionReport, check_composability,
                                criterion_settings, default_gqrf_op_sets,
                                check_distinguishability, check_divisibility,
@@ -15,12 +16,14 @@ from oqmarkov.criteria import (CriterionReport, check_composability,
                                dd_effectiveness, hierarchy_report, map_family,
                                map_residual, multitime_correlation,
                                generalized_map, regression_prediction,
-                               replacement_map, tomograph, worst_case)
+                               replacement_map, run_criteria, tomograph, worst_case,
+                               _exact_correlations, _predicted_correlations,
+                               _regression_residuals)
 from oqmarkov.models import (afl, collision, eternal_me, nqib_qubit,
                              partial_swap, static_dephasing, tam)
 from oqmarkov.superop import SuperOperator, compose, is_cptp, vec
 
-from dense_reference import dense_propagator
+from dense_reference import dense_propagator, reference_correlation, reference_prediction
 
 
 class TestCriterionReport:
@@ -93,6 +96,114 @@ class TestMultitime:
             numr = regression_prediction(model, c_ops, times, rho0)
             anar = model.correlation_regression(c_ops, times, rho0)
             assert abs(numr - anar) < 1e-6
+
+
+def _shared_prefix_cases(rng, t0: float, t_end: float, d: int) -> list:
+    """Correlation cases on two time sets that differ in their last time,
+    some times repeated, most cases copying an earlier case up to a random
+    level. The operators are a random A, its adjoint, A in Fortran order
+    (same bytes, another layout), the identity and eye.conj().T (equal to it
+    but with -0.0 imaginary parts)."""
+    eye = np.eye(d, dtype=complex)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    pool = [eye, eye.conj().T, a, a.conj().T, np.asfortranarray(a)]
+    n_times = int(rng.integers(2, 5))
+    grid = np.sort(rng.uniform(t0, t_end, 3))
+    times = (t0,) + tuple(float(t) for t in np.sort(rng.choice(grid, n_times - 1)))
+    time_sets = (times, times[:-1] + (t_end,))
+
+    def pick():
+        return pool[rng.integers(len(pool))], pool[rng.integers(len(pool))]
+
+    cases = []
+    for _ in range(int(rng.integers(2, 12))):
+        if cases and rng.random() < 0.7:
+            ops = cases[rng.integers(len(cases))][1]
+            k = int(rng.integers(n_times))
+            ops = list(ops[:k]) + [pick() for _ in range(n_times - k)]
+        else:
+            ops = [pick() for _ in range(n_times)]
+        cases.append((time_sets[int(rng.random() < 0.3)], ops))
+    return cases
+
+
+class TestSharedScheduleTree:
+    """All regression cases of a call are evaluated on one schedule tree per
+    start branch; every value must be bit for bit that of the per-case loop
+    (one `evolve` per bra and ket, the regression maps step by step)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), register=st.booleans(),
+           size=st.integers(1, 3), mixed=st.booleans())
+    def test_bitwise_equal_to_per_case_loop(self, seed, register, size, mixed):
+        rng = np.random.default_rng(seed)
+        if register:
+            d = int(rng.integers(2, 4))
+            model = static_dephasing(rng.dirichlet(np.ones(size + 1)),
+                                     [random_hermitian(d, rng) for _ in range(size + 1)])
+            t_end = 2.0
+        else:
+            d = 2
+            ancilla = random_density(d, rng=rng) if mixed else None
+            model = collision(size, random_unitary(d * d, rng), ancilla_state=ancilla)
+            t_end = float(size)
+        rho = random_density(d, rng=rng) if mixed else np.outer(ket(0, d), ket(0, d).conj())
+        cases = _shared_prefix_cases(rng, model.t0, t_end, d)
+
+        def as_bytes(values):
+            return np.array(values, dtype=complex).tobytes()
+
+        exact = [reference_correlation(model, ops, times, rho) for times, ops in cases]
+        predicted = [reference_prediction(model, ops, times, rho) for times, ops in cases]
+        assert as_bytes(_exact_correlations(model, cases, rho)) == as_bytes(exact)
+        assert as_bytes(_predicted_correlations(model, cases, rho)) == as_bytes(predicted)
+        residuals = _regression_residuals(model, cases, rho)
+        assert [abs(l - r) for l, r in zip(exact, predicted)] == [r for r, _ in residuals]
+        assert all(at is times for (_, at), (times, _) in zip(residuals, cases))
+
+        # a tie with a later copy of the worst case: the first one is reported
+        worst = max(range(len(cases)), key=lambda c: residuals[c][0])
+        if residuals[worst][0] > 0:
+            times, ops = cases[worst]
+            tied = cases + [(list(times), ops)]
+            _, at, _ = worst_case(_regression_residuals(model, tied, rho), 0.0)
+            assert at is cases[worst][0]
+
+    def test_single_case_calls_match_the_loop(self):
+        model = tam()
+        rho = np.outer(plus_state(), plus_state().conj())
+        c_ops = [(SX, np.eye(2)), (PAULIS["Y"], PAULIS["Z"]), (np.eye(2), SX)]
+        times = (0.0, 0.4, 1.1)
+        assert (multitime_correlation(model, c_ops, times, rho)
+                == reference_correlation(model, c_ops, times, rho))
+        assert (regression_prediction(model, c_ops, times, rho)
+                == reference_prediction(model, c_ops, times, rho))
+
+    def test_operator_and_time_counts_must_agree(self):
+        with pytest.raises(ValueError, match="operator pairs"):
+            multitime_correlation(tam(), [(SX, SX)] * 2, (0.0, 0.5, 1.0), np.eye(2) / 2)
+
+    def test_afl_preset_propagates_each_shared_prefix_once(self, monkeypatch):
+        """At afl's declared times, one `evolve` per case and bra or ket took
+        394 `apply_propagator` calls in qrf and 242 in gqrf (with the
+        replaced-bath maps the run builds); sharing prefixes leaves 38 and
+        100."""
+        model = afl()
+        calls = []
+        propagate = model.apply_propagator
+        monkeypatch.setattr(model, "apply_propagator",
+                            lambda *args: calls.append(1) or propagate(*args))
+        counts = {}
+        for name in ("check_qrf", "check_gqrf"):
+            def counted(*args, _check=getattr(criteria, name), _name=name, **kwargs):
+                before = len(calls)
+                report = _check(*args, **kwargs)
+                counts[_name] = len(calls) - before
+                return report
+            monkeypatch.setattr(criteria, name, counted)
+        run_criteria(model, criterion_settings(model, names=["qrf", "gqrf"]), seed=23)
+        assert counts["check_qrf"] <= 40
+        assert counts["check_gqrf"] <= 110
 
 
 class TestFa:

@@ -143,6 +143,15 @@ class TestAfl:
         with pytest.raises(ValueError, match="finite and positive"):
             afl(gamma=gamma, g=g)
 
+    @pytest.mark.parametrize("kwargs", [dict(quad_tol=math.nan), dict(quad_tol=math.inf),
+                                        dict(quad_tol=-1e-5),
+                                        dict(n_points=1001, quad_tol=math.nan)])
+    def test_non_finite_or_negative_quad_tol_rejected(self, kwargs):
+        # a NaN tolerance would make the band check `error > quad_tol` false,
+        # so a grid the default rejects (n_points=1001) would build
+        with pytest.raises(ValueError, match="quad_tol"):
+            afl(**kwargs)
+
     @pytest.mark.parametrize("n_points", [1001, 2001, 4001])
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
     def test_band_error_matches_cosine_oracle(self, n_points, gamma):
@@ -329,6 +338,22 @@ class TestCollision:
     def test_non_finite_slot_times_rejected(self, slot_times):
         with pytest.raises(ValueError, match="finite"):
             collision(n_slots=2, slot_times=slot_times)
+
+    def test_zero_ancilla_vector_rejected(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            collision(ancilla_state=np.zeros(2))
+
+    @pytest.mark.parametrize("ancilla", [np.zeros((2, 2)), -np.eye(2)])
+    def test_ancilla_matrix_without_positive_eigenvalue_rejected(self, ancilla):
+        # it would leave the model no bath branches, so every map it assembles is zero
+        with pytest.raises(ValueError, match="positive eigenvalue"):
+            collision(ancilla_state=ancilla)
+
+    @pytest.mark.parametrize("ancilla", [np.array([1.0, math.nan]),
+                                         np.array([[math.inf, 0.0], [0.0, 0.0]])])
+    def test_non_finite_ancilla_rejected(self, ancilla):
+        with pytest.raises(ValueError, match="non-finite"):
+            collision(ancilla_state=ancilla)
 
     def test_schur_factors_built_on_first_fractional_query(self):
         """Slot-boundary queries never factorise the pair unitary; a query
