@@ -10,7 +10,8 @@ in the report records exactly what was sampled.
 
 Every map from a joint model's initial bath comes from `generalized_map`,
 which builds each (t1, t2) map once per `run_criteria` run (the run loop of
-`hierarchy_report` and `analyze`) and keeps nothing outside a run.
+`hierarchy_report` and `analyze`), or per `qrf`/`gqrf` call made outside a
+run, and keeps nothing after it.
 `replacement_map` resets the bath to any Hermitian operator instead. `nib`
 seeds from the initial bath state, and `nqib` tests the channel of the
 model's own `breaking_channel`.
@@ -19,6 +20,7 @@ model's own `breaking_channel`.
 from __future__ import annotations
 
 import collections
+import contextlib
 import contextvars
 import dataclasses
 import functools
@@ -106,11 +108,27 @@ def tomograph(model: JointModel, t0: float, t: float) -> SuperOperator:
     return generalized_map(model, t0, t)
 
 
+@contextlib.contextmanager
+def _map_store(model):
+    """Keep one map store for the model while the block runs, unless one is
+    kept for it already: `generalized_map` then builds each of the model's
+    maps once in it. The store ends with the outermost block."""
+    if _RUN_MAPS.get()[0] is model:
+        yield
+        return
+    token = _RUN_MAPS.set((model, {}))
+    try:
+        yield
+    finally:
+        _RUN_MAPS.reset(token)
+
+
 def generalized_map(model: JointModel, t1: float, t2: float) -> SuperOperator:
     """Replaced-bath map: the bath is reset at t1 to its initial state
     before the joint propagation to t2 (the model is written in the bath's
     interaction picture, where that state does not evolve freely). Within a
-    `run_criteria` run on this model, each (t1, t2) map is built once."""
+    `run_criteria` run on this model, or a regression evaluation
+    (`_predicted_correlations`), each (t1, t2) map is built once."""
     run_model, maps = _RUN_MAPS.get()
     if model is not run_model:
         maps = {}
@@ -189,16 +207,42 @@ def _low_rank_spectrum(vectors: list[np.ndarray], weights: list[float]) -> np.nd
     return np.linalg.eigvalsh((gram + gram.conj().T) / 2)
 
 
+def _span_coordinates(vectors: list[np.ndarray]) -> np.ndarray:
+    """Coordinates of k vectors in an orthonormal basis of their span, as
+    the columns of a min(n, k) x k matrix R: the R of a Householder QR of
+    the stacked vectors, [v_1 ... v_k] = Q R. Every reflection is applied
+    to every vector, so equal vectors get bitwise equal columns, and only
+    elementwise products and sums are used, so no BLAS or LAPACK call grows
+    with the ambient dimension n. A zero column (rank deficiency) is
+    skipped."""
+    a = np.array(vectors, dtype=complex)        # row c is v_c
+    k, n = a.shape
+    m = min(n, k)
+    for j in range(m):
+        v = a[j, j:].copy()
+        norm = math.sqrt(float(np.sum(v.real * v.real + v.imag * v.imag)))
+        if norm == 0.0:
+            continue
+        head = abs(v[0])
+        v[0] += norm * (v[0] / head if head else 1.0)
+        # u -> u - 2 v <v|u> / <v|v> on coordinates j: of every vector
+        rest = a[:, j:]
+        rest -= (np.sum(v.conj() * rest, axis=1) / (norm * (norm + head)))[:, None] * v
+    return a[:, :m].T
+
+
 def _low_rank_trace_distance(vs1, ws1, vs2, ws2) -> float:
-    """Trace distance between two low-rank PSD operators given spanning
-    vectors; works in the joint span so huge ambient dimensions are fine."""
-    cols = np.stack(vs1 + vs2, axis=1)
-    q, _ = np.linalg.qr(cols)
-    a = sum(w * np.outer(q.conj().T @ v, (q.conj().T @ v).conj())
-            for w, v in zip(ws1, vs1))
-    b = sum(w * np.outer(q.conj().T @ v, (q.conj().T @ v).conj())
-            for w, v in zip(ws2, vs2))
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+    """Trace distance between sum_k ws1[k] |vs1[k]><vs1[k]| and the same
+    sum over vs2, ws2: half the trace norm of R W R^H = A - B, where R holds
+    the vectors' coordinates in their joint span (`_span_coordinates`) and
+    W the signed weights, so equal stacks read exactly zero. The Gram
+    matrix V^H V is not used: its square root turns rounding at rank
+    deficiency into errors of order sqrt(eps)."""
+    r = _span_coordinates(list(vs1) + list(vs2))
+    r1, r2 = r[:, :len(vs1)], r[:, len(vs1):]
+    diff = ((r1 * np.asarray(ws1, dtype=float)) @ r1.conj().T
+            - (r2 * np.asarray(ws2, dtype=float)) @ r2.conj().T)
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2))))
 
 
 def _env_marginal_vectors(model: JointModel, branches):
@@ -233,7 +277,7 @@ def check_fa(model: JointModel, initial_states=None, times=(0.5, 1.0),
             branches = model.joint_branches(rho0, t)
             weights = [w for w, _ in branches]
             joint_eigs = _low_rank_spectrum([v for _, v in branches], weights)
-            rho_s = model.reduced_state(rho0, t)
+            rho_s = model.system_marginal(branches)
             env_vs, env_ws = _env_marginal_vectors(model, branches)
             env_eigs = _low_rank_spectrum(env_vs, env_ws)
             mi = (vn_entropy(np.linalg.eigvalsh(rho_s)) + vn_entropy(env_eigs)
@@ -416,7 +460,7 @@ def _exact_correlations(model: JointModel, cases, rho_s0) -> list:
 def _predicted_correlations(model: JointModel, cases, rho_s0) -> list:
     """regression_prediction of each (times, c_ops) case, with the operator
     insertions and replaced-bath map applications of each shared prefix of
-    the schedules made once."""
+    the schedules made once, and each replaced-bath map built once."""
     chains = [[_regression_chain(*_schedule(times, c_ops))] for times, c_ops in cases]
 
     def advance(x, step):
@@ -426,9 +470,10 @@ def _predicted_correlations(model: JointModel, cases, rho_s0) -> list:
         return _apply_cop(c_op, x)
 
     # d x d values: held all at once they are still small, so in case order
-    walk = _prefix_walk(chains, _prefix_paths(chains), range(len(chains)),
-                        np.asarray(rho_s0, dtype=complex), advance)
-    return [complex(np.trace(x)) for _, (x,) in walk]
+    with _map_store(model):
+        walk = _prefix_walk(chains, _prefix_paths(chains), range(len(chains)),
+                            np.asarray(rho_s0, dtype=complex), advance)
+        return [complex(np.trace(x)) for _, (x,) in walk]
 
 
 def multitime_correlation(model: JointModel, c_ops, times, rho_s0) -> complex:
@@ -1115,11 +1160,8 @@ def run_criteria(model, settings: dict, seed: int) -> dict:
     """Run each criterion of `settings` (as criterion_settings resolves
     them) on the model: name -> report. The run keeps one map store, so
     each map `generalized_map` reads of the model is built once in it."""
-    token = _RUN_MAPS.set((model, {}))
-    try:
+    with _map_store(model):
         return {name: run_criterion(name, model, s, seed) for name, s in settings.items()}
-    finally:
-        _RUN_MAPS.reset(token)
 
 
 def run_criterion(name: str, model, settings: dict, seed: int) -> CriterionReport:

@@ -71,9 +71,13 @@ class JointModel:
                 for p, e in self.env_branches()]
 
     def reduced_state(self, rho_s0: np.ndarray, t: float) -> np.ndarray:
+        return self.system_marginal(self.joint_branches(rho_s0, t))
+
+    def system_marginal(self, branches) -> np.ndarray:
+        """Reduced system state of a branched joint state [(weight, vector)]."""
         ds, de = self.dim_s, self.dim_e
         rho = np.zeros((ds, ds), dtype=complex)
-        for w, v in self.joint_branches(rho_s0, t):
+        for w, v in branches:
             m = v.reshape(ds, de)
             rho += w * (m @ m.conj().T)
         return rho
@@ -174,6 +178,7 @@ def _lorentz_grid_weights(n_points: int, cutoff: float, taper_start: float,
 _AFL_CUTOFF = 200.0
 _AFL_BUMP_WIDTH = 30.0
 _AFL_BAND = (0.3, 12.0)
+_AFL_PHASE_DURATIONS = 16     # phase arrays an AflModel keeps, 64 KB each at 4001 points
 
 
 class AflModel(JointModel):
@@ -221,6 +226,7 @@ class AflModel(JointModel):
         # never enters reduced states, correlations, or entanglement.
         self.dim_s = 2
         self.dim_e = n_points
+        self._phase_memo: dict = {}
 
     def _band_error(self) -> float:
         """Largest deviation of the grid's characteristic function from
@@ -247,10 +253,23 @@ class AflModel(JointModel):
     def env_branches(self):
         return [(1.0, self.amplitudes)]
 
+    def _phase(self, dt) -> np.ndarray:
+        """The read-only phases exp(-i (g/2) x dt), built once per duration:
+        keyed by the bits of dt (0.0 and -0.0 give other signed zeros), at
+        most `_AFL_PHASE_DURATIONS` held, the oldest dropped first."""
+        key = float(dt).hex()
+        phase = self._phase_memo.get(key)
+        if phase is None:
+            phase = np.exp(-1j * (self.g / 2) * self.x * dt)
+            phase.setflags(write=False)
+            if len(self._phase_memo) >= _AFL_PHASE_DURATIONS:
+                del self._phase_memo[next(iter(self._phase_memo))]
+            self._phase_memo[key] = phase
+        return phase
+
     def apply_propagator(self, t1, t2, joint):
-        dt = t2 - t1
         m = joint.reshape(2, self.dim_e).copy()
-        phase = np.exp(-1j * (self.g / 2) * self.x * dt)
+        phase = self._phase(t2 - t1)
         m[0] *= phase          # sigma_z eigenvalue +1
         m[1] *= phase.conj()   # sigma_z eigenvalue -1
         return m.reshape(-1)

@@ -223,6 +223,57 @@ class TestFa:
         assert rep.verdict == "inconclusive"
 
 
+def _dense_trace_distance(vs1, ws1, vs2, ws2) -> float:
+    """Half the trace norm of the dense difference of the two sums."""
+    def dense(vs, ws):
+        return sum(w * np.outer(v, v.conj()) for w, v in zip(ws, vs))
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(dense(vs1, ws1) - dense(vs2, ws2)))))
+
+
+def _random_stack(rng, d, k):
+    """k random unit vectors of dimension d and k positive weights of sum 1."""
+    vs = [random_pure(d, rng) for _ in range(k)]
+    return vs, list(rng.dirichlet(np.ones(k)))
+
+
+class TestSpanKernel:
+    """`fa`'s env-marginal clause: the trace distance of two low-rank
+    operators, decided in the span of their vectors."""
+
+    def test_matches_dense_eigvalsh(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            d = int(rng.integers(2, 9))
+            vs1, ws1 = _random_stack(rng, d, int(rng.integers(1, 4)))
+            vs2, ws2 = _random_stack(rng, d, int(rng.integers(1, 4)))
+            want = _dense_trace_distance(vs1, ws1, vs2, ws2)
+            got = criteria._low_rank_trace_distance(vs1, ws1, vs2, ws2)
+            assert abs(got - want) <= 1e-12 * want, (d, got, want)
+
+    def test_rank_deficient_stacks_read_zero(self):
+        """Equal states, or the same states times phases, with the same
+        weights: the distance is zero to rounding (a square root of the Gram
+        matrix reads about 1e-8 here)."""
+        rng = np.random.default_rng(2025)
+        for trial in range(400):
+            d, k = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+            vs, ws = _random_stack(rng, d, k)
+            phases = np.exp(2j * np.pi * rng.random(k)) if trial % 2 else np.ones(k)
+            same = criteria._low_rank_trace_distance(vs, ws, vs, ws)
+            turned = criteria._low_rank_trace_distance(vs, ws, [p * v for p, v in zip(phases, vs)], ws)
+            assert same == 0.0 and turned <= 1e-15, (d, k, turned)
+
+    def test_coordinates_reproduce_inner_products_on_a_large_bath(self):
+        """On afl's 4001-point bath the span coordinates keep every inner
+        product: R^H R is the Gram matrix of the stacked vectors."""
+        rng = np.random.default_rng(2026)
+        vs = [random_pure(4001, rng) for _ in range(4)] + [np.zeros(4001, dtype=complex)]
+        r = criteria._span_coordinates(vs)
+        assert r.shape == (5, 5)
+        gram = np.array([[np.vdot(u, v) for v in vs] for u in vs])
+        assert np.max(np.abs(r.conj().T @ r - gram)) < 1e-14
+
+
 class TestAflSplit:
     def test_fa_fails_with_entanglement_witness(self):
         model = afl()
@@ -245,6 +296,18 @@ class TestAflSplit:
         rep = check_gqrf(model, time_sets=((0.5, 1.0, 1.5),), tol=1e-5)
         assert rep.verdict == "fail"
         assert rep.witnesses["max_residual"] > 0.01
+
+    def test_fa_evolves_each_branch_once(self, monkeypatch):
+        """The reduced state comes from the branches already propagated:
+        afl's declared `fa` makes one propagation per initial state and time."""
+        model = afl()
+        calls = []
+        propagate = model.apply_propagator
+        monkeypatch.setattr(model, "apply_propagator",
+                            lambda *args: calls.append(1) or propagate(*args))
+        s = criterion_settings(model, ["fa"])["fa"]
+        rep = check_fa(model, times=s["times"], tol=s["tol"])
+        assert len(calls) == 4 and rep.verdict == "fail"
 
 
 class TestGeneralizedMap:
@@ -842,6 +905,27 @@ class TestMapStore:
             if name == "collision":     # nib reads the store's (2, 4) map
                 assert calls[0] <= 20
         assert total <= 93
+
+    def test_direct_regression_calls_keep_one_store(self, monkeypatch):
+        """A direct `qrf` or `gqrf` call builds each replaced-bath map once
+        for its own duration: at afl's declared settings it makes as many
+        propagations as inside a run (224 and 330 with a map per tree node),
+        with the same report."""
+        model = afl()
+        builds, _ = self._count_builds(monkeypatch, model)
+        calls = []
+        propagate = model.apply_propagator
+        monkeypatch.setattr(model, "apply_propagator",
+                            lambda *args: calls.append(1) or propagate(*args))
+        s = criterion_settings(model, ["qrf", "gqrf"])
+        qrf = check_qrf(model, time_pairs=s["qrf"]["time_pairs"], tol=s["qrf"]["tol"])
+        assert len(calls) == 38
+        gqrf = check_gqrf(model, time_sets=s["gqrf"]["time_sets"], tol=s["gqrf"]["tol"])
+        assert len(calls) == 38 + 104
+        assert max(builds.values()) == 2        # once per call
+        run = run_criteria(model, s, 23)
+        assert qrf.to_dict() == run["qrf"].to_dict()
+        assert gqrf.to_dict() == run["gqrf"].to_dict()
 
     def test_no_store_outside_a_run(self, monkeypatch):
         model = tam()

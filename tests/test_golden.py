@@ -2,7 +2,9 @@
 
 Every preset's `hierarchy` JSON at seed 23: refactors must leave every
 report byte-identical, `nib` and `nqib` included, together with the
-implication table, the consistency flag and the extras. A change that
+implication table, the consistency flag and the extras. The fixtures hold
+at any BLAS thread count; CI runs this file a second time with
+`OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1`. A change that
 moves a fixture on purpose re-records it with
 `oqmarkov hierarchy --model NAME --seed 23 --out tests/golden/hierarchy-NAME.json`
 and says why.

@@ -159,6 +159,24 @@ class TestAfl:
         assert m.quadrature_error == m._band_error()
         assert abs(m.quadrature_error - _cosine_band_error(m)) < 1e-13
 
+    def test_phases_built_once_per_duration(self):
+        """Each duration's phases are built once and kept read-only, keyed by
+        the bits of the duration, at most `_AFL_PHASE_DURATIONS` at a time;
+        the propagated vectors are those of phases built at every call."""
+        from oqmarkov.models import _AFL_PHASE_DURATIONS
+        m = afl()
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=2 * m.dim_e) + 1j * rng.normal(size=2 * m.dim_e)
+        for t1, t2 in [(0.0, 0.5), (0.5, 1.0), (0.25, 0.75), (1.0, 1.0)]:
+            phase = np.exp(-1j * (m.g / 2) * m.x * (t2 - t1))
+            want = np.concatenate([v[:m.dim_e] * phase, v[m.dim_e:] * phase.conj()])
+            assert m.apply_propagator(t1, t2, v).tobytes() == want.tobytes()
+        assert m._phase(0.5) is m._phase(0.5) and not m._phase(0.5).flags.writeable
+        assert m._phase(-0.0) is not m._phase(0.0)
+        for k in range(3 * _AFL_PHASE_DURATIONS):
+            m._phase(0.01 * k)
+        assert len(m._phase_memo) == _AFL_PHASE_DURATIONS
+
     def test_chi_identities(self):
         m = afl()
         assert np.isclose(m.chi_exact(2.0), math.exp(-2.0))
