@@ -24,7 +24,6 @@ import contextlib
 import contextvars
 import dataclasses
 import functools
-import heapq
 import itertools
 import math
 from typing import Callable
@@ -90,6 +89,16 @@ def worst_case(cases, tol: float):
         if r > worst:
             worst, place = r, at
     return worst, place, PASS if worst <= tol else FAIL
+
+
+def _listed(values, name: str, least: int = 1) -> list:
+    """A checker's cases as a list, read once; fewer than `least` is a
+    ValueError, as a check over none would pass without testing anything."""
+    values = list(values)
+    if len(values) < least:
+        raise ValueError(f"{len(values)} {name} given, at least {least} needed: "
+                         "the check would pass without testing anything")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +274,9 @@ def check_fa(model: JointModel, initial_states=None, times=(0.5, 1.0),
     iff product); entanglement negativity is reported as an extra witness.
     """
     ds, de = model.dim_s, model.dim_e
+    times = _listed(times, "times")
     if initial_states is None:
-        v = np.ones(ds, dtype=complex) / np.sqrt(ds)
-        initial_states = [np.outer(v, v.conj()),
-                          np.outer(ket(0, ds), ket(0, ds).conj())]
+        initial_states = [_default_rho0(ds), np.outer(ket(0, ds), ket(0, ds).conj())]
     max_mi, max_neg, max_env_dist = 0.0, 0.0, 0.0
     worst_time = None
     for t in times:
@@ -313,92 +321,11 @@ def check_fa(model: JointModel, initial_states=None, times=(0.5, 1.0),
 # ---------------------------------------------------------------------------
 
 def _op_key(op: np.ndarray) -> tuple:
-    """An operator's identity in a schedule tree: its bytes, never its value
+    """An operator's identity in a prefix key: its bytes, never its value
     (eye.conj().T equals eye but carries -0.0 imaginary parts), with its
     shape and strides, as BLAS may take a transposed operand on a path whose
     last bits differ."""
     return op.shape, op.strides, op.tobytes()
-
-
-def _visit_order(node_sets) -> list:
-    """An order in which to visit cases, each reading a set of shared
-    values, that keeps few values held at once. A value is held from its
-    first reader to its last. A case's score is the number of values its
-    visit would start holding less the number it would release, and the
-    next case is always one of lowest score (the lowest index among equals).
-    A visit changes the scores of the other readers of its values only, so
-    the whole order costs about one heap push per read."""
-    readers = collections.defaultdict(set)
-    for c, nodes in enumerate(node_sets):
-        for n in nodes:
-            readers[n].add(c)
-    score = [sum(len(readers[n]) > 1 for n in nodes) for nodes in node_sets]
-    heap = [(s, c) for c, s in enumerate(score)]
-    heapq.heapify(heap)
-    held, order = set(), []
-    while heap:
-        s, c = heapq.heappop(heap)
-        if s != score[c]:
-            continue                    # visited, or since rescored lower
-        score[c] = None
-        order.append(c)
-        for n in node_sets[c]:
-            others = readers[n]
-            others.discard(c)
-            if n not in held and others:
-                # the others no longer start holding n; the last one releases it
-                held.add(n)
-                drop = 2 if len(others) == 1 else 1
-            elif n in held and len(others) == 1:
-                drop = 1
-            else:
-                continue
-            for c2 in others:
-                score[c2] -= drop
-                heapq.heappush(heap, (score[c2], c2))
-    return order
-
-
-def _prefix_paths(cases) -> list:
-    """Node ids along every chain of (key, step) pairs of every case (a
-    list of chains): prefixes with equal keys get one id, the empty prefix
-    is 0."""
-    ids, paths = {}, []
-    for chains in cases:
-        case_paths = []
-        for chain in chains:
-            node, path = 0, []
-            for key, _ in chain:
-                node = ids.setdefault((node, key), len(ids) + 1)
-                path.append(node)
-            case_paths.append(path)
-        paths.append(case_paths)
-    return paths
-
-
-def _prefix_walk(cases, paths, order, root, advance):
-    """End values of the chains of each case, the cases visited in `order`;
-    yields (case index, end values). Each distinct prefix (see
-    `_prefix_paths`) is evaluated once: its value is advance(value one
-    step shorter, step), and the empty prefix's is `root`. A value is kept
-    until the last chain through it, counted over all cases up front, has
-    passed."""
-    remaining = collections.Counter(n for case_paths in paths for path in case_paths
-                                    for n in path)
-    values = {}
-    for c in order:
-        ends = []
-        for chain, path in zip(cases[c], paths[c]):
-            value = root
-            for (_, step), node in zip(chain, path):
-                value = values[node] if node in values else advance(value, step)
-                remaining[node] -= 1
-                if remaining[node]:
-                    values[node] = value
-                else:
-                    values.pop(node, None)
-            ends.append(value)
-        yield c, ends
 
 
 def _schedule(times, c_ops) -> tuple:
@@ -410,70 +337,70 @@ def _schedule(times, c_ops) -> tuple:
                    for a, b in c_ops]
 
 
-def _evolve_chain(times, ops) -> list:
-    """`evolve(model, v, times, ops)` as a chain for `_prefix_walk`: step k
-    applies ops[k] and propagates to times[k + 1]; the last one only
-    applies. Each step's value is the vector before the next op acts."""
-    chain = []
-    for k, op in enumerate(ops):
-        ts = times[k:k + 2]
-        chain.append(((ts, _op_key(op)), (ts, (op, None) if len(ts) == 2 else (op,))))
-    return chain
-
-
-def _regression_chain(times, c_ops) -> list:
-    """`regression_prediction` as a chain for `_prefix_walk`: step j applies
-    the replaced-bath map from times[j - 1] (none at j = 0), then the
-    operator pair at times[j]."""
-    chain = []
-    for j, (a, b) in enumerate(c_ops):
-        ts = times[max(j - 1, 0):j + 1]
-        chain.append(((ts, _op_key(a), _op_key(b)), (ts, (a, b))))
-    return chain
-
-
 def _exact_correlations(model: JointModel, cases, rho_s0) -> list:
-    """multitime_correlation of each (times, c_ops) case, on one schedule
-    tree per start branch whose nodes are the bra and ket joint vectors
-    after each shared prefix of ops and propagations. Every node is built as
-    `evolve` builds it, and each case sums q * p * <bra|ket> over the start
-    branches in their order, so the values are those of one `evolve` per
-    bra and ket."""
-    pairs = []
+    """multitime_correlation of each (times, c_ops) case. A bra or ket is
+    built as `evolve` builds it, one step (an op, then the propagation to the
+    next time) per call, and each distinct prefix of steps, keyed by its
+    times and ops (`_op_key`), gets one node id per call. Per start branch,
+    the cases are visited sorted by their node-id paths, each node's vector
+    is built once and dropped after its last reader, and each case sums
+    q * p * <bra|ket> over the start branches in their order, so the values
+    are those of one `evolve` per bra and ket."""
+    ids, steps, paths = {}, [None], []     # node 0 is the empty prefix
     for times, c_ops in cases:
         times, c_ops = _schedule(times, c_ops)
         if abs(times[0] - model.t0) > 1e-12:
             raise ValueError("times[0] must be the model's initial time")
-        pairs.append([_evolve_chain(times, [a.conj().T for a, _ in c_ops]),
-                      _evolve_chain(times, [b for _, b in c_ops])])
-    paths = _prefix_paths(pairs)
-    order = _visit_order([{n for path in case_paths for n in path} for case_paths in paths])
+        case_paths = []
+        for ops in ([a.conj().T for a, _ in c_ops], [b for _, b in c_ops]):
+            node, path = 0, []
+            for k, op in enumerate(ops):
+                ts = times[k:k + 2]
+                key = (node, ts, _op_key(op))
+                if key not in ids:
+                    ids[key] = len(steps)
+                    steps.append((ts, (op, None) if len(ts) == 2 else (op,)))
+                node = ids[key]
+                path.append(node)
+            case_paths.append(tuple(path))
+        paths.append(case_paths)
+    order = sorted(range(len(cases)), key=paths.__getitem__)
+    readers = collections.Counter(n for case_paths in paths for path in case_paths
+                                  for n in path)
     totals = [0.0 + 0.0j] * len(cases)
     for q, s in _eig_branches(np.asarray(rho_s0, dtype=complex), 1e-14):
         for p, phi in model.env_branches():
-            for c, (bra, ket) in _prefix_walk(pairs, paths, order, np.kron(s, phi),
-                                              lambda v, step: evolve(model, v, *step)):
-                totals[c] += q * p * np.vdot(bra, ket)
+            root, held, left = np.kron(s, phi), {}, readers.copy()
+            for c in order:
+                ends = []
+                for path in paths[c]:
+                    v = root
+                    for n in path:
+                        v = held[n] if n in held else evolve(model, v, *steps[n])
+                        left[n] -= 1
+                        if left[n]:
+                            held[n] = v
+                        else:
+                            held.pop(n, None)
+                    ends.append(v)
+                totals[c] += q * p * np.vdot(*ends)
     return [complex(t) for t in totals]
 
 
 def _predicted_correlations(model: JointModel, cases, rho_s0) -> list:
-    """regression_prediction of each (times, c_ops) case, with the operator
-    insertions and replaced-bath map applications of each shared prefix of
-    the schedules made once, and each replaced-bath map built once."""
-    chains = [[_regression_chain(*_schedule(times, c_ops))] for times, c_ops in cases]
-
-    def advance(x, step):
-        ts, c_op = step
-        if len(ts) == 2:
-            x = generalized_map(model, *ts)(x)
-        return _apply_cop(c_op, x)
-
-    # d x d values: held all at once they are still small, so in case order
+    """regression_prediction of each (times, c_ops) case, step by step
+    through the replaced-bath maps, each map built once (`_map_store`)."""
+    out = []
     with _map_store(model):
-        walk = _prefix_walk(chains, _prefix_paths(chains), range(len(chains)),
-                            np.asarray(rho_s0, dtype=complex), advance)
-        return [complex(np.trace(x)) for _, (x,) in walk]
+        for times, c_ops in cases:
+            times, c_ops = _schedule(times, c_ops)
+            x = np.asarray(rho_s0, dtype=complex)
+            for j, c_op in enumerate(c_ops):
+                if j:
+                    x = generalized_map(model, times[j - 1], times[j])(x)
+                x = _apply_cop(c_op, x)
+            out.append(complex(np.trace(x)))
+    return out
 
 
 def multitime_correlation(model: JointModel, c_ops, times, rho_s0) -> complex:
@@ -512,7 +439,8 @@ def check_qrf(model: JointModel, op_pairs=None, time_pairs=((0.5, 1.0),),
     if op_pairs is None:
         basis = hermitian_basis(ds)
         op_pairs = [(a, b) for a in basis for b in basis]
-    op_pairs, time_pairs = list(op_pairs), list(time_pairs)
+    op_pairs = _listed(op_pairs, "operator pairs")
+    time_pairs = _listed(time_pairs, "time pairs")
     rho_s0 = _default_rho0(ds) if rho_s0 is None else rho_s0
     ident = np.eye(ds, dtype=complex)
     # ordering <B(t2) A(t1)>: insert X -> A X at t1, trace B at t2
@@ -551,7 +479,7 @@ def check_gqrf(model: JointModel, op_sets=None, time_sets=((0.5, 1.0, 1.5),),
     """Multi-time regression check over sequences of system-operator pairs;
     `op_sets=None` samples `default_gqrf_op_sets` for each time set."""
     rho_s0 = _default_rho0(model.dim_s) if rho_s0 is None else rho_s0
-    time_sets = list(time_sets)
+    time_sets = _listed(time_sets, "time sets")
     if op_sets is not None:
         op_sets = list(op_sets)
         if not op_sets:
@@ -571,7 +499,7 @@ def check_gqrf(model: JointModel, op_sets=None, time_sets=((0.5, 1.0, 1.5),),
 def check_composability(model: JointModel, time_triples, tol: float = 1e-9) -> CriterionReport:
     """Resetting the bath to its initial state at the midpoint must
     reproduce the map."""
-    time_triples = list(time_triples)
+    time_triples = _listed(time_triples, "time triples")
 
     def residuals():
         for t0, t1, t2 in time_triples:
@@ -794,6 +722,7 @@ def check_nqib(model: JointModel, time_triple, breaking_channel,
 
 def check_divisibility(family, tol: float = 1e-9) -> CriterionReport:
     """Intermediate maps between consecutive grid times must be CP."""
+    family = _listed(family, "grid maps", least=2)
     min_eig, worst_interval = np.inf, None
     inconclusive_at = []
     for (ta, ea), (tb, eb) in zip(family[:-1], family[1:]):
@@ -820,7 +749,7 @@ def check_divisibility(family, tol: float = 1e-9) -> CriterionReport:
 def check_semigroup(map_at: Callable[[float], SuperOperator], pairs,
                     tol: float = 1e-9) -> CriterionReport:
     """Duration-composition identity E(r+s) = E(r)E(s) on supplied pairs."""
-    pairs = list(pairs)
+    pairs = _listed(pairs, "duration pairs")
     worst, pair, verdict = worst_case(
         ((map_residual(map_at(r + s), compose(map_at(r), map_at(s)))["residual"], (r, s))
          for r, s in pairs), tol)
@@ -841,6 +770,7 @@ def check_distinguishability(family, state_pairs=None, w_grid=None,
     witness is the largest rise between consecutive grid times, at the first
     place it occurs in (pair, weight, time) order; a pass reports 0 and no
     place."""
+    family = _listed(family, "grid maps", least=2)
     d = family[0][1].dim
     if state_pairs is None:
         rng = np.random.default_rng(seed)
@@ -854,8 +784,8 @@ def check_distinguishability(family, state_pairs=None, w_grid=None,
         up = np.ones(d, dtype=complex) / np.sqrt(d)
         dn = up.copy(); dn[1::2] *= -1
         state_pairs.append((np.outer(up, up.conj()), np.outer(dn, dn.conj())))
-    state_pairs = list(state_pairs)
-    w_grid = list(np.arange(0.1, 0.95, 0.1) if w_grid is None else w_grid)
+    state_pairs = _listed(state_pairs, "state pairs")
+    w_grid = _listed(np.arange(0.1, 0.95, 0.1) if w_grid is None else w_grid, "weights")
     # [pair, state, time, d, d]
     images = np.array([[[emap(x) for _, emap in family] for x in pair]
                        for pair in state_pairs]).reshape(len(state_pairs), 2,
@@ -885,7 +815,7 @@ def check_fdd(model: JointModel, pulse_sequences, tol: float = 1e-9) -> Criterio
     replaced-bath maps interleaved with the pulses: each segment starts from
     the bath in its initial state, so the first one is the map from t0."""
     from .superop import identity_superop, unitary_superop
-    pulse_sequences = list(pulse_sequences)
+    pulse_sequences = _listed(pulse_sequences, "pulse sequences")
 
     def residuals():
         for seq_idx, (pulses, times) in enumerate(pulse_sequences):
@@ -909,10 +839,8 @@ def check_fdd(model: JointModel, pulse_sequences, tol: float = 1e-9) -> Criterio
 def dd_effectiveness(model: JointModel, pulses, times, reference=None) -> dict:
     """Purity gained by a pulse sequence relative to free evolution, for a
     reference pure input state."""
-    ds = model.dim_s
     if reference is None:
-        v = np.ones(ds, dtype=complex) / np.sqrt(ds)
-        reference = np.outer(v, v.conj())
+        reference = _default_rho0(model.dim_s)
     t_end = times[-1]
     hahn = dd_apply(model, pulses, times)
     free = dd_apply(model, [], [], t_end=t_end)

@@ -1,8 +1,10 @@
 """Reference implementations for the tests, which the package replaced by
 faster ones: the joint propagator U(t2, t1) as a dense matrix, and the
-multi-time correlations as one loop per case. The package itself never
-forms the matrix, and evaluates many correlation cases on one shared
-schedule tree."""
+exact multi-time correlations as one `evolve` per case and bra or ket. The
+package itself never forms the matrix, and builds each distinct bra or ket
+prefix of a call's cases once, visiting the cases sorted by their prefixes
+and dropping each prefix's vector after its last reader. Its regression
+predictions are the same per-case loop as `reference_prediction`."""
 
 import numpy as np
 

@@ -154,6 +154,14 @@ class TestAnalyzeSettings:
         assert run(["analyze", "--model", "eternal", "--criteria", "divisibility",
                     f"--grid={grid}", "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_one_point_grid_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["analyze", "--model", "tam", "--criteria",
+                    "divisibility,distinguishability", "--grid", "0.5",
+                    "--out", str(out)]) == 2
+        assert "1 grid maps given, at least 2 needed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid,n_maps", [("0:2:0.5", 5), ("0,0.5,1", 3), ("0:1:0.6", 2),
                                              ("0:0.3:0.1", 4)])
     def test_grid_flag_replaces_declared_grid(self, tmp_path, grid, n_maps):

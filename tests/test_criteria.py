@@ -128,9 +128,10 @@ def _shared_prefix_cases(rng, t0: float, t_end: float, d: int) -> list:
 
 
 class TestSharedScheduleTree:
-    """All regression cases of a call are evaluated on one schedule tree per
-    start branch; every value must be bit for bit that of the per-case loop
-    (one `evolve` per bra and ket, the regression maps step by step)."""
+    """The exact correlations of a call's cases share their bra and ket
+    prefixes (a tree of prefixes per start branch); every value must be bit
+    for bit that of the per-case loop (one `evolve` per bra and ket, the
+    regression maps step by step)."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), register=st.booleans(),
@@ -204,6 +205,24 @@ class TestSharedScheduleTree:
         run_criteria(model, criterion_settings(model, names=["qrf", "gqrf"]), seed=23)
         assert counts["check_qrf"] <= 40
         assert counts["check_gqrf"] <= 110
+
+    def test_afl_gqrf_holds_few_vectors(self):
+        """A prefix's vector is dropped after its last reader: with afl's
+        maps built, gqrf at its declared settings peaks at about 3.4 MB of
+        traced allocations, where its 172 distinct bra and ket prefix
+        vectors take 22 MB."""
+        import tracemalloc
+        model = afl()
+        s = criterion_settings(model, ["gqrf"])["gqrf"]
+        with criteria._map_store(model):
+            check_gqrf(model, time_sets=s["time_sets"], tol=s["tol"])
+            tracemalloc.start()
+            try:
+                check_gqrf(model, time_sets=s["time_sets"], tol=s["tol"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestFa:
@@ -766,13 +785,6 @@ class TestDistinguishabilitySweep:
         assert got.to_dict() == _looped_distinguishability(
             family, w_grid=[0.3, 0.5, 0.7]).to_dict()
 
-    def test_no_pairs_or_one_time_passes(self):
-        family = _divisible_family(2, np.random.default_rng(0), 3)
-        for rep in (check_distinguishability(family, state_pairs=[]),
-                    check_distinguishability(family[:1])):
-            assert rep.verdict == "pass"
-            assert rep.witnesses == {"max_increase": 0.0, "worst": []}
-
     def test_generators_are_read_once(self):
         model = nqib_qubit()
         family = map_family(model, criterion_settings(model, ["distinguishability"])[
@@ -868,6 +880,34 @@ EXPECTED_ROWS = {
     "static-dephasing": {"gqrf": "fail", "pu": "pass"},
     "tam": {"divisibility": "pass", "semigroup": "pass", "nib": "fail"},
 }
+
+
+def _three_maps():
+    return _divisible_family(2, np.random.default_rng(0), 3)
+
+
+class TestNoVacuousPass:
+    """A checker given no case to test raises ValueError; it never passes."""
+
+    @pytest.mark.parametrize("check", [
+        lambda: check_qrf(tam(), op_pairs=[]),
+        lambda: check_qrf(tam(), time_pairs=[]),
+        lambda: check_gqrf(tam(), time_sets=[]),
+        lambda: check_composability(tam(), []),
+        lambda: check_semigroup(lambda tau: tomograph(tam(), 0.0, tau), []),
+        lambda: check_fdd(tam(), []),
+        lambda: check_fa(tam(), times=()),
+        lambda: check_divisibility([]),
+        lambda: check_divisibility(_three_maps()[:1]),
+        lambda: check_distinguishability(_three_maps()[:1]),
+        lambda: check_distinguishability(_three_maps(), state_pairs=[]),
+        lambda: check_distinguishability(_three_maps(), w_grid=[]),
+    ], ids=["qrf-ops", "qrf-times", "gqrf-times", "composability", "semigroup", "fdd",
+            "fa", "divisibility-none", "divisibility-one", "distinguishability-one",
+            "distinguishability-pairs", "distinguishability-weights"])
+    def test_no_cases_raise(self, check):
+        with pytest.raises(ValueError, match="would pass without testing anything"):
+            check()
 
 
 class TestMapStore:
