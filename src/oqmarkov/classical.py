@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .criteria import CriterionReport, PASS, FAIL, INCONCLUSIVE, worst_case
+from .criteria import CriterionReport, PASS, FAIL, INCONCLUSIVE, _listed, worst_case
 from .unravel import MAX_STEP_PROB, _sample
 
 TABLE_CAP = 2 ** 20
@@ -109,12 +109,12 @@ def check_cm(process: FiniteProcess, tol: float = 1e-10) -> CriterionReport:
     """Full Markov condition over every increasing time subset: the last
     variable conditioned on all earlier subset variables must match its
     conditioning on the immediately preceding one alone."""
-    t = process.n_times
+    times = _listed(range(process.n_times), "times", least=3)
     k = len(process.values)
 
     def residuals():
-        for size in range(3, t + 1):
-            for subset in itertools.combinations(range(t), size):
+        for size in range(3, len(times) + 1):
+            for subset in itertools.combinations(times, size):
                 joint = process.marginal(subset)
                 past = joint.sum(axis=-1)
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -167,8 +167,10 @@ def check_crf(process: FiniteProcess, n: int, tol: float = 1e-10) -> CriterionRe
 
 def check_cke(process: FiniteProcess, tol: float = 1e-10) -> CriterionReport:
     """Two-time conditionals must compose through every intermediate time."""
+    times = _listed(range(process.n_times), "times", least=3)
+
     def residuals():
-        for t1, t2, t3 in itertools.combinations(range(process.n_times), 3):
+        for t1, t2, t3 in itertools.combinations(times, 3):
             direct = process.two_time_conditional(t1, t3)
             composed = process.two_time_conditional(t2, t3) @ process.two_time_conditional(t1, t2)
             mask = np.isfinite(direct) & np.isfinite(composed)
@@ -280,6 +282,7 @@ def check_cdiv(family: TransitionFamily, tol: float = 1e-10) -> CriterionReport:
     transition matrices. The connecting step of an invertible T(t1) is
     unique; for a singular T(t1) the family's own step is tried as an
     existence witness, and absent that the interval is inconclusive."""
+    _listed(family.maps, "grid maps", least=2)
     intervals = [((t1, t2), r, cols) for t1, t2, *_, r, cols in connecting_steps(family)]
     return _interval_report("cdiv", intervals, tol,
                             f"{len(family.times)} grid times, consecutive pairs")
@@ -289,9 +292,11 @@ def check_stochastic_semigroup(family: TransitionFamily,
                                tol: float = 1e-10) -> CriterionReport:
     """Homogeneity composition: T(r+s) = T(r) T(s) on the available grid."""
     lookup = dict(zip(family.times, family.maps))
+    pairs = _listed(((r, s) for r in family.times for s in family.times if (r + s) in lookup),
+                    "duration pairs with r + s on the grid")
     worst, pair, verdict = worst_case(
         ((float(np.max(np.abs(lookup[r + s] - lookup[r] @ lookup[s]))), (r, s))
-         for r in family.times for s in family.times if (r + s) in lookup), tol)
+         for r, s in pairs), tol)
     witnesses = {"max_residual": worst, "worst_pair": list(pair) if pair else []}
     return CriterionReport("stochastic-semigroup", verdict, witnesses, tol,
                            f"duration pairs within {family.times}")
@@ -312,8 +317,9 @@ def check_classical_disting(family: TransitionFamily,
     T(t2)'s largest entry on an orthonormal kernel basis); it passes when
     the family's own step is stochastic and composes, else it is
     inconclusive."""
-    anchored = TransitionFamily([0, *family.times], [np.eye(len(family.maps[0])),
-                                                     *family.maps], family.steps)
+    maps = _listed(family.maps, "grid maps", least=2)
+    anchored = TransitionFamily([0, *family.times], [np.eye(len(maps[0])), *maps],
+                                family.steps)
     intervals = []
     for t1, t2, m1, m2, step, invertible, step_resid, cols in connecting_steps(anchored):
         if cols:

@@ -33,8 +33,8 @@ import numpy as np
 from .core import (DensityOperator, ID2, PAULIS, SX, SY, SZ, branch_negativity,
                    hermitian_basis, ket, negativity_pure_from_marginal, purity,
                    trace_norms, vn_entropy, random_pure)
-from .models import (JointModel, MapFamilyModel, _apply_cop, _eig_branches,
-                     assemble_map, dd_apply, evolve)
+from .models import (JointModel, MapFamilyModel, _eig_branches, assemble_map,
+                     dd_apply, evolve)
 from .superop import (SuperOperator, compose, intermediate_map, is_cptp,
                       vec, unvec)
 
@@ -254,6 +254,18 @@ def _low_rank_trace_distance(vs1, ws1, vs2, ws2) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2))))
 
 
+def _span_negativity(branches, ds: int) -> float:
+    """`branch_negativity` of a mixture of joint vectors [(w_k, v_k)] with
+    the system index major, decided in the span of their bath rows: R holds
+    the rows' coordinates in that span (`_span_coordinates`), so each v_k
+    becomes a ds x rank vector. The isometry onto the span acts on the bath
+    alone and commutes with the partial transpose, so the negativity is the
+    same, while no matrix of the bath's size is formed."""
+    r = _span_coordinates([row for _, v in branches for row in v.reshape(ds, -1)])
+    return branch_negativity([(w, r[:, k * ds:(k + 1) * ds].T.reshape(-1))
+                              for k, (w, _) in enumerate(branches)], (ds, r.shape[0]))
+
+
 def _env_marginal_vectors(model: JointModel, branches):
     """Spanning vectors/weights of the bath marginal of a branched state."""
     ds, de = model.dim_s, model.dim_e
@@ -297,7 +309,7 @@ def check_fa(model: JointModel, initial_states=None, times=(0.5, 1.0),
             elif ds * de <= 4096:
                 neg = branch_negativity(branches, (ds, de))
             else:
-                neg = 0.0
+                neg = _span_negativity(branches, ds)
             max_neg = max(max_neg, neg)
             env_margs.append((env_vs, env_ws))
         for (v1, w1), (v2, w2) in itertools.combinations(env_margs, 2):
@@ -335,6 +347,12 @@ def _schedule(times, c_ops) -> tuple:
         raise ValueError(f"{len(c_ops)} operator pairs for {len(times)} times")
     return times, [(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
                    for a, b in c_ops]
+
+
+def _apply_cop(c_op, x: np.ndarray) -> np.ndarray:
+    """The insertion X -> B X A of an operator pair c_op = (A, B)."""
+    a, b = c_op
+    return np.asarray(b, dtype=complex) @ x @ np.asarray(a, dtype=complex)
 
 
 def _exact_correlations(model: JointModel, cases, rho_s0) -> list:

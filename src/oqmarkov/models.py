@@ -1,6 +1,5 @@
 """Concrete system--environment and map-only models behind a uniform
-interface, each bundling the closed-form results that make it useful as a
-test oracle.
+interface: the counterexample models that set the Markov concepts apart.
 
 Every joint model is defined by the pair (joint unitary family, initial
 environment state). The criterion checkers only need two things from a
@@ -16,7 +15,8 @@ collision presets).
 joint model defines it as the action of U(t2, t1) on a joint vector,
 without forming the joint matrix (the collision model applies one pair
 unitary per slot). Every map a checker reads is assembled from it by
-`assemble_map`; a model's closed-form `analytic_map` is a test oracle only.
+`assemble_map`. A model carries no closed-form map: the closed forms the
+tests compare against live beside the tests, not in the package.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ class AflModel(JointModel):
     The coupling (g/2) sigma_z (x) x_hat keeps the joint unitary diagonal in
     the bath coordinate, so the exact reduced dynamics multiplies each
     coherence by the bath characteristic function chi(a) = exp(-gamma|a|)
-    evaluated at the accumulated phase slope. The model carries both this
-    analytic kernel and a quadrature grid whose discretization error is
+    evaluated at the accumulated phase slope. The model propagates on a
+    quadrature grid whose discretization error against that kernel is
     measured on construction, at 600 evenly spaced phase slopes of the band
     `_AFL_BAND` (`quadrature_error`); a grid whose error exceeds `quad_tol`
     is rejected. gamma and g must be finite and positive, quad_tol finite
@@ -243,13 +243,6 @@ class AflModel(JointModel):
             z *= step
         return float(np.max(np.abs(vals - np.exp(-b))))
 
-    # chi(a) = integral of exp(-i a x) against the bath distribution
-    def chi_exact(self, a: float) -> float:
-        return math.exp(-self.gamma * abs(a))
-
-    def chi_grid(self, a: float) -> float:
-        return float(np.sum(self.weights * np.cos(a * self.x)))
-
     def env_branches(self):
         return [(1.0, self.amplitudes)]
 
@@ -273,73 +266,6 @@ class AflModel(JointModel):
         m[0] *= phase          # sigma_z eigenvalue +1
         m[1] *= phase.conj()   # sigma_z eigenvalue -1
         return m.reshape(-1)
-
-    def analytic_map(self, t0: float, t: float) -> SuperOperator:
-        """Closed-form dephasing map: each coherence is multiplied by
-        chi_exact of its accumulated phase slope."""
-        lam = (1.0, -1.0)
-        m = np.zeros((4, 4), dtype=complex)
-        for r in range(2):
-            for c in range(2):
-                a = (self.g / 2) * (lam[r] - lam[c]) * (t - t0)
-                m[r + 2 * c, r + 2 * c] = self.chi_exact(a)
-        return SuperOperator(m, 2)
-
-    # --- multi-time correlation oracles -----------------------------------
-    def chi_of_accumulated(self, segments) -> float:
-        """Single chi of the summed phase slope over [(lam_ket, lam_bra, dt)]."""
-        a = sum((self.g / 2) * (lk - lb) * dt for lk, lb, dt in segments)
-        return self.chi_exact(a)
-
-    def chi_of_product(self, segments) -> float:
-        """Product of per-interval chi factors over [(lam_ket, lam_bra, dt)]."""
-        out = 1.0
-        for lk, lb, dt in segments:
-            out *= self.chi_exact((self.g / 2) * (lk - lb) * dt)
-        return out
-
-    def three_time_failure_case(self, t1: float = 0.5, dt2: float = 0.5,
-                                dt3: float = 0.5):
-        """Accumulated-vs-product split for the slope pattern (+-, ++, -+)."""
-        segs = [(1, -1, t1), (1, 1, dt2), (-1, 1, dt3)]
-        return self.chi_of_accumulated(segs), self.chi_of_product(segs)
-
-    def correlation_exact(self, c_ops, times, rho_s0) -> complex:
-        """Multi-time correlation Tr[C_n U ... C_1 U C_0 rho] evaluated with
-        the exact bath kernel. c_ops[j] = (A_j, B_j) acts as X -> B X A at
-        times[j]; times[0] must be the initial time."""
-        lam = (1.0, -1.0)
-        terms = {0.0: _apply_cop(c_ops[0], np.asarray(rho_s0, dtype=complex))}
-        for j in range(1, len(times)):
-            dt = times[j] - times[j - 1]
-            new: dict = {}
-            for a, m in terms.items():
-                for r in range(2):
-                    for c in range(2):
-                        if m[r, c] == 0:
-                            continue
-                        key = round(a + (self.g / 2) * (lam[r] - lam[c]) * dt, 12)
-                        blk = new.setdefault(key, np.zeros((2, 2), dtype=complex))
-                        blk[r, c] += m[r, c]
-            terms = {a: _apply_cop(c_ops[j], m) for a, m in new.items()}
-        return complex(sum(self.chi_exact(a) * np.trace(m) for a, m in terms.items()))
-
-    def correlation_regression(self, c_ops, times, rho_s0) -> complex:
-        """Same correlation predicted from system-only replaced-bath maps."""
-        m = _apply_cop(c_ops[0], np.asarray(rho_s0, dtype=complex))
-        lam = (1.0, -1.0)
-        for j in range(1, len(times)):
-            dt = times[j] - times[j - 1]
-            fac = np.array([[self.chi_exact((self.g / 2) * (lam[r] - lam[c]) * dt)
-                             for c in range(2)] for r in range(2)])
-            m = _apply_cop(c_ops[j], fac * m)
-        return complex(np.trace(m))
-
-
-def _apply_cop(c_op, x: np.ndarray) -> np.ndarray:
-    a, b = c_op
-    return np.asarray(b, dtype=complex) @ x @ np.asarray(a, dtype=complex)
-
 
 def afl(gamma: float = 1.0, g: float = 2.0, n_points: int = 4001,
         **kwargs) -> AflModel:
@@ -386,18 +312,6 @@ class TamModel(JointModel):
             raise ValueError("negative times not allowed")
         return math.acos(math.exp(-t))
 
-    @staticmethod
-    def theta_quadrature(t: float) -> float:
-        """Integral of the coupling, with the substitution s = u^2 removing
-        the integrable inverse-square-root divergence at s = 0."""
-        import scipy.integrate
-
-        def f(u):
-            s = u * u
-            return 2.0 * u / math.sqrt(math.expm1(2.0 * s)) if s > 0 else math.sqrt(2.0)
-        val, _ = scipy.integrate.quad(f, 0.0, math.sqrt(t), limit=200)
-        return val
-
     def env_branches(self):
         return [(1.0, ket(0, 2))]
 
@@ -407,19 +321,6 @@ class TamModel(JointModel):
         phi = self.theta(t2) - self.theta(t1)
         w, v = _EXCH_EIG
         return ((v * np.exp(-1j * phi * w)) @ v.conj().T) @ joint
-
-    def analytic_map(self, t0: float, t: float) -> SuperOperator:
-        """Amplitude-damping map with coherence factor cos(theta(t)-theta(t0))."""
-        c = math.cos(self.theta(t) - self.theta(t0))
-        m = np.zeros((4, 4), dtype=complex)
-        # column-stacked basis |r + 2c>: populations and coherences
-        m[0, 0] = 1.0
-        m[0, 3] = 1.0 - c * c
-        m[3, 3] = c * c
-        m[1, 1] = c
-        m[2, 2] = c
-        return SuperOperator(m, 2)
-
 
 def tam(t0: float = 0.0) -> TamModel:
     return TamModel(t0)
@@ -434,12 +335,6 @@ def tam_post_replacement_rate(t1: float, t: float) -> float:
     """Reference decay coefficient (g g1 - g^2)/(g g1 - 1) for the reset model."""
     g1, gt = TamModel.coupling(t1), TamModel.coupling(t)
     return (gt * g1 - gt * gt) / (gt * g1 - 1.0)
-
-
-def tam_post_replacement_rate_closed_form(t1: float, t: float) -> float:
-    """Decay coefficient tan(theta(t)-theta(t1)) g(t) of the reset model,
-    equal to (g g1 - g^2)/(g g1 + 1); this is what tomography extracts."""
-    return math.tan(TamModel.theta(t) - TamModel.theta(t1)) * TamModel.coupling(t)
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +366,6 @@ class NqibModel(JointModel):
         m = joint.reshape(2, 2).copy()
         m[:, 1] *= [np.exp(-1j * dt / 2), np.exp(1j * dt / 2)]
         return m.reshape(-1)
-
-    def analytic_map(self, t0: float, t: float) -> SuperOperator:
-        f = (1.0 + np.exp(-1j * (t - t0))) / 2.0
-        # column-stacked index r + 2c: entry 1 is rho_{10}, entry 2 is rho_{01}
-        m = np.diag([1.0, np.conj(f), f, 1.0]).astype(complex)
-        return SuperOperator(m, 2)
 
     def breaking_channel(self, t1: float):
         """Projective computational measurement with re-preparation of the
@@ -724,11 +613,6 @@ class EternalModel(MapFamilyModel):
 
     def map(self, t: float) -> SuperOperator:
         return pauli_channel_map(*self.bloch_multipliers(t))
-
-    def intermediate_multipliers(self, t1: float, t2: float):
-        l1 = self.bloch_multipliers(t1)
-        l2 = self.bloch_multipliers(t2)
-        return tuple(a / b for a, b in zip(l2, l1))
 
     def generator(self, t: float) -> SuperOperator:
         spec = self.lindblad_spec()

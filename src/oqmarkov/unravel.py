@@ -4,10 +4,10 @@ unravellings of the collision and static-register models.
 
 Randomness is counter-based: every trajectory owns a Philox stream keyed by
 (master seed, trajectory index), so runs split into any number of chunks
-(``jobs``) produce bitwise identical ensembles. Both MCWF samplers and
-``classical.mcsm`` run on one sample loop, ``_sample``, and keep only their
-step arithmetic; MAX_STEP_PROB caps the jump probability of a step in both
-jump samplers.
+(``jobs``) produce bitwise identical ensembles. Both MCWF samplers,
+``classical.mcsm`` and the sampled mode of ``collision_unravel`` run on one
+sample loop, ``_sample``, and keep only their step arithmetic;
+MAX_STEP_PROB caps the jump probability of a step in both jump samplers.
 """
 
 from __future__ import annotations
@@ -376,8 +376,9 @@ def collision_unravel(model, basis_per_slot=None, psi0=None,
     Conditional system states stay pure and the weighted mean over branches
     reproduces the dynamical map exactly. All outcome branches are
     enumerated when their count stays below the enumeration limit;
-    otherwise M branches are sampled with per-trajectory streams and the
-    ensemble carries statistical rather than exact weights.
+    otherwise M branches are sampled on ``_sample``, one slot a step and one
+    uniform a slot from each trajectory's stream, and the ensemble carries
+    statistical rather than exact weights.
     """
     ds, da, n = model.dim_s, model.dim_a, model.n_slots
     if psi0 is None:
@@ -389,51 +390,48 @@ def collision_unravel(model, basis_per_slot=None, psi0=None,
     n_branches = da ** n
     bases = [_slot_basis(basis_per_slot, k, da) for k in range(n)]
 
-    def collide(psi, k):
-        joint = np.kron(psi, anc)
-        joint = model.pair_unitary @ joint
-        mat = joint.reshape(ds, da)
-        outs = []
-        b = bases[k]
-        for m_out in range(da):
-            branch = mat @ b[:, m_out].conj()
-            w = float(np.vdot(branch, branch).real)
-            if w > 1e-14:
-                outs.append((w, branch / np.sqrt(w), m_out))
-        return outs
+    def collide(psi_rows, k):
+        """Each row's psi (x) ancilla after the pair unitary, split by the
+        outcome of measuring the ancilla in slot k's basis: unnormalised
+        (rows, outcomes, ds) branch states and (rows, outcomes) weights."""
+        joint = (psi_rows[:, :, None] * anc).reshape(len(psi_rows), ds * da)
+        mat = (joint @ model.pair_unitary.T).reshape(-1, ds, da)
+        branches = np.swapaxes(mat @ bases[k].conj(), 1, 2)
+        return branches, np.sum(branches.real ** 2 + branches.imag ** 2, axis=2)
 
     if n_branches <= BRANCH_ENUM_LIMIT:
-        branches = [(1.0, psi0, (), [psi0])]
+        hist = psi0[None, None, :]
+        weights, records = np.ones(1), np.zeros((1, 0), dtype=np.int64)
         for k in range(n):
-            new = []
-            for w, psi, rec, hist in branches:
-                for wk, psik, m_out in collide(psi, k):
-                    new.append((w * wk, psik, rec + (m_out,), hist + [psik]))
-            branches = new
-        return _branch_ensemble(times, [(w, hist, rec) for w, _, rec, hist in branches],
-                                "collision-exact",
-                                meta={"exact": True, "n_branches": len(branches)})
+            branches, w = collide(hist[:, -1], k)
+            rows, outs = np.nonzero(w > 1e-14)
+            psi = branches[rows, outs] / np.sqrt(w[rows, outs])[:, None]
+            hist = np.concatenate([hist[rows], psi[:, None]], axis=1)
+            weights = weights[rows] * w[rows, outs]
+            records = np.column_stack([records[rows], outs])
+        return Ensemble(times, hist, weights, "collision-exact", None,
+                        {"exact": True, "n_branches": len(weights)}, records)
 
     if M is None or seed is None:
         raise ValueError(
             f"{n_branches} branches exceed the enumeration limit "
             f"{BRANCH_ENUM_LIMIT}; pass M and seed for sampled mode")
-    _require_samples(M)
-    states = np.empty((M, n + 1, ds), dtype=complex)
-    records = np.empty((M, n), dtype=np.int64)
-    streams = _Streams(seed)
-    for i in range(M):
-        rng = streams(i)
-        psi = states[i, 0] = psi0
-        for k in range(n):
-            outs = collide(psi, k)
-            ws = np.array([w for w, _, _ in outs])
-            pick = int(np.searchsorted(np.cumsum(ws), rng.random() * ws.sum()))
-            pick = min(pick, len(outs) - 1)
-            psi = states[i, k + 1] = outs[pick][1]
-            records[i, k] = outs[pick][2]
-    return Ensemble(times, states, np.full(M, 1.0 / M), "collision-sampled", seed,
-                    {"exact": False, "M": M}, records)
+
+    def step(x, t, u):
+        # x holds each trajectory's state and, in its last column, its last
+        # outcome: the first of weight above 1e-14 whose cumulative weight
+        # reaches u * total (the last such outcome always does, as u < 1)
+        branches, w = collide(x[:, :ds], int(t))
+        keep = w > 1e-14
+        cum = np.cumsum(np.where(keep, w, 0.0), axis=1)
+        out = np.argmax(keep & (cum >= (u[:, 0] * cum[:, -1])[:, None]), axis=1)
+        rows = np.arange(len(x))
+        return np.column_stack([branches[rows, out] / np.sqrt(w[rows, out])[:, None], out])
+
+    _, states = _sample(np.arange(n + 1.0), 1.0, M, 1, seed, np.append(psi0, 0),
+                        [(lambda i: i, 1, "random")], step)
+    return Ensemble(times, states[:, :, :ds], np.full(M, 1.0 / M), "collision-sampled", seed,
+                    {"exact": False, "M": M}, states[:, 1:, ds].real.astype(np.int64))
 
 
 def static_unravel(model, times, psi0=None,

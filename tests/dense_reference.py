@@ -8,8 +8,8 @@ predictions are the same per-case loop as `reference_prediction`."""
 
 import numpy as np
 
-from oqmarkov.criteria import generalized_map
-from oqmarkov.models import _apply_cop, _eig_branches, evolve
+from oqmarkov.criteria import _apply_cop, generalized_map
+from oqmarkov.models import _eig_branches, evolve
 
 
 def dense_propagator(model, t1: float, t2: float) -> np.ndarray:

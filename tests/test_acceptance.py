@@ -36,6 +36,9 @@ from oqmarkov.unravel import (collision_unravel, ensemble_mean,
                               ensembles_distinct, mcwf_diffusive, mcwf_jump,
                               static_unravel)
 
+from closed_forms import (afl_correlation_exact, afl_correlation_regression, tam_map,
+                          theta_quadrature, three_time_failure_case)
+
 
 def _line(num, label, ok):
     print(f"[criterion {num:>2}] {label}: {'PASS' if ok else 'FAIL'}")
@@ -69,8 +72,9 @@ def test_criterion_1_afl_qrf_gqrf_split(afl_grid):
             for b in PAULIS.values():
                 for c1 in ((ident, a), (a, ident)):
                     c_ops = [(ident, ident), c1, (ident, b)]
-                    ex = model.correlation_exact(c_ops, (0.0, t1, t2), rho0)
-                    rg = model.correlation_regression(c_ops, (0.0, t1, t2), rho0)
+                    ex = afl_correlation_exact(model.gamma, model.g, c_ops, (0.0, t1, t2), rho0)
+                    rg = afl_correlation_regression(model.gamma, model.g, c_ops,
+                                                    (0.0, t1, t2), rho0)
                     worst_analytic = max(worst_analytic, abs(ex - rg))
     _line(1, f"analytic two-time residual {worst_analytic:.2e} <= 1e-8",
           worst_analytic <= 1e-8)
@@ -82,7 +86,7 @@ def test_criterion_1_afl_qrf_gqrf_split(afl_grid):
              f"{rep.witnesses['max_residual']:.2e} <= 1e-5",
           rep.verdict == "pass")
 
-    exact, regression = model.three_time_failure_case(0.5, 0.5, 0.5)
+    exact, regression = three_time_failure_case(model.gamma, model.g, 0.5, 0.5, 0.5)
     resid = abs(exact - regression)
     _line(1, f"three-time residual {resid:.7f} = 1-exp(-2) +- 1e-6",
           abs(resid - (1.0 - math.exp(-2.0))) <= 1e-6)
@@ -110,11 +114,11 @@ def test_criterion_2_afl_fa_failure(afl_grid):
 def test_criterion_3_tam_maps_and_rates():
     model = tam()
     for t in (0.5, 1.0, 2.0, 3.0):
-        assert abs(model.theta(t) - model.theta_quadrature(t)) <= 1e-8
+        assert abs(model.theta(t) - theta_quadrature(t)) <= 1e-8
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
         e = tomograph(model, 0.0, t)
-        worst = max(worst, float(np.max(np.abs(e.mat - model.analytic_map(0.0, t).mat))))
+        worst = max(worst, float(np.max(np.abs(e.mat - tam_map(0.0, t).mat))))
     _line(3, f"tomography vs closed-form propagator {worst:.2e} <= 1e-8",
           worst <= 1e-8)
 

@@ -279,6 +279,29 @@ class TestClassicalDistinguishability:
         assert sorted(TransitionFamily.from_step_matrix(STEP, 4).steps) == consecutive
 
 
+ONE_MAP = TransitionFamily([1], [np.eye(2)])
+
+
+class TestNoVacuousPass:
+    """A classical checker given no case to test raises ValueError; it never
+    passes."""
+
+    @pytest.mark.parametrize("check", [
+        lambda: check_cdiv(ONE_MAP),
+        lambda: check_classical_disting(ONE_MAP),
+        lambda: check_classical_disting(TransitionFamily([], [])),
+        lambda: check_stochastic_semigroup(ONE_MAP),
+        lambda: check_stochastic_semigroup(TransitionFamily([2, 3], [STEP @ STEP,
+                                                                     STEP @ STEP @ STEP])),
+        lambda: check_cm(markov_chain(STEP, [0.6, 0.4], 1)),
+        lambda: check_cke(markov_chain(STEP, [0.6, 0.4], 1)),
+    ], ids=["cdiv-one", "disting-one", "disting-none", "semigroup-one",
+            "semigroup-no-sum-on-grid", "cm-two-times", "cke-two-times"])
+    def test_no_cases_raise(self, check):
+        with pytest.raises(ValueError, match="would pass without testing anything"):
+            check()
+
+
 class TestBlockwise:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oqmarkov.core import (PAULIS, SX, ket, plus_state, random_density,
-                           random_hermitian, random_pure, random_unitary,
-                           trace_norm)
-from oqmarkov import criteria
+from oqmarkov.core import (PAULIS, SX, branch_negativity, ket, plus_state,
+                           random_density, random_hermitian, random_pure,
+                           random_unitary, trace_norm)
+from oqmarkov import core, criteria
 from oqmarkov.criteria import (CriterionReport, check_composability,
                                criterion_settings, default_gqrf_op_sets,
                                check_distinguishability, check_divisibility,
@@ -23,6 +23,7 @@ from oqmarkov.models import (afl, collision, eternal_me, nqib_qubit,
                              partial_swap, static_dephasing, tam)
 from oqmarkov.superop import SuperOperator, compose, is_cptp, vec
 
+from closed_forms import afl_correlation_exact, afl_correlation_regression, tam_map
 from dense_reference import dense_propagator, reference_correlation, reference_prediction
 
 
@@ -91,10 +92,10 @@ class TestMultitime:
             c_ops = [(letters[rng.integers(4)], letters[rng.integers(4)])
                      for _ in times]
             num = multitime_correlation(model, c_ops, times, rho0)
-            ana = model.correlation_exact(c_ops, times, rho0)
+            ana = afl_correlation_exact(model.gamma, model.g, c_ops, times, rho0)
             assert abs(num - ana) < 1e-6
             numr = regression_prediction(model, c_ops, times, rho0)
-            anar = model.correlation_regression(c_ops, times, rho0)
+            anar = afl_correlation_regression(model.gamma, model.g, c_ops, times, rho0)
             assert abs(numr - anar) < 1e-6
 
 
@@ -292,6 +293,17 @@ class TestSpanKernel:
         gram = np.array([[np.vdot(u, v) for v in vs] for u in vs])
         assert np.max(np.abs(r.conj().T @ r - gram)) < 1e-14
 
+    def test_span_negativity_matches_dense(self):
+        """The negativity of a low-rank mixture, taken in the span of its
+        bath rows, is the dense one."""
+        rng = np.random.default_rng(2027)
+        for _ in range(100):
+            ds, de = int(rng.integers(2, 4)), int(rng.integers(2, 7))
+            vs, ws = _random_stack(rng, ds * de, int(rng.integers(1, 4)))
+            branches = list(zip(ws, vs))
+            want = branch_negativity(branches, (ds, de))
+            assert abs(criteria._span_negativity(branches, ds) - want) <= 1e-12, (ds, de)
+
 
 class TestAflSplit:
     def test_fa_fails_with_entanglement_witness(self):
@@ -302,6 +314,14 @@ class TestAflSplit:
         assert rep.verdict == "fail"
         assert rep.witnesses["max_mutual_information"] > 0.1
         assert rep.witnesses["max_negativity"] > 1e-3
+
+    def test_fa_negativity_of_a_mixed_start_on_the_large_bath(self):
+        """A mixed start on afl's 4001-point bath, beyond the dense limit,
+        gets its negativity in the bath rows' span (the dense path on the
+        1001-point grid reads 0.4168)."""
+        rho = 0.9 * np.outer(plus_state(), plus_state().conj()) + 0.1 * np.eye(2) / 2
+        rep = check_fa(afl(), initial_states=[rho], times=(0.5,))
+        assert rep.witnesses["max_negativity"] > 0.4
 
     def test_qrf_passes_on_grid(self):
         model = afl()
@@ -702,7 +722,7 @@ class TestMapFamilyCriteria:
         grid = [0.0, 0.5, 1.0, 1.5, 2.0]
         family = map_family(model, grid)
         assert check_divisibility(family, tol=1e-7).verdict == "pass"
-        semi = check_semigroup(lambda tau: model.analytic_map(0.0, tau),
+        semi = check_semigroup(lambda tau: tam_map(0.0, tau),
                                [(0.5, 0.5), (0.5, 1.0)], tol=1e-9)
         assert semi.verdict == "pass"
 
@@ -997,6 +1017,24 @@ class TestHierarchy:
         assert rep.consistent, rep.implications
         for crit, expected in EXPECTED_ROWS[name].items():
             assert rep.reports[crit].verdict == expected, (name, crit)
+
+    def test_trace_norms_taken_as_stacks(self, monkeypatch):
+        """`distinguishability` and `map_residual` take their trace norms as
+        stacks through `core.trace_norms`: over the hierarchies of tam, nqib,
+        collision, static-dephasing and eternal, 31 stack calls cover 9,199
+        matrices. A per-matrix `trace_norm` loop must not come back."""
+        calls = {"trace_norm": 0, "trace_norms": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(core, "trace_norm", counted("trace_norm", core.trace_norm))
+        monkeypatch.setattr(criteria, "trace_norms", counted("trace_norms", criteria.trace_norms))
+        for name in ("tam", "nqib", "collision", "static-dephasing", "eternal"):
+            hierarchy_report(name)
+        assert calls["trace_norm"] == 0 and 0 < calls["trace_norms"] <= 35, calls
 
     def test_every_fail_has_witness_above_tolerance(self):
         for name in EXPECTED_ROWS:

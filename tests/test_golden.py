@@ -9,8 +9,8 @@ moves a fixture on purpose re-records it with
 `oqmarkov hierarchy --model NAME --seed 23 --out tests/golden/hierarchy-NAME.json`
 and says why.
 
-No checker reads a closed-form map: with every `analytic_map` oracle made
-to raise, tam, nqib and afl still reproduce their fixtures.
+No checker reads a closed-form map: no preset carries one, and the closed
+forms the tests compare against live in `closed_forms.py` beside them.
 
 The stochastic samplers' CSV and JSON files at seed 7 are compared byte
 for byte; `STOCHASTIC` holds the command line of each fixture, and a
@@ -30,8 +30,7 @@ from pathlib import Path
 import pytest
 
 from oqmarkov.cli import main
-from oqmarkov.criteria import hierarchy_report
-from oqmarkov.models import PRESETS, AflModel, NqibModel, TamModel
+from oqmarkov.models import PRESETS
 from oqmarkov.serialize import dumps_canonical
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,20 +69,11 @@ def test_analyze_defaults_match_hierarchy(name, tmp_path):
     assert dumps_canonical(json.loads(out.read_text())["reports"]) == dumps_canonical(old)
 
 
-@pytest.mark.parametrize("name", ["tam", "nqib", "afl"])
-def test_hierarchy_never_reads_a_closed_form_map(name, monkeypatch):
-    """Every map a checker reads comes from the model's own dynamics:
-    with the closed-form `analytic_map` oracles made to raise, the three
-    presets that carry one still reproduce their fixtures."""
-    def closed_form(*args):
-        raise AssertionError("a checker read a closed-form map")
-    for cls in (TamModel, NqibModel, AflModel):
-        monkeypatch.setattr(cls, "analytic_map", closed_form)
-    new = hierarchy_report(name, seed=23).to_dict()
-    old = json.loads((GOLDEN / f"hierarchy-{name}.json").read_text())
-    assert dumps_canonical(list(new["reports"].values())) == dumps_canonical(old["reports"])
-    for key in ("implications", "consistent", "extras"):
-        assert dumps_canonical(new[key]) == dumps_canonical(old[key]), key
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_no_preset_defines_a_closed_form_map(name):
+    """Every map a checker reads comes from the model's own dynamics: no
+    preset carries a closed-form `analytic_map` that a checker could read."""
+    assert not hasattr(PRESETS[name](), "analytic_map")
 
 
 def test_analyze_csv_matches_fixture(tmp_path):

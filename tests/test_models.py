@@ -13,11 +13,15 @@ from oqmarkov.models import (afl, bath_correlation, collision,
                              dd_apply, eternal_me, nqib_qubit, partial_swap,
                              static_dephasing, tam,
                              tam_post_replacement_model,
-                             tam_post_replacement_rate,
-                             tam_post_replacement_rate_closed_form, make_model)
+                             tam_post_replacement_rate, make_model)
 from oqmarkov.superop import is_cptp
 from oqmarkov.criteria import tomograph
 
+from closed_forms import (afl_correlation_exact, afl_correlation_regression,
+                          afl_map, chi_exact, chi_grid, chi_of_accumulated,
+                          chi_of_product, nqib_map, tam_map,
+                          tam_post_replacement_rate_closed_form, theta_quadrature,
+                          three_time_failure_case)
 from dense_reference import dense_propagator
 
 
@@ -179,9 +183,9 @@ class TestAfl:
 
     def test_chi_identities(self):
         m = afl()
-        assert np.isclose(m.chi_exact(2.0), math.exp(-2.0))
-        assert np.isclose(m.chi_grid(2.0), math.exp(-2.0), atol=1e-8)
-        assert np.isclose(m.chi_grid(0.0), 1.0, atol=1e-13)
+        assert np.isclose(chi_exact(m.gamma, 2.0), math.exp(-2.0))
+        assert np.isclose(chi_grid(m.x, m.weights, 2.0), math.exp(-2.0), atol=1e-8)
+        assert np.isclose(chi_grid(m.x, m.weights, 0.0), 1.0, atol=1e-13)
 
     def test_identity_at_t0(self):
         m = afl()
@@ -200,7 +204,7 @@ class TestAfl:
         m = afl()
         for t in (0.25, 0.5, 1.0, 2.0):
             e_grid = tomograph(m, 0.0, t)
-            e_ana = m.analytic_map(0.0, t)
+            e_ana = afl_map(m.gamma, m.g, 0.0, t)
             assert np.max(np.abs(e_grid.mat - e_ana.mat)) < 1e-6
 
     def test_grid_refinement_converges(self):
@@ -213,12 +217,12 @@ class TestAfl:
     def test_two_time_regression_is_exact(self):
         m = afl()
         segs = [(1, -1, 0.4), (1, -1, 0.6)]
-        assert np.isclose(m.chi_of_accumulated(segs), m.chi_of_product(segs),
-                          atol=1e-14)
+        assert np.isclose(chi_of_accumulated(m.gamma, m.g, segs),
+                          chi_of_product(m.gamma, m.g, segs), atol=1e-14)
 
     def test_three_time_failure_case(self):
         m = afl()
-        exact, regression = m.three_time_failure_case(0.5, 0.5, 0.5)
+        exact, regression = three_time_failure_case(m.gamma, m.g, 0.5, 0.5, 0.5)
         assert np.isclose(exact, 1.0, atol=1e-12)
         assert np.isclose(regression, math.exp(-2.0), atol=1e-12)
         assert np.isclose(abs(exact - regression), 0.8646647167633873, atol=1e-6)
@@ -227,8 +231,8 @@ class TestAfl:
         m = afl()
         c_ops = [(ID2, ID2)] * 3
         rho0 = np.outer(plus_state(), plus_state().conj())
-        ex = m.correlation_exact(c_ops, (0.0, 0.5, 1.0), rho0)
-        rg = m.correlation_regression(c_ops, (0.0, 0.5, 1.0), rho0)
+        ex = afl_correlation_exact(m.gamma, m.g, c_ops, (0.0, 0.5, 1.0), rho0)
+        rg = afl_correlation_regression(m.gamma, m.g, c_ops, (0.0, 0.5, 1.0), rho0)
         assert np.isclose(ex, 1.0, atol=1e-12)
         assert np.isclose(rg, 1.0, atol=1e-12)
 
@@ -242,7 +246,7 @@ class TestAfl:
 class TestTam:
     def test_theta_closed_form_vs_quadrature(self):
         for t in (0.2, 0.7, 1.0, 2.0, 3.0):
-            assert abs(tam().theta(t) - tam().theta_quadrature(t)) < 1e-8
+            assert abs(tam().theta(t) - theta_quadrature(t)) < 1e-8
 
     def test_population_and_coherence_decay(self):
         model = tam()
@@ -257,7 +261,7 @@ class TestTam:
         model = tam()
         for t in (0.5, 1.0, 2.0):
             e = tomograph(model, 0.0, t)
-            assert np.max(np.abs(e.mat - model.analytic_map(0.0, t).mat)) < 1e-8
+            assert np.max(np.abs(e.mat - tam_map(0.0, t).mat)) < 1e-8
 
     def test_map_is_exponential_of_decay_generator(self):
         import scipy.linalg
@@ -318,7 +322,7 @@ class TestNqib:
         model = nqib_qubit()
         for t in (0.7, math.pi, 5.0):
             assert np.max(np.abs(tomograph(model, 0.0, t).mat
-                                 - model.analytic_map(0.0, t).mat)) < 1e-12
+                                 - nqib_map(0.0, t).mat)) < 1e-12
 
 
 class TestCollision:

@@ -14,6 +14,8 @@ from oqmarkov.superop import (LindbladSpec, SuperOperator, canonical_decompose,
                               me_integrate, pinv, superop_of, unitary_superop,
                               unvec, vec)
 
+from closed_forms import afl_map, eternal_intermediate_multipliers
+
 
 def random_superop(d, rng):
     return SuperOperator(rng.normal(size=(d * d, d * d))
@@ -166,7 +168,7 @@ class TestIntermediateMap:
         e1, e2 = model.map(1.0), model.map(2.0)
         inter = intermediate_map(e2, e1)
         diag = is_cptp(inter.map)
-        lx, _, lz = model.intermediate_multipliers(1.0, 2.0)
+        lx, _, lz = eternal_intermediate_multipliers(1.0, 2.0)
         witness = 1.0 + lz - 2.0 * lx
         assert np.isclose(witness, -0.65851, atol=1e-4)
         # smallest Choi eigenvalue is the witness / 2 in trace-d normalization
@@ -242,7 +244,7 @@ class TestGeneratorFromMaps:
         # canonical rate is gamma*g (coefficient gamma*g/2 on D[sigma_z])
         from oqmarkov.models import afl
         model = afl()      # gamma = 1, g = 2
-        map_at = lambda t: model.analytic_map(0.0, t)
+        map_at = lambda t: afl_map(model.gamma, model.g, 0.0, t)
         lhat, _ = generator_from_maps(map_at, 0.8, dt=1e-5)
         gen = canonical_decompose(lhat, tol=1e-5)
         assert np.isclose(gen.rates[0], 2.0, atol=1e-6)

@@ -287,6 +287,32 @@ class TestCollisionUnravel:
         assert set(ens.records.ravel().tolist()) <= {0, 1}
         assert np.max(np.abs(np.linalg.norm(ens.states, axis=2) - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("basis", ["computational", "conjugate"])
+    def test_sampled_mean_within_five_standard_errors_of_map(self, basis):
+        model = collision(n_slots=13, pair_unitary=partial_swap(0.3))
+        ens = collision_unravel(model, basis, M=2000, seed=5)
+        rho0 = np.outer(ens.states[0, 0], ens.states[0, 0].conj())
+        for k, t in enumerate(ens.times):
+            target = tomograph(model, model.t0, t)(rho0)
+            psi = ens.states[:, k]
+            proj = psi[:, :, None] * psi[:, None, :].conj()      # (M, 2, 2)
+            for part in (np.real, np.imag):
+                vals = part(proj)
+                se = vals.std(axis=0) / np.sqrt(len(vals))
+                assert np.all(np.abs(vals.mean(axis=0) - part(target)) <= 5 * se + 1e-12), (k, t)
+
+    def test_sampled_records_pinned(self):
+        # the records of a seed, as the per-trajectory sample loop drew them
+        model = collision(n_slots=13, pair_unitary=partial_swap(0.3))
+        want = {"computational": ["0000000001000", "0000000000000", "0000000000000",
+                                  "0100000000000", "0000000001000", "0010000000000"],
+                "conjugate": ["0010010111000", "1101111010001", "1001010101111",
+                              "1100110110111", "0000100111001", "0010011011101"]}
+        for basis, rows in want.items():
+            ens = collision_unravel(model, basis, M=6, seed=2)
+            assert [''.join(map(str, r)) for r in ens.records.tolist()] == rows
+            assert ens.records.dtype == np.int64
+
     @pytest.mark.parametrize("m", [0, -2])
     def test_sampled_mode_rejects_non_positive_sample_count(self, m):
         with pytest.raises(ValueError, match="M must be a positive"):
