@@ -76,7 +76,7 @@ class DensityOperator(Operator):
         tr = abs(np.trace(m) - 1.0)
         if tr > trace_tol:
             raise ValueError(f"trace deviates from 1 by {tr:.3e} > {trace_tol:.1e}")
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+        min_eig = float(support_eigh((m + m.conj().T) / 2, vectors=False)[0])
         if min_eig < -psd_tol:
             raise ValueError(f"negative eigenvalue {min_eig:.3e} < -{psd_tol:.1e}")
 
@@ -180,6 +180,36 @@ def partial_trace(a: Operator, keep) -> Operator:
     kept_dims = tuple(a.dims[i] for i in keep)
     d = int(np.prod(kept_dims))
     return Operator(tens.reshape(d, d), kept_dims)
+
+
+def support_eigh(h: np.ndarray, vectors: bool = True):
+    """Eigendecomposition of a Hermitian matrix on its support: the rows
+    whose row and column are not identically zero.
+
+    Each dropped row is an eigenvector of eigenvalue 0, so the result is
+    exact for any input while the solve has the support's side: a
+    projector (x) identity or projector (x) pure-state operator is solved
+    on its nonzero block, and a dense one at full size. Returns the
+    ascending spectrum, zeros included, and with `vectors` the orthonormal
+    eigenvectors as columns: the support's zero-padded to full size, and a
+    unit vector for each dropped row.
+    """
+    h = np.asarray(h)
+    support = h.any(axis=0) | h.any(axis=1)
+    if support.all():
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    keep = np.flatnonzero(support)
+    n, k = len(h), keep.size
+    block = h[np.ix_(keep, keep)]
+    if not vectors:
+        return np.sort(np.concatenate([np.linalg.eigvalsh(block), np.zeros(n - k)]))
+    w, v = np.linalg.eigh(block)
+    w = np.concatenate([w, np.zeros(n - k)])
+    full = np.zeros((n, n), dtype=v.dtype)
+    full[keep, :k] = v
+    full[np.flatnonzero(~support), np.arange(k, n)] = 1
+    order = np.argsort(w, kind="stable")
+    return w[order], full[:, order]
 
 
 def trace_norms(stack) -> np.ndarray:

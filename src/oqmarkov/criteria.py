@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import (DensityOperator, ID2, PAULIS, SX, SY, SZ, branch_negativity,
                    hermitian_basis, ket, negativity_pure_from_marginal, purity,
-                   trace_norms, vn_entropy, random_pure)
+                   support_eigh, trace_norms, vn_entropy, random_pure)
 from .models import (JointModel, MapFamilyModel, _eig_branches, assemble_map,
                      dd_apply, evolve)
 from .superop import (SuperOperator, compose, intermediate_map, is_cptp,
@@ -150,9 +150,9 @@ def replacement_map(model: JointModel, t1: float, t2: float,
                     sigma_e: np.ndarray) -> SuperOperator:
     """Map generated by resetting the bath to the Hermitian operator sigma_e
     at t1, which is linear in it: a state, or one of the signed coordinate
-    operators of `nib`'s convex search."""
+    operators of `nib`'s convex search. It is decomposed on its support."""
     sigma_e = np.asarray(sigma_e, dtype=complex)
-    w, v = np.linalg.eigh((sigma_e + sigma_e.conj().T) / 2)
+    w, v = support_eigh((sigma_e + sigma_e.conj().T) / 2)
     branches = [(float(w[i]), v[:, i]) for i in range(len(w)) if abs(w[i]) > 1e-12]
     return assemble_map(model, branches, (t1, t2), (None, None))
 
@@ -708,22 +708,25 @@ def check_nqib(model: JointModel, time_triple, breaking_channel,
         return CriterionReport("nqib", INCONCLUSIVE, {}, tol,
                                f"triple={list(time_triple)}",
                                reason="no entanglement-breaking channel supplied")
-    povm, states = breaking_channel
+    povm, states = ([np.asarray(op) for op in ops] for ops in breaking_channel)
     de = model.dim_e
+    if len(povm) != len(states):
+        raise ValueError(f"{len(povm)} POVM elements but {len(states)} prepared states")
+    if any(op.shape != (de, de) for op in povm + states):
+        raise ValueError(f"every POVM element and prepared state must be {de} x {de}")
     if model.dim_s * de > 4096:
         return CriterionReport("nqib", INCONCLUSIVE, {}, tol,
                                f"triple={list(time_triple)}",
                                reason="joint dimension too large for the dense channel check")
     acc = np.zeros((de, de), dtype=complex)
     for f in povm:
-        f = np.asarray(f)
-        if np.min(np.linalg.eigvalsh((f + f.conj().T) / 2)) < -1e-10:
+        if support_eigh((f + f.conj().T) / 2, vectors=False)[0] < -1e-10:
             raise ValueError("POVM element not positive semidefinite")
         acc += f
     if np.max(np.abs(acc - np.eye(de))) > 1e-9:
         raise ValueError("POVM does not resolve the identity")
     for s in states:
-        DensityOperator(np.asarray(s), psd_tol=1e-8)
+        DensityOperator(s, psd_tol=1e-8)
 
     e_target = tomograph(model, t0, t2)
     res = map_residual(e_target, _intervened_map(model, time_triple, povm, states))

@@ -6,8 +6,8 @@ from oqmarkov.core import (DensityOperator, Operator, PAULIS, PureState, ID2,
                            SX, SZ, helstrom_norm, hermitian_basis, ket, kron,
                            matrix_exp,
                            mutual_information, negativity, partial_trace,
-                           plus_state, trace_distance, trace_norm, trace_norms,
-                           random_density, random_hermitian)
+                           plus_state, support_eigh, trace_distance, trace_norm,
+                           trace_norms, random_density, random_hermitian)
 
 
 def dm(mat, dims=None):
@@ -36,9 +36,10 @@ class TestOperatorTypes:
             DensityOperator(np.eye(2))
 
     def test_density_rejects_negative(self):
-        m = np.diag([1.2, -0.2])
-        with pytest.raises(ValueError):
-            DensityOperator(m)
+        # the second has zero rows, so its check solves on the support
+        for diag in ([1.2, -0.2], [0.0, 1.5, 0.0, -0.5]):
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                DensityOperator(np.diag(diag))
 
     def test_pure_state_norm(self):
         with pytest.raises(ValueError):
@@ -220,6 +221,34 @@ class TestTraceNorms:
     def test_single_matrix_is_a_scalar(self):
         assert trace_norm(np.diag([1.0, -2.0])) == 3.0
         assert trace_norms(np.diag([1.0, -2.0])).shape == ()
+
+
+class TestSupportEigh:
+    @settings(max_examples=60, deadline=None)
+    @given(mask=st.lists(st.booleans(), min_size=1, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(mask=[False, False, False], seed=0)
+    @example(mask=[True, True], seed=1)
+    def test_matches_the_full_size_decomposition(self, mask, seed):
+        # a random Hermitian block at the rows `mask` selects of a zero matrix
+        rows = np.flatnonzero(mask)
+        h = np.zeros((len(mask), len(mask)), dtype=complex)
+        h[np.ix_(rows, rows)] = random_hermitian(rows.size, np.random.default_rng(seed))
+        full = np.linalg.eigvalsh(h)
+        spectrum = support_eigh(h, vectors=False)
+        assert spectrum.shape == full.shape
+        assert np.max(np.abs(spectrum - full)) < 1e-12
+        w, v = support_eigh(h)
+        assert np.max(np.abs(w - full)) < 1e-12
+        assert np.max(np.abs(v.conj().T @ v - np.eye(len(mask)))) < 1e-12
+        assert np.max(np.abs(h @ v - v * w)) < 1e-12
+
+    def test_dropped_rows_keep_their_unit_vectors(self):
+        h = np.zeros((3, 3), dtype=complex)
+        h[1, 1] = 2.0
+        w, v = support_eigh(h)
+        assert w.tolist() == [0.0, 0.0, 2.0]
+        assert np.array_equal(np.abs(v), np.eye(3)[:, [0, 2, 1]])
 
 
 class TestNegativity:

@@ -19,7 +19,7 @@ from oqmarkov.criteria import (CriterionReport, check_composability,
                                replacement_map, run_criteria, tomograph, worst_case,
                                _exact_correlations, _predicted_correlations,
                                _regression_residuals)
-from oqmarkov.models import (afl, collision, eternal_me, nqib_qubit,
+from oqmarkov.models import (afl, assemble_map, collision, eternal_me, nqib_qubit,
                              partial_swap, static_dephasing, tam)
 from oqmarkov.superop import SuperOperator, compose, is_cptp, vec
 
@@ -421,6 +421,22 @@ class TestEnvironmentInterventions:
         assert rep.verdict == "fail"
         assert rep.witnesses["residual"] > 0.1
 
+    def test_nqib_malformed_channel_raises_before_propagation(self):
+        # effects and states are paired one to one, each dim_e x dim_e: a
+        # short state list would drop an outcome and read as a fail
+        model = nqib_qubit()
+
+        def refuse(*args):
+            raise AssertionError("propagated")
+        model.apply_propagator = refuse
+        povm, states = model.breaking_channel(math.pi)
+        triple = (0.0, math.pi, 2 * math.pi)
+        for channel, match in [((povm, states[:1]), "2 POVM elements but 1 prepared"),
+                               ((povm, states + states[:1]), "2 POVM elements but 3 prepared"),
+                               (([np.eye(3)], [np.eye(3) / 3]), "must be 2 x 2")]:
+            with pytest.raises(ValueError, match=match):
+                check_nqib(model, triple, channel)
+
     def test_nqib_without_channel_inconclusive(self):
         rep = check_nqib(tam(), (0.0, 1.0, 2.0), None)
         assert rep.verdict == "inconclusive"
@@ -520,6 +536,62 @@ class TestNqibAgainstDense:
             states = [v @ s @ v.conj().T for s in states]
         t2 = t1 + frac * (3.0 - t1)
         _assert_nqib_matches_dense(model, (0.0, t1, t2), povm, states)
+
+
+class TestNqibOnTheSupport:
+    """The bath operators of `nqib` are decomposed on their support, so a
+    past-slot projector (x) identity effect or a projector (x) fresh-ancilla
+    state is solved on its nonzero block."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(mask=st.lists(st.booleans(), min_size=8, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1), t1=st.floats(0.0, 2.0), dt=st.floats(0.0, 1.0))
+    @example(mask=[False] * 8, seed=0, t1=1.0, dt=1.0)
+    def test_replacement_map_matches_the_full_size_decomposition(self, mask, seed, t1, dt):
+        rng = np.random.default_rng(seed)
+        model = collision(3, random_unitary(4, rng), random_pure(2, rng))
+        rows = np.flatnonzero(mask)
+        sigma = np.zeros((8, 8), dtype=complex)
+        sigma[np.ix_(rows, rows)] = random_hermitian(rows.size, rng)
+        w, v = np.linalg.eigh(sigma)
+        full = assemble_map(model, [(float(w[i]), v[:, i]) for i in range(8)
+                                    if abs(w[i]) > 1e-12], (t1, t1 + dt), (None, None))
+        got = replacement_map(model, t1, t1 + dt, sigma)
+        assert np.max(np.abs(got.mat - full.mat), initial=0.0) < 1e-12
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), t1=st.sampled_from([1.0, 2.0]),
+           rotated=st.booleans())
+    def test_channel_checks(self, seed, t1, rotated):
+        # the past channel as built, or (rotated) with full-support operators
+        rng = np.random.default_rng(seed)
+        model = collision(3, random_unitary(4, rng), random_pure(2, rng))
+        povm, states = model.breaking_channel(t1)
+        if rotated:
+            u = random_unitary(model.dim_e, rng)
+            povm = [u @ f @ u.conj().T for f in povm]
+            states = [u @ s @ u.conj().T for s in states]
+        triple = (0.0, t1, 3.0)
+        a, b = rng.choice(len(povm), 2, replace=False)
+
+        def replaced(ops, k, op):
+            return [op if j == k else o for j, o in enumerate(ops)]
+
+        for channel, match in [
+                # -0.5 on F_b's support, still resolving the identity
+                ((replaced(replaced(povm, a, povm[a] + 1.5 * povm[b]), b, -0.5 * povm[b]),
+                  states), "POVM element not positive semidefinite"),
+                ((replaced(povm, a, 0.5 * povm[a]), states), "does not resolve the identity"),
+                ((povm, replaced(states, a, 2 * states[a])), "trace deviates"),
+                ((povm, replaced(states, a, 1.5 * states[a] - 0.5 * states[b])),
+                 "negative eigenvalue")]:
+            with pytest.raises(ValueError, match=match):
+                check_nqib(model, triple, channel)
+        # a zero effect has an empty support and adds nothing to the map
+        rep = check_nqib(model, triple, (povm, states))
+        padded = check_nqib(model, triple, (povm + [np.zeros_like(povm[0])],
+                                            states + [states[a]]))
+        assert (padded.verdict, padded.witnesses) == (rep.verdict, rep.witnesses)
 
 
 # check_nib on the parent of the convex rewrite, where a 17^3 Bloch grid
@@ -1035,6 +1107,25 @@ class TestHierarchy:
         for name in ("tam", "nqib", "collision", "static-dephasing", "eternal"):
             hierarchy_report(name)
         assert calls["trace_norm"] == 0 and 0 < calls["trace_norms"] <= 35, calls
+
+    def test_no_large_linear_algebra_on_any_preset(self, monkeypatch):
+        """No `np.linalg` solve of the six presets' hierarchies has a side of
+        32 or more, so none runs threaded LAPACK. Collision's nqib operators
+        are 64 x 64 but nonzero on 16 rows or 1: they are decomposed on their
+        support."""
+        large = []
+
+        def counted(name, fn):
+            def wrapper(a, *args, **kwargs):
+                if max(np.shape(a)[-2:], default=0) >= 32:
+                    large.append((name, np.shape(a)))
+                return fn(a, *args, **kwargs)
+            return wrapper
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "qr", "pinv", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        for name in sorted(EXPECTED_ROWS):
+            hierarchy_report(name)
+        assert large == []
 
     def test_every_fail_has_witness_above_tolerance(self):
         for name in EXPECTED_ROWS:
