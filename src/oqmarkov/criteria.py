@@ -33,10 +33,10 @@ import numpy as np
 from .core import (DensityOperator, ID2, PAULIS, SX, SY, SZ, branch_negativity,
                    hermitian_basis, ket, negativity_pure_from_marginal, purity,
                    support_eigh, trace_norms, vn_entropy, random_pure)
-from .models import (JointModel, MapFamilyModel, _eig_branches, assemble_map,
+from .models import (JointModel, MapFamilyModel, _start_stack, assemble_map,
                      dd_apply, evolve)
 from .superop import (SuperOperator, compose, intermediate_map, is_cptp,
-                      vec, unvec)
+                      vec)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
@@ -195,9 +195,10 @@ def _probe_stack(d: int) -> np.ndarray:
 def map_residual(s1: SuperOperator, s2: SuperOperator) -> dict:
     """Two residuals of a map difference: max absolute Liouville entry and
     the worst trace distance of outputs over a fixed probe-state set."""
-    diff = s1.mat - s2.mat
+    diff, d = s1.mat - s2.mat, s1.dim
     max_entry = float(np.max(np.abs(diff)))
-    outs = np.stack([unvec(diff @ v, s1.dim) for v in _probe_stack(s1.dim)])
+    # one matrix-vector product per probe; each output unvectorised
+    outs = (diff @ _probe_stack(d)[..., None]).reshape(-1, d, d).swapaxes(-1, -2)
     action = max([0.0, *(0.5 * trace_norms(outs)).tolist()])
     return {"max_entry": max_entry, "action_norm": action,
             "residual": max(max_entry, action)}
@@ -349,21 +350,16 @@ def _schedule(times, c_ops) -> tuple:
                    for a, b in c_ops]
 
 
-def _apply_cop(c_op, x: np.ndarray) -> np.ndarray:
-    """The insertion X -> B X A of an operator pair c_op = (A, B)."""
-    a, b = c_op
-    return np.asarray(b, dtype=complex) @ x @ np.asarray(a, dtype=complex)
-
-
 def _exact_correlations(model: JointModel, cases, rho_s0) -> list:
     """multitime_correlation of each (times, c_ops) case. A bra or ket is
     built as `evolve` builds it, one step (an op, then the propagation to the
     next time) per call, and each distinct prefix of steps, keyed by its
-    times and ops (`_op_key`), gets one node id per call. Per start branch,
-    the cases are visited sorted by their node-id paths, each node's vector
-    is built once and dropped after its last reader, and each case sums
-    q * p * <bra|ket> over the start branches in their order, so the values
-    are those of one `evolve` per bra and ket."""
+    times and ops (`_op_key`), gets one node id per call. The start branches
+    (q, s) x (p, phi) go through one walk as a stack: the cases are visited
+    sorted by their node-id paths, each node's stack is built once and
+    dropped after its last reader, and each case sums q * p * <bra|ket>
+    over the start branches in their order, so the values are those of one
+    `evolve` per branch and bra or ket."""
     ids, steps, paths = {}, [None], []     # node 0 is the empty prefix
     for times, c_ops in cases:
         times, c_ops = _schedule(times, c_ops)
@@ -386,38 +382,49 @@ def _exact_correlations(model: JointModel, cases, rho_s0) -> list:
     readers = collections.Counter(n for case_paths in paths for path in case_paths
                                   for n in path)
     totals = [0.0 + 0.0j] * len(cases)
-    for q, s in _eig_branches(np.asarray(rho_s0, dtype=complex), 1e-14):
-        for p, phi in model.env_branches():
-            root, held, left = np.kron(s, phi), {}, readers.copy()
-            for c in order:
-                ends = []
-                for path in paths[c]:
-                    v = root
-                    for n in path:
-                        v = held[n] if n in held else evolve(model, v, *steps[n])
-                        left[n] -= 1
-                        if left[n]:
-                            held[n] = v
-                        else:
-                            held.pop(n, None)
-                    ends.append(v)
-                totals[c] += q * p * np.vdot(*ends)
+    weights, root = _start_stack(model, rho_s0, 1e-14)
+    if not weights:
+        return totals
+    held = {}
+    for c in order:
+        ends = []
+        for path in paths[c]:
+            v = root
+            for n in path:
+                v = held[n] if n in held else evolve(model, v, *steps[n])
+                readers[n] -= 1
+                if readers[n]:
+                    held[n] = v
+                else:
+                    held.pop(n, None)
+            ends.append(v)
+        for w, bra, ket_ in zip(weights, *ends):
+            totals[c] += w * np.vdot(bra, ket_)
     return [complex(t) for t in totals]
 
 
 def _predicted_correlations(model: JointModel, cases, rho_s0) -> list:
     """regression_prediction of each (times, c_ops) case, step by step
-    through the replaced-bath maps, each map built once (`_map_store`)."""
-    out = []
+    through the replaced-bath maps, each map built once (`_map_store`). The
+    cases that share a time tuple go through each map and operator pair as
+    one stack, one product per member, so each value is that of its case
+    alone."""
+    cases = [_schedule(times, c_ops) for times, c_ops in cases]
+    groups = {}
+    for c, (times, _) in enumerate(cases):
+        groups.setdefault(times, []).append(c)
+    out = [None] * len(cases)
+    rho = np.asarray(rho_s0, dtype=complex)
     with _map_store(model):
-        for times, c_ops in cases:
-            times, c_ops = _schedule(times, c_ops)
-            x = np.asarray(rho_s0, dtype=complex)
-            for j, c_op in enumerate(c_ops):
+        for times, members in groups.items():
+            x = np.broadcast_to(rho, (len(members),) + rho.shape)
+            for j in range(len(times)):
                 if j:
                     x = generalized_map(model, times[j - 1], times[j])(x)
-                x = _apply_cop(c_op, x)
-            out.append(complex(np.trace(x)))
+                pairs = [cases[c][1][j] for c in members]
+                x = np.array([b for _, b in pairs]) @ x @ np.array([a for a, _ in pairs])
+            for c, tr in zip(members, np.trace(x, axis1=-2, axis2=-1)):
+                out[c] = complex(tr)
     return out
 
 
@@ -807,10 +814,10 @@ def check_distinguishability(family, state_pairs=None, w_grid=None,
         state_pairs.append((np.outer(up, up.conj()), np.outer(dn, dn.conj())))
     state_pairs = _listed(state_pairs, "state pairs")
     w_grid = _listed(np.arange(0.1, 0.95, 0.1) if w_grid is None else w_grid, "weights")
-    # [pair, state, time, d, d]
-    images = np.array([[[emap(x) for _, emap in family] for x in pair]
-                       for pair in state_pairs]).reshape(len(state_pairs), 2,
-                                                         len(family), d, d)
+    # [pair, state, time, d, d]: each grid map applied once to the stack
+    # of every state
+    states = np.array(state_pairs).reshape(len(state_pairs), 2, d, d)
+    images = np.stack([emap(states) for _, emap in family], axis=2)
     w = np.array(w_grid, dtype=float).reshape(1, -1, 1, 1, 1)
     # [pair, weight, time]
     norms = trace_norms(w * images[:, None, 0] - (1 - w) * images[:, None, 1])

@@ -14,9 +14,16 @@ collision presets).
 `apply_propagator(t1, t2, joint)` is the one propagation contract: each
 joint model defines it as the action of U(t2, t1) on a joint vector,
 without forming the joint matrix (the collision model applies one pair
-unitary per slot). Every map a checker reads is assembled from it by
-`assemble_map`. A model carries no closed-form map: the closed forms the
-tests compare against live beside the tests, not in the package.
+unitary per slot). `joint` has shape (..., dim_s * dim_e): its leading
+axes, if any, are a stack of vectors propagated in one call, and each
+member's arithmetic is that of the vector alone, bit for bit. A kernel
+keeps that by giving every member the BLAS call, of the same shape and
+layout, that a lone vector gets; it never widens a product to absorb the
+stack, which would change the last bits. `evolve` carries the stack
+through a schedule. Every map a checker reads is assembled from it by
+`assemble_map`, which evolves all its start columns as one stack. A model
+carries no closed-form map: the closed forms the tests compare against
+live beside the tests, not in the package.
 """
 
 from __future__ import annotations
@@ -37,6 +44,19 @@ DENSE_JOINT_LIMIT = 4096
 def _eig_branches(mat: np.ndarray, tol: float = 1e-12):
     w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
     return [(float(w[i]), v[:, i].copy()) for i in range(len(w)) if w[i] > tol]
+
+
+def _start_stack(model, rho_s0: np.ndarray, tol: float = 1e-12):
+    """Weights q * p and the stack of start vectors s (x) e over the
+    eigenbranches (q, s) of rho_s0 with q > tol and the bath branches
+    (p, e), system branch major. The stack is one broadcast product of the
+    same factors np.kron multiplies, so each row is bitwise its kron."""
+    ds, de = model.dim_s, model.dim_e
+    sys_b = _eig_branches(np.asarray(rho_s0, dtype=complex), tol)
+    env_b = model.env_branches()
+    s = np.array([v for _, v in sys_b]).reshape(len(sys_b), 1, ds, 1)
+    e = np.array([v for _, v in env_b]).reshape(1, len(env_b), 1, de)
+    return [q * p for q, _ in sys_b for p, _ in env_b], (s * e).reshape(-1, ds * de)
 
 
 class JointModel:
@@ -61,14 +81,19 @@ class JointModel:
         return rho
 
     def apply_propagator(self, t1: float, t2: float, joint: np.ndarray) -> np.ndarray:
-        """U(t2, t1) applied to a joint vector (system index major)."""
+        """U(t2, t1) applied to joint vectors (system index major) of shape
+        (..., dim_s * dim_e), returned in the same shape. The leading axes
+        are a stack: each member's result is bitwise the result of that
+        vector propagated alone."""
         raise NotImplementedError
 
     def joint_branches(self, rho_s0: np.ndarray, t: float):
-        """Branches [(weight, joint vector at time t)] from a factorized start."""
-        return [(q * p, evolve(self, np.kron(s, e), (self.t0, t), (None, None)))
-                for q, s in _eig_branches(np.asarray(rho_s0, dtype=complex))
-                for p, e in self.env_branches()]
+        """Branches [(weight, joint vector at time t)] from a factorized
+        start, every branch propagated in one stack."""
+        weights, starts = _start_stack(self, rho_s0)
+        if not weights:
+            return []
+        return list(zip(weights, evolve(self, starts, (self.t0, t), (None, None))))
 
     def reduced_state(self, rho_s0: np.ndarray, t: float) -> np.ndarray:
         return self.system_marginal(self.joint_branches(rho_s0, t))
@@ -103,15 +128,18 @@ class MapFamilyModel:
 
 def evolve(model: JointModel, joint: np.ndarray, times: Sequence[float],
            ops: Sequence) -> np.ndarray:
-    """Joint vector after a schedule: the system operator ops[k] acts at
-    times[k] (None acts as the identity), with the joint propagation
-    between consecutive times."""
+    """Joint vectors (a stack of shape (..., dim_s * dim_e), as
+    `apply_propagator` takes) after a schedule: the system operator ops[k]
+    acts at times[k] (None acts as the identity), with the joint
+    propagation between consecutive times."""
     ds, de = model.dim_s, model.dim_e
     for k, op in enumerate(ops):
         if k:
             joint = model.apply_propagator(times[k - 1], times[k], joint)
         if op is not None:
-            joint = (np.asarray(op, dtype=complex) @ joint.reshape(ds, de)).reshape(-1)
+            shape = joint.shape
+            joint = (np.asarray(op, dtype=complex)
+                     @ joint.reshape(shape[:-1] + (ds, de))).reshape(shape)
     return joint
 
 
@@ -120,22 +148,35 @@ def assemble_map(model: JointModel, branches, times: Sequence[float], ops: Seque
     """System map X -> Tr_E[(1 (x) F) K (X (x) sigma) K^dag] of a schedule K
     (see evolve) started from the bath state sigma = sum_b w_b |e_b><e_b|,
     given as branches [(w_b, e_b)] whose weights may be negative. The bath
-    effect F defaults to the identity, the plain partial trace."""
+    effect F defaults to the identity, the plain partial trace.
+
+    The start columns |i> (x) e_b of every branch are evolved in one stack
+    and contracted in one stacked product, unless the joint dimension
+    exceeds DENSE_JOINT_LIMIT: a stack of vectors that long takes
+    temporaries past glibc's mmap and trim thresholds (128 KiB), each handed
+    back to the kernel and faulted in again, so such columns go one at a
+    time. The branches are summed in their
+    order, so both ways give the same bits. No branches give the zero map."""
     ds, de = model.dim_s, model.dim_e
     ft = None if effect is None else np.asarray(effect, dtype=complex).T
-    evolved = []
-    for p, phi in branches:
+    blocks = np.zeros((ds,) * 4, dtype=complex)     # [i, j]: the image of |i><j|
+    if branches and ds * de <= DENSE_JOINT_LIMIT:
+        # row (b, i) is kron(|i>, e_b), as one broadcast product
+        phis = np.array([phi for _, phi in branches])[:, None, None, :]
+        starts = (np.eye(ds, dtype=complex)[None, :, :, None] * phis).reshape(-1, ds * de)
+        mats = evolve(model, starts, times, ops).reshape(-1, ds, ds, de)
+        left = mats if ft is None else mats @ ft
+        prods = left[:, :, None] @ mats.conj()[:, None].swapaxes(-1, -2)
+    else:
         mats = [evolve(model, np.kron(ket(i, ds), phi), times, ops).reshape(ds, de)
-                for i in range(ds)]
-        evolved.append((p, mats if ft is None else [u @ ft for u in mats], mats))
-    m = np.zeros((ds * ds, ds * ds), dtype=complex)
-    for i in range(ds):
-        for j in range(ds):
-            out = np.zeros((ds, ds), dtype=complex)
-            for p, left, mats in evolved:
-                out += p * (left[i] @ mats[j].conj().T)
-            m[:, i + ds * j] = vec(out)
-    return SuperOperator(m, ds)
+                for _, phi in branches for i in range(ds)]
+        left = mats if ft is None else [u @ ft for u in mats]
+        prods = [np.array([[left[b + i] @ mats[b + j].conj().T for j in range(ds)]
+                           for i in range(ds)]) for b in range(0, len(mats), ds)]
+    for (p, _), prod in zip(branches, prods):
+        blocks += p * prod
+    # column i + ds j of the map is vec of block [i, j]
+    return SuperOperator(blocks.transpose(3, 2, 1, 0).reshape(ds * ds, ds * ds), ds)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +302,11 @@ class AflModel(JointModel):
         return phase
 
     def apply_propagator(self, t1, t2, joint):
-        m = joint.reshape(2, self.dim_e).copy()
+        m = joint.reshape(joint.shape[:-1] + (2, self.dim_e)).copy()
         phase = self._phase(t2 - t1)
-        m[0] *= phase          # sigma_z eigenvalue +1
-        m[1] *= phase.conj()   # sigma_z eigenvalue -1
-        return m.reshape(-1)
+        m[..., 0, :] *= phase          # sigma_z eigenvalue +1
+        m[..., 1, :] *= phase.conj()   # sigma_z eigenvalue -1
+        return m.reshape(joint.shape)
 
 def afl(gamma: float = 1.0, g: float = 2.0, n_points: int = 4001,
         **kwargs) -> AflModel:
@@ -320,7 +361,8 @@ class TamModel(JointModel):
             raise ValueError("negative times not allowed")
         phi = self.theta(t2) - self.theta(t1)
         w, v = _EXCH_EIG
-        return ((v * np.exp(-1j * phi * w)) @ v.conj().T) @ joint
+        # one matrix-vector product per member, as for a lone vector
+        return (((v * np.exp(-1j * phi * w)) @ v.conj().T) @ joint[..., None])[..., 0]
 
 def tam(t0: float = 0.0) -> TamModel:
     return TamModel(t0)
@@ -363,9 +405,9 @@ class NqibModel(JointModel):
     def apply_propagator(self, t1, t2, joint):
         # partner in |1>: phase exp(-+i dt/2) on system level 0/1
         dt = t2 - t1
-        m = joint.reshape(2, 2).copy()
-        m[:, 1] *= [np.exp(-1j * dt / 2), np.exp(1j * dt / 2)]
-        return m.reshape(-1)
+        m = joint.reshape(joint.shape[:-1] + (2, 2)).copy()
+        m[..., 1] *= [np.exp(-1j * dt / 2), np.exp(1j * dt / 2)]
+        return m.reshape(joint.shape)
 
     def breaking_channel(self, t1: float):
         """Projective computational measurement with re-preparation of the
@@ -450,6 +492,12 @@ class CollisionModel(JointModel):
             raise ValueError("slot_times must be n_slots+1 finite, strictly increasing boundaries")
         self.t0 = float(self.slot_times[0])
         self.dim_e = self.dim_a ** self.n_slots
+        # per slot k, the axis order of a stacked state (stack, system,
+        # ancillas) with ancilla k moved next to the system, and its inverse
+        self._slot_axes = []
+        for k in range(self.n_slots):
+            front = [0, 1, k + 2] + [a for a in range(2, self.n_slots + 2) if a != k + 2]
+            self._slot_axes.append((front, [int(a) for a in np.argsort(front)]))
         branches = [(1.0, np.ones(1, dtype=complex))]
         for _ in range(self.n_slots):
             branches = [(p * q, np.kron(v, a)) for p, v in branches for q, a in anc_branches]
@@ -507,17 +555,19 @@ class CollisionModel(JointModel):
             raise ValueError(f"time query [{t1}, {t2}] beyond the slot schedule")
         if t2 < t1:
             raise ValueError("t2 < t1")
-        ds, da = self.dim_s, self.dim_a
-        psi = joint.reshape((ds,) + (da,) * self.n_slots)
-        for k in range(self.n_slots):
+        ds, da, n = self.dim_s, self.dim_a, self.n_slots
+        psi = joint.reshape((-1, ds) + (da,) * n)
+        for k in range(n):
             a, b = self.slot_times[k], self.slot_times[k + 1]
             lo, hi = max(t1, a), min(t2, b)
             if hi - lo > 1e-12:
-                # pair unitary on (system, ancilla k); tensordot puts the
-                # new ancilla-k axis second, moveaxis puts it back
-                u = self._pair_power((hi - lo) / (b - a)).reshape(ds, da, ds, da)
-                psi = np.moveaxis(np.tensordot(u, psi, axes=([2, 3], [0, k + 1])), 1, k + 1)
-        return psi.reshape(-1)
+                # pair unitary on (system, ancilla k): one product per member
+                to_front, back = self._slot_axes[k]
+                front = psi.transpose(to_front)
+                out = self._pair_power((hi - lo) / (b - a)) @ front.reshape(
+                    len(psi), ds * da, da ** (n - 1))
+                psi = out.reshape(front.shape).transpose(back)
+        return psi.reshape(joint.shape)
 
 
 def collision(n_slots: int = 6, pair_unitary: np.ndarray | None = None,
@@ -571,8 +621,8 @@ class StaticDephasingModel(JointModel):
     def apply_propagator(self, t1, t2, joint):
         # register level j (column j) evolves under its own sector unitary
         us = np.stack([self.sector_unitary(j, t2 - t1) for j in range(self.dim_e)])
-        m = joint.reshape(self.dim_s, self.dim_e)
-        return np.einsum("jab,bj->aj", us, m).reshape(-1)
+        m = joint.reshape(joint.shape[:-1] + (self.dim_s, self.dim_e))
+        return np.einsum("jab,...bj->...aj", us, m).reshape(joint.shape)
 
 
 def static_dephasing(probabilities: Sequence[float] | None = None,

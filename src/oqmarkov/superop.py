@@ -50,7 +50,14 @@ class SuperOperator:
         self.dim = d
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return unvec(self.mat @ vec(x), self.dim)
+        """The map on a matrix, or on every member of a stack of shape
+        (..., d, d): one matrix-vector product per member, so a member's
+        image is bitwise that of the matrix alone. Each image is
+        column-major, as `unvec` returns it."""
+        x = np.asarray(x)
+        d, lead = self.dim, x.shape[:-2]
+        cols = x.swapaxes(-1, -2).reshape(lead + (d * d, 1))     # vec of each member
+        return (self.mat @ cols).reshape(lead + (d, d)).swapaxes(-1, -2)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import scipy.integrate
 
-from oqmarkov.criteria import _apply_cop
+from dense_reference import apply_cop
 from oqmarkov.models import EternalModel, TamModel
 from oqmarkov.superop import SuperOperator
 
@@ -67,7 +67,7 @@ def afl_correlation_exact(gamma: float, g: float, c_ops, times, rho_s0) -> compl
     """Multi-time correlation Tr[C_n U ... C_1 U C_0 rho] evaluated with
     the exact bath kernel. c_ops[j] = (A_j, B_j) acts as X -> B X A at
     times[j]; times[0] must be the initial time."""
-    terms = {0.0: _apply_cop(c_ops[0], np.asarray(rho_s0, dtype=complex))}
+    terms = {0.0: apply_cop(c_ops[0], np.asarray(rho_s0, dtype=complex))}
     for j in range(1, len(times)):
         dt = times[j] - times[j - 1]
         new: dict = {}
@@ -79,18 +79,18 @@ def afl_correlation_exact(gamma: float, g: float, c_ops, times, rho_s0) -> compl
                     key = round(a + (g / 2) * (_LAM[r] - _LAM[c]) * dt, 12)
                     blk = new.setdefault(key, np.zeros((2, 2), dtype=complex))
                     blk[r, c] += m[r, c]
-        terms = {a: _apply_cop(c_ops[j], m) for a, m in new.items()}
+        terms = {a: apply_cop(c_ops[j], m) for a, m in new.items()}
     return complex(sum(chi_exact(gamma, a) * np.trace(m) for a, m in terms.items()))
 
 
 def afl_correlation_regression(gamma: float, g: float, c_ops, times, rho_s0) -> complex:
     """Same correlation predicted from system-only replaced-bath maps."""
-    m = _apply_cop(c_ops[0], np.asarray(rho_s0, dtype=complex))
+    m = apply_cop(c_ops[0], np.asarray(rho_s0, dtype=complex))
     for j in range(1, len(times)):
         dt = times[j] - times[j - 1]
         fac = np.array([[chi_exact(gamma, (g / 2) * (_LAM[r] - _LAM[c]) * dt)
                          for c in range(2)] for r in range(2)])
-        m = _apply_cop(c_ops[j], fac * m)
+        m = apply_cop(c_ops[j], fac * m)
     return complex(np.trace(m))
 
 

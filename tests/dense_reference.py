@@ -1,20 +1,55 @@
 """Reference implementations for the tests, which the package replaced by
-faster ones: the joint propagator U(t2, t1) as a dense matrix, and the
-exact multi-time correlations as one `evolve` per case and bra or ket. The
-package itself never forms the matrix, and builds each distinct bra or ket
-prefix of a call's cases once, visiting the cases sorted by their prefixes
-and dropping each prefix's vector after its last reader. Its regression
-predictions are the same per-case loop as `reference_prediction`."""
+faster ones: the joint propagator U(t2, t1) as a dense matrix, a map
+assembled one start column and one (i, j) block at a time, and the exact
+multi-time correlations and regression predictions as one `evolve` or one
+map step per case, start branch and bra or ket. The package never forms the
+joint matrix. It propagates a stack of vectors per call (`apply_propagator`
+takes leading axes): `assemble_map` evolves every start column at once,
+the exact correlations walk one prefix memo over a stack of all start
+branches, visiting the cases sorted by their prefixes and dropping each
+prefix's stack after its last reader, and the regression predictions of
+the cases that share a time tuple go through each map as one stack. Each
+member's arithmetic is that of a lone vector, so the values are bitwise
+those of these loops."""
 
 import numpy as np
 
-from oqmarkov.criteria import _apply_cop, generalized_map
+from oqmarkov.criteria import generalized_map
+from oqmarkov.core import ket
 from oqmarkov.models import _eig_branches, evolve
+from oqmarkov.superop import SuperOperator, vec
+
+
+def apply_cop(c_op, x: np.ndarray) -> np.ndarray:
+    """The insertion X -> B X A of an operator pair c_op = (A, B)."""
+    a, b = c_op
+    return np.asarray(b, dtype=complex) @ x @ np.asarray(a, dtype=complex)
 
 
 def dense_propagator(model, t1: float, t2: float) -> np.ndarray:
     d = model.dim_s * model.dim_e
     return np.column_stack([model.apply_propagator(t1, t2, e) for e in np.eye(d, dtype=complex)])
+
+
+def reference_map(model, branches, times, ops, effect=None) -> SuperOperator:
+    """`assemble_map` one start column |i> (x) e_b per `evolve` call, and
+    one (i, j) column of the map at a time, summed over the branches in
+    their order."""
+    ds, de = model.dim_s, model.dim_e
+    ft = None if effect is None else np.asarray(effect, dtype=complex).T
+    evolved = []
+    for p, phi in branches:
+        mats = [evolve(model, np.kron(ket(i, ds), phi), times, ops).reshape(ds, de)
+                for i in range(ds)]
+        evolved.append((p, mats if ft is None else [u @ ft for u in mats], mats))
+    m = np.zeros((ds * ds, ds * ds), dtype=complex)
+    for i in range(ds):
+        for j in range(ds):
+            out = np.zeros((ds, ds), dtype=complex)
+            for p, left, mats in evolved:
+                out += p * (left[i] @ mats[j].conj().T)
+            m[:, i + ds * j] = vec(out)
+    return SuperOperator(m, ds)
 
 
 def reference_correlation(model, c_ops, times, rho_s0) -> complex:
@@ -34,8 +69,8 @@ def reference_correlation(model, c_ops, times, rho_s0) -> complex:
 def reference_prediction(model, c_ops, times, rho_s0) -> complex:
     """Regression-predicted correlation of one case, step by step through
     the replaced-bath maps."""
-    x = _apply_cop(c_ops[0], np.asarray(rho_s0, dtype=complex))
+    x = apply_cop(c_ops[0], np.asarray(rho_s0, dtype=complex))
     for j in range(1, len(times)):
         x = generalized_map(model, times[j - 1], times[j])(x)
-        x = _apply_cop(c_ops[j], x)
+        x = apply_cop(c_ops[j], x)
     return complex(np.trace(x))

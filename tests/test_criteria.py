@@ -226,6 +226,26 @@ class TestSharedScheduleTree:
         assert peak < 6e6
 
 
+class TestStackedPropagation:
+    """One `apply_propagator` call propagates a stack: every start branch
+    of a prefix, and every start column of a map."""
+
+    def test_register_preset_propagates_its_start_branches_together(self, monkeypatch):
+        """static-dephasing's two register levels are two start branches and
+        two bath branches of every map. With one propagation per branch and
+        map column, qrf and gqrf took 56 and 204 `apply_propagator` calls in
+        one run; one stack per prefix and per map leaves 24 and 100."""
+        model = static_dephasing()
+        calls = []
+        propagate = model.apply_propagator
+        monkeypatch.setattr(model, "apply_propagator",
+                            lambda *args: calls.append(1) or propagate(*args))
+        run_criteria(model, criterion_settings(model, names=["qrf"]), seed=23)
+        assert len(calls) <= 26
+        run_criteria(model, criterion_settings(model, names=["gqrf"]), seed=23)
+        assert len(calls) <= 26 + 110
+
+
 class TestFa:
     def test_interaction_free_dynamics_passes(self):
         # local pair unitary: the joint state stays an exact product

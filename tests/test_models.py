@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import weakref
@@ -7,22 +8,22 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from oqmarkov.core import (ID2, SM, SP, SX, SZ, ket, plus_state, random_hermitian,
-                           random_pure, random_unitary)
-from oqmarkov.models import (afl, bath_correlation, collision,
-                             dd_apply, eternal_me, nqib_qubit, partial_swap,
+from oqmarkov.core import (ID2, SM, SP, SX, SZ, ket, plus_state, random_density,
+                           random_hermitian, random_pure, random_unitary)
+from oqmarkov.models import (afl, assemble_map, bath_correlation, collision,
+                             dd_apply, eternal_me, evolve, nqib_qubit, partial_swap,
                              static_dephasing, tam,
                              tam_post_replacement_model,
                              tam_post_replacement_rate, make_model)
-from oqmarkov.superop import is_cptp
-from oqmarkov.criteria import tomograph
+from oqmarkov.superop import SuperOperator, is_cptp, unvec, vec
+from oqmarkov.criteria import replacement_map, tomograph
 
 from closed_forms import (afl_correlation_exact, afl_correlation_regression,
                           afl_map, chi_exact, chi_grid, chi_of_accumulated,
                           chi_of_product, nqib_map, tam_map,
                           tam_post_replacement_rate_closed_form, theta_quadrature,
                           three_time_failure_case)
-from dense_reference import dense_propagator
+from dense_reference import dense_propagator, reference_map
 
 
 ALL_JOINT = ["afl", "tam", "nqib", "collision", "static-dephasing"]
@@ -121,6 +122,150 @@ class TestPropagationContract:
         phi = math.acos(math.exp(-(t1 + dt))) - math.acos(math.exp(-t1))
         exchange = np.kron(SM, SP) + np.kron(SP, SM)
         _check_against_dense(tam(), t1, t1 + dt, scipy.linalg.expm(-1j * phi * exchange), rng)
+
+
+@functools.lru_cache(maxsize=None)
+def _preset(name):
+    """One instance per joint preset, shared by the hypothesis examples
+    (afl's construction checks its quadrature)."""
+    return make_model(name)
+
+
+def _random_joint_model(rng, kind: str):
+    """A preset, a random collision (d = 2 or 3, 1-4 slots, a Haar pair
+    unitary, a pure or mixed ancilla, random slot lengths) or a random
+    static register (2-4 levels of random Hamiltonians on d = 2 or 3), with
+    a start time t1 <= t2 inside its schedule, slot interiors included."""
+    if kind in ALL_JOINT:
+        model = _preset(kind)
+        t1, t2 = np.sort(rng.uniform(model.t0, model.t0 + 3.0, 2))
+        return model, float(t1), float(t2)
+    d = int(rng.integers(2, 4))
+    if kind == "register":
+        levels = int(rng.integers(2, 5))
+        model = static_dephasing(rng.dirichlet(np.ones(levels)),
+                                 [random_hermitian(d, rng) for _ in range(levels)])
+        t1, t2 = np.sort(rng.uniform(0.0, 2.0, 2))
+        return model, float(t1), float(t2)
+    n = int(rng.integers(1, 5))
+    slot_times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n))])
+    ancilla = random_density(d, rng) if rng.random() < 0.5 else None
+    model = collision(n, random_unitary(d * d, rng), ancilla_state=ancilla,
+                      slot_times=slot_times)
+    # slot boundaries and slot interiors
+    t1, t2 = np.sort(rng.choice(np.concatenate([slot_times, rng.uniform(0, slot_times[-1], 2)]), 2))
+    return model, float(t1), float(t2)
+
+
+_MODEL_KINDS = st.sampled_from(ALL_JOINT + ["collision-random", "register"])
+
+
+def _stack(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestStackContract:
+    """`apply_propagator`, `evolve` and `SuperOperator.apply` take a stack
+    on leading axes, and each member's result is bit for bit that of the
+    member alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=_MODEL_KINDS, seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4))
+    def test_stacked_propagation_is_per_vector_propagation(self, kind, seed, n):
+        rng = np.random.default_rng(seed)
+        model, t1, t2 = _random_joint_model(rng, kind)
+        ds = model.dim_s
+        stack = _stack(rng, (n, ds * model.dim_e))
+        out = model.apply_propagator(t1, t2, stack)
+        assert out.shape == stack.shape
+        for x, y in zip(stack, out):
+            assert y.tobytes() == model.apply_propagator(t1, t2, x).tobytes()
+        # a schedule with system ops, one of them Fortran-ordered
+        t_mid = float(rng.uniform(t1, t2))
+        ops = [_stack(rng, (ds, ds)), None, np.asfortranarray(_stack(rng, (ds, ds)))]
+        out = evolve(model, stack, (t1, t_mid, t2), ops)
+        assert out.shape == stack.shape
+        for x, y in zip(stack, out):
+            assert y.tobytes() == evolve(model, x, (t1, t_mid, t2), ops).tobytes()
+        # two leading axes
+        assert (model.apply_propagator(t1, t2, stack.reshape(1, n, -1)).tobytes()
+                == model.apply_propagator(t1, t2, stack).tobytes())
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 4), n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacked_map_apply_is_per_matrix_apply(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        emap = SuperOperator(_stack(rng, (d * d, d * d)), d)
+        xs = _stack(rng, (n, d, d))
+        out = emap(xs)
+        assert out.shape == xs.shape
+        for x, y in zip(xs, out):
+            assert y.tobytes() == emap(x).tobytes()
+        # a lone matrix keeps its column-major image: the bytes and strides
+        # of unvec(S vec(x))
+        want = unvec(emap.mat @ vec(xs[0]), d)
+        lone = emap(xs[0])
+        assert lone.tobytes() == want.tobytes() and lone.strides == want.strides
+
+    def test_empty_stack(self):
+        for name in ALL_JOINT:
+            model = _preset(name)
+            empty = np.zeros((0, model.dim_s * model.dim_e), dtype=complex)
+            assert model.apply_propagator(model.t0, model.t0 + 1.0, empty).shape == empty.shape
+
+
+class TestReferenceMap:
+    """`assemble_map` (start columns in one stack, or one at a time above
+    the dense joint limit) against the per-column loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=_MODEL_KINDS, seed=st.integers(0, 2 ** 32 - 1),
+           bath=st.sampled_from(["initial", "signed", "effect"]), pulse=st.booleans())
+    def test_bitwise_equal_to_per_column_loop(self, kind, seed, bath, pulse):
+        rng = np.random.default_rng(seed)
+        model, t1, t2 = _random_joint_model(rng, kind)
+        de = model.dim_e
+        branches, effect = model.env_branches(), None
+        if bath == "signed" and de <= 128:
+            # a signed bath operator's eigenbranches, as nib's coordinates give
+            w, v = np.linalg.eigh(random_hermitian(de, rng))
+            branches = [(float(w[k]), v[:, k]) for k in range(de)]
+        elif bath == "effect" and de <= 128:
+            g = _stack(rng, (de, de))
+            effect = g @ g.conj().T / de
+        times, ops = (t1, t2), (None, None)
+        if pulse:
+            t_mid = float(rng.uniform(t1, t2))
+            times, ops = (t1, t_mid, t2), (None, random_unitary(model.dim_s, rng), None)
+        got = assemble_map(model, branches, times, ops, effect)
+        assert got.mat.tobytes() == reference_map(model, branches, times, ops, effect).mat.tobytes()
+
+    def test_nib_coordinates_and_no_branches(self):
+        """nib's signed coordinate operators on a qubit bath, and the zero
+        base operator of a register bath, which has no branches."""
+        for model, sigma in [(tam(), SX / 2), (nqib_qubit(), SZ / 2),
+                             (static_dephasing(), np.zeros((2, 2)))]:
+            w, v = np.linalg.eigh(sigma)
+            branches = [(float(w[k]), v[:, k]) for k in range(2) if abs(w[k]) > 1e-12]
+            want = reference_map(model, branches, (0.5, 1.0), (None, None))
+            assert replacement_map(model, 0.5, 1.0, sigma).mat.tobytes() == want.mat.tobytes()
+        empty = assemble_map(static_dephasing(), [], (0.5, 1.0), (None, None))
+        assert not empty.mat.any()
+
+    def test_breaking_channel_effects(self):
+        """The maps read through each effect of the collision preset's
+        measure-and-prepare channel, as nqib's intervened map reads them."""
+        model = _preset("collision")
+        for effect in model.breaking_channel(2.0)[0]:
+            args = (model, model.env_branches(), (0.0, 2.0), (None, None), effect)
+            assert assemble_map(*args).mat.tobytes() == reference_map(*args).mat.tobytes()
+
+    def test_afl_columns_one_at_a_time(self):
+        model = _preset("afl")
+        for times, ops in [((0.2, 0.7), (None, None)), ((0.0, 0.5, 1.0), (None, SX, None))]:
+            got = assemble_map(model, model.env_branches(), times, ops)
+            want = reference_map(model, model.env_branches(), times, ops)
+            assert got.mat.tobytes() == want.mat.tobytes()
 
 
 def _cosine_band_error(model) -> float:
