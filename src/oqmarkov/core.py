@@ -284,17 +284,6 @@ def branch_negativity(branches, dims: Sequence[int], psd_tol: float = 1e-7) -> f
     return negativity(DensityOperator(rho, dims, psd_tol=psd_tol), 1)
 
 
-def negativity_pure_from_marginal(marginal_eigs: np.ndarray) -> float:
-    """Negativity of a pure bipartite state from its reduced-state spectrum.
-
-    Avoids forming the joint matrix: for a pure state the partial transpose
-    spectrum is determined by the Schmidt coefficients, giving
-    ((sum_i sqrt(l_i))^2 - 1) / 2.
-    """
-    lam = np.clip(np.asarray(marginal_eigs, dtype=float), 0.0, None)
-    return float((np.sum(np.sqrt(lam)) ** 2 - 1.0) / 2.0)
-
-
 def matrix_exp(a: Operator) -> Operator:
     """exp(A) with an eigendecomposition fast path for (anti-)Hermitian input."""
     m = a.mat

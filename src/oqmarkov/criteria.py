@@ -31,10 +31,10 @@ from typing import Callable
 import numpy as np
 
 from .core import (DensityOperator, ID2, PAULIS, SX, SY, SZ, branch_negativity,
-                   hermitian_basis, ket, negativity_pure_from_marginal, purity,
-                   support_eigh, trace_norms, vn_entropy, random_pure)
-from .models import (JointModel, MapFamilyModel, _start_stack, assemble_map,
-                     dd_apply, evolve)
+                   hermitian_basis, ket, negativity, purity, support_eigh,
+                   trace_norms, vn_entropy, random_pure)
+from .models import (DENSE_JOINT_LIMIT, JointModel, MapFamilyModel, _start_stack,
+                     assemble_map, dd_apply, evolve)
 from .superop import (SuperOperator, compose, intermediate_map, is_cptp,
                       vec)
 
@@ -208,15 +208,6 @@ def map_residual(s1: SuperOperator, s2: SuperOperator) -> dict:
 # Factorization check
 # ---------------------------------------------------------------------------
 
-def _low_rank_spectrum(vectors: list[np.ndarray], weights: list[float]) -> np.ndarray:
-    """Eigenvalues of sum_k w_k |v_k><v_k| via the Gram matrix."""
-    if not vectors:
-        return np.zeros(0)
-    cols = np.stack([np.sqrt(w) * v for w, v in zip(weights, vectors)], axis=1)
-    gram = cols.conj().T @ cols
-    return np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-
-
 def _span_coordinates(vectors: list[np.ndarray]) -> np.ndarray:
     """Coordinates of k vectors in an orthonormal basis of their span, as
     the columns of a min(n, k) x k matrix R: the R of a Householder QR of
@@ -241,80 +232,51 @@ def _span_coordinates(vectors: list[np.ndarray]) -> np.ndarray:
     return a[:, :m].T
 
 
-def _low_rank_trace_distance(vs1, ws1, vs2, ws2) -> float:
-    """Trace distance between sum_k ws1[k] |vs1[k]><vs1[k]| and the same
-    sum over vs2, ws2: half the trace norm of R W R^H = A - B, where R holds
-    the vectors' coordinates in their joint span (`_span_coordinates`) and
-    W the signed weights, so equal stacks read exactly zero. The Gram
-    matrix V^H V is not used: its square root turns rounding at rank
-    deficiency into errors of order sqrt(eps)."""
-    r = _span_coordinates(list(vs1) + list(vs2))
-    r1, r2 = r[:, :len(vs1)], r[:, len(vs1):]
-    diff = ((r1 * np.asarray(ws1, dtype=float)) @ r1.conj().T
-            - (r2 * np.asarray(ws2, dtype=float)) @ r2.conj().T)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2))))
-
-
-def _span_negativity(branches, ds: int) -> float:
-    """`branch_negativity` of a mixture of joint vectors [(w_k, v_k)] with
-    the system index major, decided in the span of their bath rows: R holds
-    the rows' coordinates in that span (`_span_coordinates`), so each v_k
-    becomes a ds x rank vector. The isometry onto the span acts on the bath
-    alone and commutes with the partial transpose, so the negativity is the
-    same, while no matrix of the bath's size is formed."""
-    r = _span_coordinates([row for _, v in branches for row in v.reshape(ds, -1)])
-    return branch_negativity([(w, r[:, k * ds:(k + 1) * ds].T.reshape(-1))
-                              for k, (w, _) in enumerate(branches)], (ds, r.shape[0]))
-
-
-def _env_marginal_vectors(model: JointModel, branches):
-    """Spanning vectors/weights of the bath marginal of a branched state."""
-    ds, de = model.dim_s, model.dim_e
-    vs, ws = [], []
-    for w, v in branches:
-        m = v.reshape(ds, de)
-        for k in range(ds):
-            vs.append(m[k].copy())
-            ws.append(w)
-    return vs, ws
-
-
 def check_fa(model: JointModel, initial_states=None, times=(0.5, 1.0),
              tol: float = 1e-7) -> CriterionReport:
     """Factorization check: the joint state must stay a product of the
     reduced state with a bath state that is the same for every initial
     system state. Product structure is decided by mutual information (zero
     iff product); entanglement negativity is reported as an extra witness.
+
+    Every clause at a time t is read from one coordinate map: the bath rows
+    v.reshape(ds, de)[i] of every branch of every initial state (state, then
+    branch, then row i) get their coordinates in their span
+    (`_span_coordinates`), so branch k of weight w_k becomes a ds x rank
+    matrix M_k. The isometry onto the span acts on the bath alone, so it
+    keeps every spectrum, the negativity and every trace distance, and no
+    matrix of the bath's size is formed. A state's system marginal is
+    sum_k w_k M_k M_k^H, its bath marginal C W C^H over its columns C, and
+    its joint state sum_k w_k vec(M_k) vec(M_k)^H.
     """
-    ds, de = model.dim_s, model.dim_e
+    ds = model.dim_s
     times = _listed(times, "times")
     if initial_states is None:
         initial_states = [_default_rho0(ds), np.outer(ket(0, ds), ket(0, ds).conj())]
     max_mi, max_neg, max_env_dist = 0.0, 0.0, 0.0
     worst_time = None
     for t in times:
-        env_margs = []
-        for rho0 in initial_states:
-            branches = model.joint_branches(rho0, t)
-            weights = [w for w, _ in branches]
-            joint_eigs = _low_rank_spectrum([v for _, v in branches], weights)
-            rho_s = model.system_marginal(branches)
-            env_vs, env_ws = _env_marginal_vectors(model, branches)
-            env_eigs = _low_rank_spectrum(env_vs, env_ws)
-            mi = (vn_entropy(np.linalg.eigvalsh(rho_s)) + vn_entropy(env_eigs)
-                  - vn_entropy(joint_eigs))
+        per_state = [model.joint_branches(rho0, t) for rho0 in initial_states]
+        r = _span_coordinates([row for branches in per_state for _, v in branches
+                               for row in v.reshape(ds, -1)])
+        env_margs, start = [], 0
+        for branches in per_state:
+            w = np.array([wk for wk, _ in branches])
+            cols = r[:, start:start + ds * len(w)]
+            start += ds * len(w)
+            mats = cols.T.reshape(len(w), ds, -1)
+            rho_s = sum(wk * (m @ m.conj().T) for wk, m in zip(w, mats))
+            env = (cols * np.repeat(w, ds)) @ cols.conj().T
+            joint = DensityOperator(sum(wk * np.outer(m, m.conj()) for wk, m in zip(w, mats)),
+                                    (ds, r.shape[0]), psd_tol=1e-7)
+            mi = vn_entropy(rho_s) + vn_entropy(env) - vn_entropy(joint)
             if mi > max_mi:
                 max_mi, worst_time = mi, t
-            if len(branches) == 1 and abs(sum(weights) - 1) < 1e-9:
-                neg = negativity_pure_from_marginal(np.linalg.eigvalsh(rho_s))
-            elif ds * de <= 4096:
-                neg = branch_negativity(branches, (ds, de))
-            else:
-                neg = _span_negativity(branches, ds)
-            max_neg = max(max_neg, neg)
-            env_margs.append((env_vs, env_ws))
-        for (v1, w1), (v2, w2) in itertools.combinations(env_margs, 2):
-            d = _low_rank_trace_distance(v1, w1, v2, w2)
+            max_neg = max(max_neg, negativity(joint))
+            env_margs.append(env)
+        for a, b in itertools.combinations(env_margs, 2):
+            diff = a - b
+            d = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2))))
             if d > max_env_dist:
                 max_env_dist, worst_time = d, t
     witnesses = {"max_mutual_information": max_mi, "max_negativity": max_neg,
@@ -721,7 +683,7 @@ def check_nqib(model: JointModel, time_triple, breaking_channel,
         raise ValueError(f"{len(povm)} POVM elements but {len(states)} prepared states")
     if any(op.shape != (de, de) for op in povm + states):
         raise ValueError(f"every POVM element and prepared state must be {de} x {de}")
-    if model.dim_s * de > 4096:
+    if model.dim_s * de > DENSE_JOINT_LIMIT:
         return CriterionReport("nqib", INCONCLUSIVE, {}, tol,
                                f"triple={list(time_triple)}",
                                reason="joint dimension too large for the dense channel check")
@@ -897,13 +859,6 @@ class HierarchyReport:
     implications: list
     consistent: bool
     extras: dict
-
-    def to_dict(self) -> dict:
-        return {"model": self.model,
-                "reports": {k: r.to_dict() for k, r in self.reports.items()},
-                "implications": self.implications,
-                "consistent": self.consistent,
-                "extras": self.extras}
 
 
 def _check_implications(reports: dict) -> tuple[list, bool]:

@@ -96,13 +96,9 @@ class JointModel:
         return list(zip(weights, evolve(self, starts, (self.t0, t), (None, None))))
 
     def reduced_state(self, rho_s0: np.ndarray, t: float) -> np.ndarray:
-        return self.system_marginal(self.joint_branches(rho_s0, t))
-
-    def system_marginal(self, branches) -> np.ndarray:
-        """Reduced system state of a branched joint state [(weight, vector)]."""
         ds, de = self.dim_s, self.dim_e
         rho = np.zeros((ds, ds), dtype=complex)
-        for w, v in branches:
+        for w, v in self.joint_branches(rho_s0, t):
             m = v.reshape(ds, de)
             rho += w * (m @ m.conj().T)
         return rho
@@ -606,7 +602,8 @@ class StaticDephasingModel(JointModel):
                 raise ValueError("register Hamiltonians must be Hermitian")
         self.probs = p
         self.hams = hs
-        self._sector_eig = [np.linalg.eigh(h) for h in hs]
+        # level j's eigenvalues (r, ds) and eigenvectors (r, ds, ds)
+        self._sector_w, self._sector_v = np.linalg.eigh(np.stack(hs))
         self.dim_s = hs[0].shape[0]
         self.dim_e = len(p)
 
@@ -614,13 +611,15 @@ class StaticDephasingModel(JointModel):
         return [(float(self.probs[j]), ket(j, self.dim_e))
                 for j in range(self.dim_e) if self.probs[j] > 1e-14]
 
-    def sector_unitary(self, j: int, dt: float) -> np.ndarray:
-        w, v = self._sector_eig[j]
-        return (v * np.exp(-1j * w * dt)) @ v.conj().T
+    def sector_unitaries(self, dt: float) -> np.ndarray:
+        """exp(-i H_j dt) of every register level j, as an (r, ds, ds) stack
+        built in one broadcast product."""
+        w, v = self._sector_w, self._sector_v
+        return (v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
     def apply_propagator(self, t1, t2, joint):
         # register level j (column j) evolves under its own sector unitary
-        us = np.stack([self.sector_unitary(j, t2 - t1) for j in range(self.dim_e)])
+        us = self.sector_unitaries(t2 - t1)
         m = joint.reshape(joint.shape[:-1] + (self.dim_s, self.dim_e))
         return np.einsum("jab,...bj->...aj", us, m).reshape(joint.shape)
 

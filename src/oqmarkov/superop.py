@@ -18,6 +18,7 @@ import numpy as np
 from .core import Operator, hermitian_basis
 
 PINV_RCOND = 1e-12
+GENERATOR_COND_LIMIT = 1e10
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -166,9 +167,15 @@ def compose(s2: SuperOperator, s1: SuperOperator) -> SuperOperator:
     return SuperOperator(s2.mat @ s1.mat, s1.dim)
 
 
-def pinv(s: SuperOperator, rcond: float = PINV_RCOND) -> SuperOperator:
-    """Moore-Penrose pseudo-inverse; singular values below rcond*max are dropped."""
-    return SuperOperator(np.linalg.pinv(s.mat, rcond=rcond), s.dim)
+def pinv(s: SuperOperator) -> SuperOperator:
+    """Moore-Penrose pseudo-inverse; singular values below PINV_RCOND*max are dropped."""
+    return SuperOperator(np.linalg.pinv(s.mat, rcond=PINV_RCOND), s.dim)
+
+
+def _condition_number(s: SuperOperator) -> float:
+    """Ratio of the largest to the smallest singular value; inf if singular."""
+    sv = np.linalg.svd(s.mat, compute_uv=False)
+    return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
 
 @dataclasses.dataclass
@@ -177,7 +184,6 @@ class IntermediateMap:
     reconstruction_residual: float
     condition_number: float
     divisible_as_linear_map: bool
-    pinv_rcond: float = PINV_RCOND
 
 
 def intermediate_map(e_late: SuperOperator, e_early: SuperOperator,
@@ -192,9 +198,7 @@ def intermediate_map(e_late: SuperOperator, e_early: SuperOperator,
         raise ValueError("dimension mismatch")
     q = compose(e_late, pinv(e_early))
     resid = float(np.max(np.abs(q.mat @ e_early.mat - e_late.mat)))
-    sv = np.linalg.svd(e_early.mat, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    return IntermediateMap(q, resid, cond, resid <= tol)
+    return IntermediateMap(q, resid, _condition_number(e_early), resid <= tol)
 
 
 class LindbladSpec:
@@ -320,19 +324,17 @@ def me_integrate(gen, rho0, t_grid, step: float = 1e-3) -> MEResult:
 
 
 def generator_from_maps(map_at: Callable[[float], SuperOperator], t: float,
-                        dt: float = 1e-5,
-                        cond_threshold: float = 1e10) -> tuple[SuperOperator, dict]:
+                        dt: float = 1e-5) -> tuple[SuperOperator, dict]:
     """Time-local generator L(t) = dE/dt . pinv(E(t)) by central differences.
 
-    Second-order accurate in dt. A large condition number of E(t) marks the
-    extraction inconclusive; the diagnostics carry the flag.
+    Second-order accurate in dt. A condition number of E(t) above
+    GENERATOR_COND_LIMIT marks the extraction inconclusive in the diagnostics.
     """
     ep, em, e0 = map_at(t + dt), map_at(t - dt), map_at(t)
     deriv = (ep.mat - em.mat) / (2 * dt)
-    sv = np.linalg.svd(e0.mat, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    l = SuperOperator(deriv @ np.linalg.pinv(e0.mat, rcond=PINV_RCOND), e0.dim)
-    diag = {"condition_number": cond, "inconclusive": cond > cond_threshold,
+    cond = _condition_number(e0)
+    l = SuperOperator(deriv @ pinv(e0).mat, e0.dim)
+    diag = {"condition_number": cond, "inconclusive": cond > GENERATOR_COND_LIMIT,
             "pinv_rcond": PINV_RCOND}
     return l, diag
 

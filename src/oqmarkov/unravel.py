@@ -451,15 +451,9 @@ def static_unravel(model, times, psi0=None,
     times = np.asarray(times, dtype=float)
     full_times = np.concatenate([[model.t0], times])
     if basis == "register" or basis is None:
-        branches = []
-        for j in range(r):
-            p = float(model.probs[j])
-            if p <= 1e-14:
-                continue
-            states = [psi0]
-            for t in times:
-                states.append(model.sector_unitary(j, t - model.t0) @ psi0)
-            branches.append((p, states, (j,)))
+        us = [model.sector_unitaries(t - model.t0) for t in times]
+        branches = [(float(model.probs[j]), [psi0] + [u[j] @ psi0 for u in us], (j,))
+                    for j in range(r) if model.probs[j] > 1e-14]
         return _branch_ensemble(full_times, branches, "static-register",
                                 meta={"exact": True, "basis": "register"})
 

@@ -10,12 +10,16 @@ branches, visiting the cases sorted by their prefixes and dropping each
 prefix's stack after its last reader, and the regression predictions of
 the cases that share a time tuple go through each map as one stack. Each
 member's arithmetic is that of a lone vector, so the values are bitwise
-those of these loops."""
+those of these loops. `check_fa` decides its clauses in the span of the
+bath rows; `reference_fa` forms the dense joint state instead."""
+
+import itertools
 
 import numpy as np
 
 from oqmarkov.criteria import generalized_map
-from oqmarkov.core import ket
+from oqmarkov.core import (DensityOperator, ket, mutual_information, negativity,
+                           partial_trace, trace_norm)
 from oqmarkov.models import _eig_branches, evolve
 from oqmarkov.superop import SuperOperator, vec
 
@@ -74,3 +78,24 @@ def reference_prediction(model, c_ops, times, rho_s0) -> complex:
         x = generalized_map(model, times[j - 1], times[j])(x)
         x = apply_cop(c_ops[j], x)
     return complex(np.trace(x))
+
+
+def reference_fa(model, initial_states, times) -> dict:
+    """`check_fa`'s three witnesses from the dense joint state
+    U (rho0 (x) rho_E) U^dag of each initial state at each time: its
+    mutual information and negativity, and the largest trace distance
+    between two initial states' bath marginals (partial traces)."""
+    ds, de = model.dim_s, model.dim_e
+    mi = neg = dist = 0.0
+    for t in times:
+        u = dense_propagator(model, model.t0, t)
+        baths = []
+        for rho0 in initial_states:
+            joint = u @ np.kron(rho0, model.rho_e0_matrix()) @ u.conj().T
+            rho = DensityOperator((joint + joint.conj().T) / 2, (ds, de))
+            mi, neg = max(mi, mutual_information(rho)), max(neg, negativity(rho))
+            baths.append(partial_trace(rho, [1]).mat)
+        for a, b in itertools.combinations(baths, 2):
+            dist = max(dist, 0.5 * trace_norm(a - b))
+    return {"max_mutual_information": mi, "max_negativity": neg,
+            "max_env_marginal_distance": dist}

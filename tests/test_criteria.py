@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oqmarkov.core import (PAULIS, SX, branch_negativity, ket, plus_state,
+from oqmarkov.core import (PAULIS, SX, ket, plus_state,
                            random_density, random_hermitian, random_pure,
                            random_unitary, trace_norm)
 from oqmarkov import core, criteria
@@ -24,7 +24,8 @@ from oqmarkov.models import (afl, assemble_map, collision, eternal_me, nqib_qubi
 from oqmarkov.superop import SuperOperator, compose, is_cptp, vec
 
 from closed_forms import afl_correlation_exact, afl_correlation_regression, tam_map
-from dense_reference import dense_propagator, reference_correlation, reference_prediction
+from dense_reference import (dense_propagator, reference_correlation, reference_fa,
+                             reference_prediction)
 
 
 class TestCriterionReport:
@@ -263,45 +264,47 @@ class TestFa:
         assert rep.verdict == "inconclusive"
 
 
-def _dense_trace_distance(vs1, ws1, vs2, ws2) -> float:
-    """Half the trace norm of the dense difference of the two sums."""
-    def dense(vs, ws):
-        return sum(w * np.outer(v, v.conj()) for w, v in zip(ws, vs))
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(dense(vs1, ws1) - dense(vs2, ws2)))))
-
-
-def _random_stack(rng, d, k):
-    """k random unit vectors of dimension d and k positive weights of sum 1."""
-    vs = [random_pure(d, rng) for _ in range(k)]
-    return vs, list(rng.dirichlet(np.ones(k)))
-
-
 class TestSpanKernel:
-    """`fa`'s env-marginal clause: the trace distance of two low-rank
-    operators, decided in the span of their vectors."""
+    """`fa` decides every clause in the span of the bath rows of all its
+    branches: the values must be those of the dense joint state."""
 
-    def test_matches_dense_eigvalsh(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(400):
-            d = int(rng.integers(2, 9))
-            vs1, ws1 = _random_stack(rng, d, int(rng.integers(1, 4)))
-            vs2, ws2 = _random_stack(rng, d, int(rng.integers(1, 4)))
-            want = _dense_trace_distance(vs1, ws1, vs2, ws2)
-            got = criteria._low_rank_trace_distance(vs1, ws1, vs2, ws2)
-            assert abs(got - want) <= 1e-12 * want, (d, got, want)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), register=st.booleans(),
+           d=st.integers(2, 3), size=st.integers(1, 3), mixed=st.booleans(),
+           n_states=st.integers(1, 3))
+    def test_matches_dense_reference(self, seed, register, d, size, mixed, n_states):
+        """Random collisions (1-3 slots, pure or mixed ancillas, times on
+        slot boundaries) and static registers (2-4 levels), from 1-3
+        initial states, each rank-1 or mixed."""
+        rng = np.random.default_rng(seed)
+        if register:
+            levels = size + 1
+            model = static_dephasing(rng.dirichlet(np.ones(levels)),
+                                     [random_hermitian(d, rng) for _ in range(levels)])
+            times = tuple(float(t) for t in np.sort(rng.uniform(0.1, 2.0, 2)))
+        else:
+            ancilla = random_density(d, rng=rng) if mixed else random_pure(d, rng)
+            model = collision(size, random_unitary(d * d, rng), ancilla_state=ancilla)
+            times = tuple(sorted({float(t) for t in rng.integers(1, size + 1, 2)}))
+        states = [random_density(d, rng=rng, rank=None if rng.random() < 0.5 else 1)
+                  for _ in range(n_states)]
+        got = check_fa(model, initial_states=states, times=times).witnesses
+        for name, want in reference_fa(model, states, times).items():
+            assert abs(got[name] - want) <= 1e-12, (name, got[name], want)
 
-    def test_rank_deficient_stacks_read_zero(self):
-        """Equal states, or the same states times phases, with the same
-        weights: the distance is zero to rounding (a square root of the Gram
-        matrix reads about 1e-8 here)."""
+    def test_equal_initial_states_read_zero(self):
+        """Two equal initial states have bitwise equal span coordinates, so
+        their bath marginals' distance is exactly zero, on small baths and on
+        afl's 4001-point bath."""
         rng = np.random.default_rng(2025)
-        for trial in range(400):
-            d, k = int(rng.integers(2, 9)), int(rng.integers(1, 4))
-            vs, ws = _random_stack(rng, d, k)
-            phases = np.exp(2j * np.pi * rng.random(k)) if trial % 2 else np.ones(k)
-            same = criteria._low_rank_trace_distance(vs, ws, vs, ws)
-            turned = criteria._low_rank_trace_distance(vs, ws, [p * v for p, v in zip(phases, vs)], ws)
-            assert same == 0.0 and turned <= 1e-15, (d, k, turned)
+        models = [afl(), static_dephasing(rng.dirichlet(np.ones(3)),
+                                          [random_hermitian(2, rng) for _ in range(3)])]
+        models += [collision(2, random_unitary(4, rng), ancilla_state=random_density(2, rng=rng))
+                   for _ in range(4)]
+        for model in models:
+            rho = random_density(2, rng=rng)
+            rep = check_fa(model, initial_states=[rho, rho.copy()], times=(1.0, 2.0))
+            assert rep.witnesses["max_env_marginal_distance"] == 0.0, model.name
 
     def test_coordinates_reproduce_inner_products_on_a_large_bath(self):
         """On afl's 4001-point bath the span coordinates keep every inner
@@ -312,17 +315,6 @@ class TestSpanKernel:
         assert r.shape == (5, 5)
         gram = np.array([[np.vdot(u, v) for v in vs] for u in vs])
         assert np.max(np.abs(r.conj().T @ r - gram)) < 1e-14
-
-    def test_span_negativity_matches_dense(self):
-        """The negativity of a low-rank mixture, taken in the span of its
-        bath rows, is the dense one."""
-        rng = np.random.default_rng(2027)
-        for _ in range(100):
-            ds, de = int(rng.integers(2, 4)), int(rng.integers(2, 7))
-            vs, ws = _random_stack(rng, ds * de, int(rng.integers(1, 4)))
-            branches = list(zip(ws, vs))
-            want = branch_negativity(branches, (ds, de))
-            assert abs(criteria._span_negativity(branches, ds) - want) <= 1e-12, (ds, de)
 
 
 class TestAflSplit:
@@ -336,9 +328,9 @@ class TestAflSplit:
         assert rep.witnesses["max_negativity"] > 1e-3
 
     def test_fa_negativity_of_a_mixed_start_on_the_large_bath(self):
-        """A mixed start on afl's 4001-point bath, beyond the dense limit,
-        gets its negativity in the bath rows' span (the dense path on the
-        1001-point grid reads 0.4168)."""
+        """A mixed start on afl's 4001-point bath gets its negativity in the
+        bath rows' span (a dense joint state on the 1001-point grid reads
+        0.4168)."""
         rho = 0.9 * np.outer(plus_state(), plus_state().conj()) + 0.1 * np.eye(2) / 2
         rep = check_fa(afl(), initial_states=[rho], times=(0.5,))
         assert rep.witnesses["max_negativity"] > 0.4
@@ -1145,7 +1137,12 @@ class TestHierarchy:
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         for name in sorted(EXPECTED_ROWS):
             hierarchy_report(name)
+        # a mixed start on a 1001-point afl bath: the dense joint state,
+        # which reads the same negativity, has side 2002
+        rho = 0.9 * np.outer(plus_state(), plus_state().conj()) + 0.1 * np.eye(2) / 2
+        rep = check_fa(afl(n_points=1001, quad_tol=1.0), initial_states=[rho], times=(0.5,))
         assert large == []
+        assert abs(rep.witnesses["max_negativity"] - 0.41678556363663) <= 1e-12
 
     def test_every_fail_has_witness_above_tolerance(self):
         for name in EXPECTED_ROWS:
