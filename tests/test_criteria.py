@@ -268,15 +268,11 @@ class TestSpanKernel:
     """`fa` decides every clause in the span of the bath rows of all its
     branches: the values must be those of the dense joint state."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), register=st.booleans(),
-           d=st.integers(2, 3), size=st.integers(1, 3), mixed=st.booleans(),
-           n_states=st.integers(1, 3))
-    def test_matches_dense_reference(self, seed, register, d, size, mixed, n_states):
-        """Random collisions (1-3 slots, pure or mixed ancillas, times on
-        slot boundaries) and static registers (2-4 levels), from 1-3
-        initial states, each rank-1 or mixed."""
-        rng = np.random.default_rng(seed)
+    @staticmethod
+    def _case(rng, register, d, size, mixed, n_states):
+        """A random collision (`size` slots, pure or mixed ancilla, times on
+        slot boundaries) or static register (`size + 1` levels), and
+        `n_states` initial states, each rank-1 or mixed."""
         if register:
             levels = size + 1
             model = static_dephasing(rng.dirichlet(np.ones(levels)),
@@ -288,9 +284,48 @@ class TestSpanKernel:
             times = tuple(sorted({float(t) for t in rng.integers(1, size + 1, 2)}))
         states = [random_density(d, rng=rng, rank=None if rng.random() < 0.5 else 1)
                   for _ in range(n_states)]
+        return model, states, times
+
+    def _random_cases(self, seed, n, registers=True):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            yield self._case(rng, registers and bool(rng.integers(2)), int(rng.integers(2, 4)),
+                             int(rng.integers(1, 4)), bool(rng.integers(2)),
+                             int(rng.integers(2, 4)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), register=st.booleans(),
+           d=st.integers(2, 3), size=st.integers(1, 3), mixed=st.booleans(),
+           n_states=st.integers(1, 3))
+    def test_matches_dense_reference(self, seed, register, d, size, mixed, n_states):
+        """Random collisions (1-3 slots, pure or mixed ancillas, times on
+        slot boundaries) and static registers (2-4 levels), from 1-3
+        initial states, each rank-1 or mixed."""
+        rng = np.random.default_rng(seed)
+        model, states, times = self._case(rng, register, d, size, mixed, n_states)
         got = check_fa(model, initial_states=states, times=times).witnesses
         for name, want in reference_fa(model, states, times).items():
             assert abs(got[name] - want) <= 1e-12, (name, got[name], want)
+
+    def test_matches_dense_eigvalsh(self):
+        """The bath marginals' distance, decided in the span of the bath
+        rows, is half the dense trace norm (an eigvalsh) of the difference
+        of the dense joint states' partial traces, to 1e-12 relative. On
+        collisions only: a static register's bath marginal does not depend
+        on the initial state, so its distance is zero up to rounding."""
+        for model, states, times in self._random_cases(2024, 60, registers=False):
+            got = check_fa(model, initial_states=states, times=times).witnesses
+            want = reference_fa(model, states, times)["max_env_marginal_distance"]
+            got = got["max_env_marginal_distance"]
+            assert abs(got - want) <= 1e-12 * want, (model.name, got, want)
+
+    def test_span_negativity_matches_dense(self):
+        """The negativity of a mixture of branches, taken in the span of its
+        bath rows, is the dense joint state's."""
+        for model, states, times in self._random_cases(2027, 60):
+            got = check_fa(model, initial_states=states, times=times).witnesses
+            want = reference_fa(model, states, times)["max_negativity"]
+            assert abs(got["max_negativity"] - want) <= 1e-12, (model.name, got, want)
 
     def test_equal_initial_states_read_zero(self):
         """Two equal initial states have bitwise equal span coordinates, so
