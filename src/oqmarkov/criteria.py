@@ -8,6 +8,11 @@ at least one witness exceeds the tolerance it was tested against, and every
 the underlying quantified-over-all-times definitions; the grid descriptor
 in the report records exactly what was sampled.
 
+`qrf` and `gqrf` sample times only: at each time tuple they read every
+Hermitian-basis operator sequence from one regression tensor, a contraction
+of the Gram matrix of a propagation tree's bath leaves minus a Kronecker
+product of replaced-bath maps.
+
 Every map from a joint model's initial bath comes from `generalized_map`,
 which builds each (t1, t2) map once per `run_criteria` run (the run loop of
 `hierarchy_report` and `analyze`), or per `qrf`/`gqrf` call made outside a
@@ -19,7 +24,6 @@ model's own `breaking_channel`.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import contextvars
 import dataclasses
@@ -136,8 +140,8 @@ def generalized_map(model: JointModel, t1: float, t2: float) -> SuperOperator:
     """Replaced-bath map: the bath is reset at t1 to its initial state
     before the joint propagation to t2 (the model is written in the bath's
     interaction picture, where that state does not evolve freely). Within a
-    `run_criteria` run on this model, or a regression evaluation
-    (`_predicted_correlations`), each (t1, t2) map is built once."""
+    `run_criteria` run on this model, or a `qrf` or `gqrf` call, each
+    (t1, t2) map is built once."""
     run_model, maps = _RUN_MAPS.get()
     if model is not run_model:
         maps = {}
@@ -253,6 +257,7 @@ def check_fa(model: JointModel, initial_states=None, times=(0.5, 1.0),
     times = _listed(times, "times")
     if initial_states is None:
         initial_states = [_default_rho0(ds), np.outer(ket(0, ds), ket(0, ds).conj())]
+    initial_states = _listed(initial_states, "initial states")
     max_mi, max_neg, max_env_dist = 0.0, 0.0, 0.0
     worst_time = None
     for t in times:
@@ -292,190 +297,177 @@ def check_fa(model: JointModel, initial_states=None, times=(0.5, 1.0),
 
 
 # ---------------------------------------------------------------------------
-# Multi-time correlation functions
+# Multi-time correlation functions and the regression tensor
 # ---------------------------------------------------------------------------
-
-def _op_key(op: np.ndarray) -> tuple:
-    """An operator's identity in a prefix key: its bytes, never its value
-    (eye.conj().T equals eye but carries -0.0 imaginary parts), with its
-    shape and strides, as BLAS may take a transposed operand on a path whose
-    last bits differ."""
-    return op.shape, op.strides, op.tobytes()
-
-
-def _schedule(times, c_ops) -> tuple:
-    """A case's times as a tuple and its operator pairs as complex arrays."""
-    times = tuple(times)
-    if len(times) != len(c_ops):
-        raise ValueError(f"{len(c_ops)} operator pairs for {len(times)} times")
-    return times, [(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-                   for a, b in c_ops]
-
-
-def _exact_correlations(model: JointModel, cases, rho_s0) -> list:
-    """multitime_correlation of each (times, c_ops) case. A bra or ket is
-    built as `evolve` builds it, one step (an op, then the propagation to the
-    next time) per call, and each distinct prefix of steps, keyed by its
-    times and ops (`_op_key`), gets one node id per call. The start branches
-    (q, s) x (p, phi) go through one walk as a stack: the cases are visited
-    sorted by their node-id paths, each node's stack is built once and
-    dropped after its last reader, and each case sums q * p * <bra|ket>
-    over the start branches in their order, so the values are those of one
-    `evolve` per branch and bra or ket."""
-    ids, steps, paths = {}, [None], []     # node 0 is the empty prefix
-    for times, c_ops in cases:
-        times, c_ops = _schedule(times, c_ops)
-        if abs(times[0] - model.t0) > 1e-12:
-            raise ValueError("times[0] must be the model's initial time")
-        case_paths = []
-        for ops in ([a.conj().T for a, _ in c_ops], [b for _, b in c_ops]):
-            node, path = 0, []
-            for k, op in enumerate(ops):
-                ts = times[k:k + 2]
-                key = (node, ts, _op_key(op))
-                if key not in ids:
-                    ids[key] = len(steps)
-                    steps.append((ts, (op, None) if len(ts) == 2 else (op,)))
-                node = ids[key]
-                path.append(node)
-            case_paths.append(tuple(path))
-        paths.append(case_paths)
-    order = sorted(range(len(cases)), key=paths.__getitem__)
-    readers = collections.Counter(n for case_paths in paths for path in case_paths
-                                  for n in path)
-    totals = [0.0 + 0.0j] * len(cases)
-    weights, root = _start_stack(model, rho_s0, 1e-14)
-    if not weights:
-        return totals
-    held = {}
-    for c in order:
-        ends = []
-        for path in paths[c]:
-            v = root
-            for n in path:
-                v = held[n] if n in held else evolve(model, v, *steps[n])
-                readers[n] -= 1
-                if readers[n]:
-                    held[n] = v
-                else:
-                    held.pop(n, None)
-            ends.append(v)
-        for w, bra, ket_ in zip(weights, *ends):
-            totals[c] += w * np.vdot(bra, ket_)
-    return [complex(t) for t in totals]
-
-
-def _predicted_correlations(model: JointModel, cases, rho_s0) -> list:
-    """regression_prediction of each (times, c_ops) case, step by step
-    through the replaced-bath maps, each map built once (`_map_store`). The
-    cases that share a time tuple go through each map and operator pair as
-    one stack, one product per member, so each value is that of its case
-    alone."""
-    cases = [_schedule(times, c_ops) for times, c_ops in cases]
-    groups = {}
-    for c, (times, _) in enumerate(cases):
-        groups.setdefault(times, []).append(c)
-    out = [None] * len(cases)
-    rho = np.asarray(rho_s0, dtype=complex)
-    with _map_store(model):
-        for times, members in groups.items():
-            x = np.broadcast_to(rho, (len(members),) + rho.shape)
-            for j in range(len(times)):
-                if j:
-                    x = generalized_map(model, times[j - 1], times[j])(x)
-                pairs = [cases[c][1][j] for c in members]
-                x = np.array([b for _, b in pairs]) @ x @ np.array([a for a, _ in pairs])
-            for c, tr in zip(members, np.trace(x, axis1=-2, axis2=-1)):
-                out[c] = complex(tr)
-    return out
-
-
-def multitime_correlation(model: JointModel, c_ops, times, rho_s0) -> complex:
-    """Exact time-ordered correlation Tr[C_n U ... C_1 U C_0 rho_se(t0)]
-    with C_j X = B_j X A_j inserted on the system at times[j].
-
-    Evaluated as an inner product of two propagated joint vectors per
-    spectral branch, so it works even for very large product baths.
-    """
-    return _exact_correlations(model, [(times, c_ops)], rho_s0)[0]
-
-
-def regression_prediction(model: JointModel, c_ops, times, rho_s0) -> complex:
-    """The same correlation computed from system-only replaced-bath maps."""
-    return _predicted_correlations(model, [(times, c_ops)], rho_s0)[0]
-
 
 def _default_rho0(ds: int) -> np.ndarray:
     v = np.ones(ds, dtype=complex) / np.sqrt(ds)
     return np.outer(v, v.conj())
 
 
-def _regression_residuals(model: JointModel, cases, rho_s0) -> list:
-    """(|exact - regression-predicted correlation|, times) of each
-    (times, c_ops) case, the cases evaluated together."""
-    cases = list(cases)
-    return [(abs(lhs - rhs), times) for (times, _), lhs, rhs in
-            zip(cases, _exact_correlations(model, cases, rho_s0),
-                _predicted_correlations(model, cases, rho_s0))]
+def _case_times(c_ops, times) -> tuple:
+    if len(times) != len(c_ops):
+        raise ValueError(f"{len(c_ops)} operator pairs for {len(times)} times")
+    return tuple(times)
 
 
-def check_qrf(model: JointModel, op_pairs=None, time_pairs=((0.5, 1.0),),
-              tol: float = 1e-8, rho_s0=None) -> CriterionReport:
-    """Two-time regression check, both operator orderings per pair."""
+def multitime_correlation(model: JointModel, c_ops, times, rho_s0) -> complex:
+    """Exact time-ordered correlation Tr[C_n U ... C_1 U C_0 rho_se(t0)]
+    with C_j X = B_j X A_j inserted at times[j], c_ops = [(A_j, B_j)]: the
+    weighted sum of <bra|ket> over the start branches, the ket evolved with
+    the B_j and the bra with the A_j^dag (no dense joint matrix)."""
+    times = _case_times(c_ops, times)
+    if abs(times[0] - model.t0) > 1e-12:
+        raise ValueError("times[0] must be the model's initial time")
+    weights, starts = _start_stack(model, rho_s0, 1e-14)
+    bras = evolve(model, starts, times, [np.asarray(a, dtype=complex).conj().T
+                                         for a, _ in c_ops])
+    kets = evolve(model, starts, times, [b for _, b in c_ops])
+    return complex(sum((w * np.vdot(bra, ket_) for w, bra, ket_ in zip(weights, bras, kets)),
+                       0.0 + 0.0j))
+
+
+def regression_prediction(model: JointModel, c_ops, times, rho_s0) -> complex:
+    """The same correlation from system-only maps: Tr[C_n E_n ... C_1 E_1
+    C_0 rho_s0] with E_k = generalized_map(times[k-1], times[k])."""
+    times = _case_times(c_ops, times)
+    x = np.asarray(rho_s0, dtype=complex)
+    for k, (a, b) in enumerate(c_ops):
+        if k:
+            x = generalized_map(model, times[k - 1], times[k])(x)
+        x = np.asarray(b, dtype=complex) @ x @ np.asarray(a, dtype=complex)
+    return complex(np.trace(x))
+
+
+def _tree_rows(model: JointModel, times, rows: np.ndarray, k: int = 0):
+    """The bath rows at times[-1] of the matrix-unit propagation tree grown
+    from `rows` at times[k], in leaf order: each row is placed at every |q>,
+    propagated to times[k + 1], and each row <p| of the result grows on;
+    depth first, at most DENSE_JOINT_LIMIT joint entries per call."""
+    ds, de = model.dim_s, model.dim_e
+    per_call = max(1, DENSE_JOINT_LIMIT // (ds * de))
+    count = len(rows) * ds
+    for lo in range(0, count, per_call):
+        kid = np.arange(lo, min(lo + per_call, count))
+        joint = np.zeros((len(kid), ds, de), dtype=complex)
+        joint[np.arange(len(kid)), kid % ds] = rows[kid // ds]
+        out = model.apply_propagator(times[k], times[k + 1],
+                                     joint.reshape(len(kid), -1)).reshape(-1, de)
+        del joint
+        yield from _tree_rows(model, times, out, k + 1) if k + 2 < len(times) else [out]
+
+
+def _leaf_gram(model: JointModel, times) -> np.ndarray:
+    """The exact side at times t0, ..., tn: G = sum_b p_b conj(F_b) F_b^T
+    over the bath branches (p_b, e_b), F_b's d^(2n) rows the leaves
+    (q0, p1, q1, ..., p_n) of the tree grown from e_b. The bath sum runs over
+    blocks in a fixed order."""
+    ds, de = model.dim_s, model.dim_e
+    branches = model.env_branches()
+    leaves = np.empty((len(branches) * ds ** (2 * len(times) - 2), de), dtype=complex)
+    filled = 0
+    for stack in _tree_rows(model, times, np.array([phi for _, phi in branches])):
+        leaves[filled:filled + len(stack)] = stack
+        filled += len(stack)
+    size = len(leaves) // len(branches)
+    # OpenBLAS runs a complex product of m*n*k < 2**16 multiply-adds on the
+    # calling thread (a larger one wakes worker threads that spin on after it,
+    # and splitting k between threads moves the last bits); 64 if none can
+    step = ((1 << 16) - 1) // size ** 2 or 64
+    gram = np.zeros((size, size), dtype=complex)
+    for (p, _), f in zip(branches, leaves.reshape(len(branches), size, de)):
+        for lo in range(0, de, step):
+            gram += p * (f[:, lo:lo + step].conj() @ f[:, lo:lo + step].T)
+    return gram
+
+
+def _map_kron(model: JointModel, times) -> np.ndarray:
+    """The predicted side, in the leaves' order: the Kronecker product of the
+    reshuffled replaced-bath maps M_k[(q, p), (q', p')] = E_k[p' + d p,
+    q' + d q], the entry <p'|.|p> of E_k(|q'><q|)."""
+    d = model.dim_s
+    kron = np.ones((1, 1), dtype=complex)
+    for t1, t2 in zip(times, times[1:]):
+        m = generalized_map(model, t1, t2).mat.reshape(d, d, d, d)    # [p, p', q, q']
+        kron = np.kron(kron, m.transpose(2, 0, 3, 1).reshape(d * d, d * d))
+    return kron
+
+
+def _regression_slices(model: JointModel, times, rho_s0):
+    """The regression tensor at times t0, ..., tn: exact minus predicted
+    correlation of each Hermitian-basis sequence (A_j, B_j) = (H_a_j, H_b_j),
+    G - kron M_k contracted with the basis on every leg (X0 = B0 rho_s0 A0,
+    the trace Tr[An Bn .]). Yields (lo, R) in slices of at most 2**20
+    entries, R[c - lo, f, l] for the row-major indices c of
+    (a1, b1, ..., b_(n-1)), f of (a0, b0) and l of (an, bn)."""
+    d, n = model.dim_s, len(times) - 1
+    h = np.array(hermitian_basis(d))
+    # a leaf is (q0, [p1 q1], ..., [p_(n-1) q_(n-1)], p_n): the bra's, then the ket's
+    leaf = (d,) + (d * d,) * (n - 1) + (d,)
+    x = (_leaf_gram(model, times) - _map_kron(model, times)).reshape(leaf + leaf)
+    bra = h.reshape(d * d, d * d)                        # [a, (p, q)] = H_a[p, q]
+    ket = h.transpose(0, 2, 1).reshape(d * d, d * d)     # [b, (p, q)] = H_b[q, p]
+    for j in range(1, n):
+        for m, axis in ((bra, j), (ket, n + 1 + j)):
+            x = np.moveaxis(np.tensordot(m, x, axes=(1, axis)), 0, axis)
+    middle = [axis for j in range(1, n) for axis in (j, n + 1 + j)]
+    y = x.transpose(middle + [0, n + 1, n, 2 * n + 1]).reshape(-1, d * d, d * d)
+    first = np.einsum("bij,jk,akl->abli", h, np.asarray(rho_s0, dtype=complex),
+                      h).reshape(d ** 4, d * d)
+    last = np.einsum("aij,bjk->abik", h, h).reshape(d ** 4, d * d)
+    per_slice = max(1, (1 << 20) // d ** 8)
+    for lo in range(0, len(y), per_slice):
+        yield lo, first @ y[lo:lo + per_slice] @ last.T
+
+
+def _largest(r: np.ndarray) -> float:
+    """The largest |entry|, NaN entries skipped."""
+    return float(np.fmax.reduce(np.abs(r), axis=None, initial=0.0))
+
+
+def check_qrf(model: JointModel, time_pairs=((0.5, 1.0),), tol: float = 1e-8,
+              rho_s0=None) -> CriterionReport:
+    """Two-time regression check over every pair (a, b) of Hermitian-basis
+    operators, both orderings: <B(t2) A(t1)> inserts X -> A X at t1 and
+    <A(t1) B(t2)> inserts X -> X A, and B is traced at t2. These are the
+    regression tensor's entries at (t0, t1, t2) with a0 = b0 = a2 = 0 (the
+    identity) and a1 b1 = 0."""
     ds = model.dim_s
-    if op_pairs is None:
-        basis = hermitian_basis(ds)
-        op_pairs = [(a, b) for a in basis for b in basis]
-    op_pairs = _listed(op_pairs, "operator pairs")
     time_pairs = _listed(time_pairs, "time pairs")
     rho_s0 = _default_rho0(ds) if rho_s0 is None else rho_s0
-    ident = np.eye(ds, dtype=complex)
-    # ordering <B(t2) A(t1)>: insert X -> A X at t1, trace B at t2
-    # ordering <A(t1) B(t2)>: insert X -> X A at t1, trace B at t2
-    cases = (((model.t0, t1, t2), [(ident, ident), c1, (ident, b)])
-             for t1, t2 in time_pairs for a, b in op_pairs
-             for c1 in ((ident, a), (a, ident)))
-    worst, times, verdict = worst_case(_regression_residuals(model, cases, rho_s0), tol)
-    witnesses = {"max_residual": worst,
-                 "worst_time_pair": list(times[1:]) if times else []}
-    grid = f"{len(op_pairs)} operator pairs x {len(time_pairs)} time pairs, both orderings"
+    a1, b1 = np.divmod(np.arange(ds ** 4), ds ** 2)     # the index c of (a1, b1)
+    with _map_store(model):
+        worst, pair, verdict = worst_case(
+            ((_largest(r[(a1 * b1 == 0)[lo:lo + len(r)], 0, :ds * ds]), (t1, t2))
+             for t1, t2 in time_pairs
+             for lo, r in _regression_slices(model, (model.t0, t1, t2), rho_s0)), tol)
+    witnesses = {"max_residual": worst, "worst_time_pair": list(pair) if pair else []}
+    grid = f"{ds ** 4} operator pairs x {len(time_pairs)} time pairs, both orderings"
     return CriterionReport("qrf", verdict, witnesses, tol, grid)
 
 
-def default_gqrf_op_sets(ds: int, n_steps: int, n_sets: int = 40,
-                         seed: int = 11) -> list:
-    """Deterministic sample of sequences of Hermitian-basis operator pairs
-    (the Paulis for a qubit)."""
-    rng = np.random.default_rng(seed)
-    letters = hermitian_basis(ds)
-    sets = []
-    ident = np.eye(ds, dtype=complex)
-    sets.append([(ident, ident)] * (n_steps + 1))
-    for _ in range(n_sets - 1):
-        seq = []
-        for _ in range(n_steps + 1):
-            a = letters[rng.integers(len(letters))]
-            b = letters[rng.integers(len(letters))]
-            seq.append((a, b))
-        sets.append(seq)
-    return sets
-
-
-def check_gqrf(model: JointModel, op_sets=None, time_sets=((0.5, 1.0, 1.5),),
-               tol: float = 1e-8, rho_s0=None) -> CriterionReport:
-    """Multi-time regression check over sequences of system-operator pairs;
-    `op_sets=None` samples `default_gqrf_op_sets` for each time set."""
+def check_gqrf(model: JointModel, time_sets=((0.5, 1.0, 1.5),), tol: float = 1e-8,
+               rho_s0=None) -> CriterionReport:
+    """Multi-time regression check: at each time set t1 < ... < tn, every
+    sequence of Hermitian-basis operator pairs (A_j, B_j), j = 0..n, must
+    give the same correlation from the joint dynamics as from the chain of
+    replaced-bath maps; the witness is the largest |exact - predicted| over
+    all (d^2)^(2n+2) sequences. They are read from the process tensor
+    (Pollock et al., Phys. Rev. A 97, 012127 (2018), arXiv:1512.00589; Milz &
+    Modi, PRX Quantum 2, 030201 (2021), arXiv:2012.01894): the insertions
+    X -> B X A with matrix units A, B span every map, so each correlation is
+    a contraction of one Gram matrix of bath leaves, and each prediction one
+    of a Kronecker product of maps (`_regression_slices`)."""
     rho_s0 = _default_rho0(model.dim_s) if rho_s0 is None else rho_s0
-    time_sets = _listed(time_sets, "time sets")
-    if op_sets is not None:
-        op_sets = list(op_sets)
-        if not op_sets:
-            raise ValueError("op_sets is empty; pass None for the default sequences")
-    cases = [((model.t0,) + tuple(ts), seq) for ts in time_sets
-             for seq in (op_sets or default_gqrf_op_sets(model.dim_s, len(ts)))]
-    worst, times, verdict = worst_case(_regression_residuals(model, cases, rho_s0), tol)
+    time_sets = [(model.t0,) + tuple(_listed(ts, "times"))
+                 for ts in _listed(time_sets, "time sets")]
+    with _map_store(model):
+        worst, times, verdict = worst_case(
+            ((_largest(r), times) for times in time_sets
+             for _, r in _regression_slices(model, times, rho_s0)), tol)
     witnesses = {"max_residual": worst, "worst_times": list(times) if times else []}
-    grid = f"{len(cases)} operator sequences over {len(time_sets)} time sets"
+    count = sum(model.dim_s ** (4 * len(times)) for times in time_sets)
+    grid = f"every Hermitian-basis operator sequence: {count} over {len(time_sets)} time sets"
     return CriterionReport("gqrf", verdict, witnesses, tol, grid)
 
 

@@ -247,6 +247,16 @@ def _sample(grid, dt: float, M: int, jobs: int, seed: int, x0: np.ndarray,
     return grid, states
 
 
+def _unit_start(psi0, dim: int) -> np.ndarray:
+    """A given start state, normalised; one that is not a finite nonzero
+    vector of length dim is a ValueError."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    norm = np.linalg.norm(psi0) if psi0.shape == (dim,) else 0.0
+    if not (np.isfinite(norm) and norm > 0):
+        raise ValueError(f"psi0 must be a finite nonzero vector of length {dim}: {psi0}")
+    return psi0 / norm
+
+
 def _read_spec(spec: LindbladSpec, psi0, grid, dt: float):
     """The normalised start state of an MCWF run, the jump operators and, for
     a constant spec, its rates and Hamiltonian, read once (else None). Every
@@ -260,10 +270,9 @@ def _read_spec(spec: LindbladSpec, psi0, grid, dt: float):
             raise ValueError(
                 f"negative rate gamma_{k} = {rates[bad[0]]:.6g} at t = {t_bad:.6g}; "
                 "jump/diffusive sampling requires nonnegative rates")
-    psi0 = np.asarray(psi0, dtype=complex)
     t0 = step_times[0]
     constant = (spec.rates(t0), spec.hamiltonian(t0)) if spec.constant else None
-    return psi0 / np.linalg.norm(psi0), [c for c, _ in spec.channels], constant
+    return _unit_start(psi0, spec.dim), [c for c, _ in spec.channels], constant
 
 
 def mcwf_jump(spec: LindbladSpec, psi0, grid, M: int, seed: int,
@@ -378,13 +387,11 @@ def collision_unravel(model, basis_per_slot=None, psi0=None,
     enumerated when their count stays below the enumeration limit;
     otherwise M branches are sampled on ``_sample``, one slot a step and one
     uniform a slot from each trajectory's stream, and the ensemble carries
-    statistical rather than exact weights.
+    statistical rather than exact weights. psi0 (default: the uniform
+    superposition) is normalised.
     """
     ds, da, n = model.dim_s, model.dim_a, model.n_slots
-    if psi0 is None:
-        psi0 = np.ones(ds, dtype=complex) / np.sqrt(ds)
-    psi0 = np.asarray(psi0, dtype=complex)
-    psi0 = psi0 / np.linalg.norm(psi0)
+    psi0 = _unit_start(np.ones(ds, dtype=complex) / np.sqrt(ds) if psi0 is None else psi0, ds)
     anc = model.ancilla_vector()
     times = np.asarray(model.slot_times, dtype=float)
     n_branches = da ** n
@@ -442,12 +449,11 @@ def static_unravel(model, times, psi0=None,
     sum is exactly the dynamical map: this is the construction behind the
     uniqueness of the scheme. Any other basis disturbs the register
     statistics; the resulting mean deviation is reported in the metadata as
-    the demonstration of that uniqueness.
+    the demonstration of that uniqueness. A given psi0 is normalised; the
+    default is the uniform superposition.
     """
     ds, r = model.dim_s, model.dim_e
-    if psi0 is None:
-        psi0 = np.ones(ds, dtype=complex) / np.sqrt(ds)
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = np.ones(ds, dtype=complex) / np.sqrt(ds) if psi0 is None else _unit_start(psi0, ds)
     times = np.asarray(times, dtype=float)
     full_times = np.concatenate([[model.t0], times])
     if basis == "register" or basis is None:

@@ -5,13 +5,13 @@ multi-time correlations and regression predictions as one `evolve` or one
 map step per case, start branch and bra or ket. The package never forms the
 joint matrix. It propagates a stack of vectors per call (`apply_propagator`
 takes leading axes): `assemble_map` evolves every start column at once,
-the exact correlations walk one prefix memo over a stack of all start
-branches, visiting the cases sorted by their prefixes and dropping each
-prefix's stack after its last reader, and the regression predictions of
-the cases that share a time tuple go through each map as one stack. Each
-member's arithmetic is that of a lone vector, so the values are bitwise
-those of these loops. `check_fa` decides its clauses in the span of the
-bath rows; `reference_fa` forms the dense joint state instead."""
+with each member's arithmetic that of a lone vector, so its values are
+bitwise those of the loop here. `qrf` and `gqrf` read every correlation at
+a time tuple from one regression tensor (a Gram matrix of the bath leaves
+of a matrix-unit propagation tree, and a Kronecker product of the
+replaced-bath maps), whose entries agree with these per-case loops to
+rounding. `check_fa` decides its clauses in the span of the bath rows;
+`reference_fa` forms the dense joint state instead."""
 
 import itertools
 

@@ -1,24 +1,24 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from oqmarkov.core import (PAULIS, SX, ket, plus_state,
+from oqmarkov.core import (PAULIS, SX, hermitian_basis, ket, plus_state,
                            random_density, random_hermitian, random_pure,
                            random_unitary, trace_norm)
 from oqmarkov import core, criteria
 from oqmarkov.criteria import (CriterionReport, check_composability,
-                               criterion_settings, default_gqrf_op_sets,
+                               criterion_settings,
                                check_distinguishability, check_divisibility,
                                check_fa, check_fdd, check_gqrf, check_nib,
                                check_nqib, check_qrf, check_semigroup,
                                dd_effectiveness, hierarchy_report, map_family,
                                map_residual, multitime_correlation,
                                generalized_map, regression_prediction,
-                               replacement_map, run_criteria, tomograph, worst_case,
-                               _exact_correlations, _predicted_correlations,
-                               _regression_residuals)
+                               replacement_map, run_criteria, tomograph, worst_case)
 from oqmarkov.models import (afl, assemble_map, collision, eternal_me, nqib_qubit,
                              partial_swap, static_dephasing, tam)
 from oqmarkov.superop import SuperOperator, compose, is_cptp, vec
@@ -100,77 +100,111 @@ class TestMultitime:
             assert abs(numr - anar) < 1e-6
 
 
-def _shared_prefix_cases(rng, t0: float, t_end: float, d: int) -> list:
-    """Correlation cases on two time sets that differ in their last time,
-    some times repeated, most cases copying an earlier case up to a random
-    level. The operators are a random A, its adjoint, A in Fortran order
-    (same bytes, another layout), the identity and eye.conj().T (equal to it
-    but with -0.0 imaginary parts)."""
-    eye = np.eye(d, dtype=complex)
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    pool = [eye, eye.conj().T, a, a.conj().T, np.asfortranarray(a)]
-    n_times = int(rng.integers(2, 5))
-    grid = np.sort(rng.uniform(t0, t_end, 3))
-    times = (t0,) + tuple(float(t) for t in np.sort(rng.choice(grid, n_times - 1)))
-    time_sets = (times, times[:-1] + (t_end,))
+class TestRegressionTensor:
+    """`qrf` and `gqrf` read one regression tensor per time tuple: the Gram
+    matrix of the bath leaves of a matrix-unit propagation tree minus the
+    Kronecker product of the reshuffled replaced-bath maps, contracted with
+    the Hermitian basis on every leg. Every entry must be the per-case
+    loop's (one `evolve` per start branch for the bra and the ket, the
+    replaced-bath maps step by step)."""
 
-    def pick():
-        return pool[rng.integers(len(pool))], pool[rng.integers(len(pool))]
+    @staticmethod
+    def _side(model, times, rho, zeroed, seqs):
+        """The entries of the Hermitian-basis index sequences
+        (a0, b0, ..., an, bn) in `_regression_slices`, read slice by slice,
+        with one side of the difference (`_map_kron` or `_leaf_gram`) set to
+        zero."""
+        d, size = model.dim_s, model.dim_s ** (2 * len(times) - 2)
+        places = []
+        for seq in seqs:
+            c = 0
+            for k in seq[2:-2]:
+                c = c * d * d + k
+            places.append((c, seq[0] * d * d + seq[1], seq[-2] * d * d + seq[-1]))
+        out = [None] * len(seqs)
+        with mock.patch.object(criteria, zeroed,
+                               lambda *args: np.zeros((size, size), dtype=complex)):
+            with criteria._map_store(model):
+                for lo, r in criteria._regression_slices(model, times, rho):
+                    for i, (c, f, l) in enumerate(places):
+                        if lo <= c < lo + len(r):
+                            out[i] = r[c - lo, f, l]
+        return out
 
-    cases = []
-    for _ in range(int(rng.integers(2, 12))):
-        if cases and rng.random() < 0.7:
-            ops = cases[rng.integers(len(cases))][1]
-            k = int(rng.integers(n_times))
-            ops = list(ops[:k]) + [pick() for _ in range(n_times - k)]
-        else:
-            ops = [pick() for _ in range(n_times)]
-        cases.append((time_sets[int(rng.random() < 0.3)], ops))
-    return cases
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), register=st.booleans(), d=st.integers(2, 3),
+           size=st.integers(1, 3), mixed=st.booleans(), n=st.integers(1, 3))
+    def test_entries_match_the_per_case_loop(self, seed, register, d, size, mixed, n):
+        """Random collisions (d = 2, 3; 1-3 slots, pure or mixed ancillas;
+        times on and inside slots) and static registers (2-4 levels), at
+        n = 1..3 times after t0, from a mixed or pure rho. A qutrit at three
+        times has 9^8 entries: it has its own test."""
+        assume(d == 2 or n < 3)
+        self._check_entries(seed, register, d, size, mixed, n)
 
+    def test_qutrit_entries_across_slices(self):
+        """A qutrit at three times: 81 slices of 9^6 entries."""
+        self._check_entries(3, False, 3, 3, True, 3)
 
-class TestSharedScheduleTree:
-    """The exact correlations of a call's cases share their bra and ket
-    prefixes (a tree of prefixes per start branch); every value must be bit
-    for bit that of the per-case loop (one `evolve` per bra and ket, the
-    regression maps step by step)."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), register=st.booleans(),
-           size=st.integers(1, 3), mixed=st.booleans())
-    def test_bitwise_equal_to_per_case_loop(self, seed, register, size, mixed):
+    def _check_entries(self, seed, register, d, size, mixed, n):
         rng = np.random.default_rng(seed)
         if register:
-            d = int(rng.integers(2, 4))
             model = static_dephasing(rng.dirichlet(np.ones(size + 1)),
                                      [random_hermitian(d, rng) for _ in range(size + 1)])
             t_end = 2.0
         else:
-            d = 2
-            ancilla = random_density(d, rng=rng) if mixed else None
+            ancilla = random_density(d, rng=rng) if mixed else random_pure(d, rng)
             model = collision(size, random_unitary(d * d, rng), ancilla_state=ancilla)
             t_end = float(size)
-        rho = random_density(d, rng=rng) if mixed else np.outer(ket(0, d), ket(0, d).conj())
-        cases = _shared_prefix_cases(rng, model.t0, t_end, d)
+        times = (model.t0,) + tuple(float(t) for t in np.sort(rng.uniform(0.0, t_end, n)))
+        rho = random_density(d, rng=rng) if mixed else random_density(d, rng=rng, rank=1)
+        seqs = [[int(k) for k in rng.integers(d * d, size=2 * n + 2)] for _ in range(8)]
+        exact = self._side(model, times, rho, "_map_kron", seqs)
+        predicted = self._side(model, times, rho, "_leaf_gram", seqs)
+        basis = hermitian_basis(d)
+        for seq, got_exact, got_predicted in zip(seqs, exact, predicted):
+            c_ops = [(basis[seq[2 * j]], basis[seq[2 * j + 1]]) for j in range(n + 1)]
+            want = reference_correlation(model, c_ops, times, rho)
+            assert abs(got_exact - want) <= 1e-12, (seq, want)
+            want = reference_prediction(model, c_ops, times, rho)
+            assert abs(-got_predicted - want) <= 1e-12, (seq, want)
 
-        def as_bytes(values):
-            return np.array(values, dtype=complex).tobytes()
+    def test_tam_worst_sequence(self):
+        """The worst of all 4^8 sequences at tam's declared times (40 sampled
+        sequences read 0.3406)."""
+        rep = check_gqrf(tam(), time_sets=((0.5, 1.0, 1.5),))
+        assert abs(rep.witnesses["max_residual"] - 0.4435024854178521) <= 1e-12
+        assert rep.grid == "every Hermitian-basis operator sequence: 65536 over 1 time sets"
+        assert rep.verdict == "fail"
 
-        exact = [reference_correlation(model, ops, times, rho) for times, ops in cases]
-        predicted = [reference_prediction(model, ops, times, rho) for times, ops in cases]
-        assert as_bytes(_exact_correlations(model, cases, rho)) == as_bytes(exact)
-        assert as_bytes(_predicted_correlations(model, cases, rho)) == as_bytes(predicted)
-        residuals = _regression_residuals(model, cases, rho)
-        assert [abs(l - r) for l, r in zip(exact, predicted)] == [r for r, _ in residuals]
-        assert all(at is times for (_, at), (times, _) in zip(residuals, cases))
+    def test_gqrf_is_the_maximum_over_every_sequence(self):
+        """At one time after t0, brute force over all 4^4 sequences."""
+        model, times = tam(), (0.0, 0.7)
+        rho = np.outer(plus_state(), plus_state().conj())
+        basis = hermitian_basis(2)
+        worst = max(abs(reference_correlation(model, ops, times, rho)
+                        - reference_prediction(model, ops, times, rho))
+                    for ops in itertools.product(itertools.product(basis, repeat=2), repeat=2))
+        rep = check_gqrf(model, time_sets=((0.7,),), rho_s0=rho)
+        assert abs(rep.witnesses["max_residual"] - worst) <= 1e-12
+        assert rep.grid == "every Hermitian-basis operator sequence: 256 over 1 time sets"
 
-        # a tie with a later copy of the worst case: the first one is reported
-        worst = max(range(len(cases)), key=lambda c: residuals[c][0])
-        if residuals[worst][0] > 0:
-            times, ops = cases[worst]
-            tied = cases + [(list(times), ops)]
-            _, at, _ = worst_case(_regression_residuals(model, tied, rho), 0.0)
-            assert at is cases[worst][0]
+    @pytest.mark.parametrize("factory", [tam, static_dephasing, nqib_qubit])
+    def test_qrf_is_its_slice(self, factory):
+        """`qrf` reads the two orderings of every operator pair: the same
+        worst case as the per-case loop over its 2 d^4 cases."""
+        model = factory()
+        pairs = [(model.t0 + 0.5, model.t0 + 1.0), (model.t0 + 1.0, model.t0 + 2.0)]
+        rho, ident = np.eye(2) / 2 + 0.3 * SX, np.eye(2, dtype=complex)
+        basis = hermitian_basis(2)
+        want = max((abs(reference_correlation(model, ops, (model.t0,) + pair, rho)
+                        - reference_prediction(model, ops, (model.t0,) + pair, rho)), pair)
+                   for pair in pairs for a in basis for b in basis
+                   for ops in ([(ident, ident), (ident, a), (ident, b)],
+                               [(ident, ident), (a, ident), (ident, b)]))
+        rep = check_qrf(model, time_pairs=pairs, rho_s0=rho)
+        assert abs(rep.witnesses["max_residual"] - want[0]) <= 1e-12
+        assert rep.witnesses["worst_time_pair"] == list(want[1])
 
     def test_single_case_calls_match_the_loop(self):
         model = tam()
@@ -185,12 +219,15 @@ class TestSharedScheduleTree:
     def test_operator_and_time_counts_must_agree(self):
         with pytest.raises(ValueError, match="operator pairs"):
             multitime_correlation(tam(), [(SX, SX)] * 2, (0.0, 0.5, 1.0), np.eye(2) / 2)
+        with pytest.raises(ValueError, match="operator pairs"):
+            regression_prediction(tam(), [(SX, SX)] * 2, (0.0, 0.5, 1.0), np.eye(2) / 2)
 
-    def test_afl_preset_propagates_each_shared_prefix_once(self, monkeypatch):
-        """At afl's declared times, one `evolve` per case and bra or ket took
-        394 `apply_propagator` calls in qrf and 242 in gqrf (with the
-        replaced-bath maps the run builds); sharing prefixes leaves 38 and
-        100."""
+    def test_afl_preset_propagates_each_tree_level(self, monkeypatch):
+        """At afl's declared times the tree propagates 2 + 8 vectors per
+        `qrf` time pair and 2 + 8 + 32 for `gqrf`'s time set, one per call
+        on afl's 8002-entry joint vectors: with the replaced-bath maps the
+        run builds, 40 and 48 `apply_propagator` calls (the prefix memo
+        took 38 and 100, one `evolve` per case 394 and 242)."""
         model = afl()
         calls = []
         propagate = model.apply_propagator
@@ -206,13 +243,13 @@ class TestSharedScheduleTree:
             monkeypatch.setattr(criteria, name, counted)
         run_criteria(model, criterion_settings(model, names=["qrf", "gqrf"]), seed=23)
         assert counts["check_qrf"] <= 40
-        assert counts["check_gqrf"] <= 110
+        assert counts["check_gqrf"] <= 48
 
     def test_afl_gqrf_holds_few_vectors(self):
-        """A prefix's vector is dropped after its last reader: with afl's
-        maps built, gqrf at its declared settings peaks at about 3.4 MB of
-        traced allocations, where its 172 distinct bra and ket prefix
-        vectors take 22 MB."""
+        """The tree grows depth first, one vector per level at a time on
+        afl's bath, so the 64 leaves (4.1 MB) are the bulk of what it holds:
+        with afl's maps built, gqrf at its declared settings peaks at about
+        4.9 MB of traced allocations."""
         import tracemalloc
         model = afl()
         s = criterion_settings(model, ["gqrf"])["gqrf"]
@@ -228,23 +265,23 @@ class TestSharedScheduleTree:
 
 
 class TestStackedPropagation:
-    """One `apply_propagator` call propagates a stack: every start branch
-    of a prefix, and every start column of a map."""
+    """One `apply_propagator` call propagates a stack: every vector of a
+    tree level on a small bath, and every start column of a map."""
 
     def test_register_preset_propagates_its_start_branches_together(self, monkeypatch):
-        """static-dephasing's two register levels are two start branches and
-        two bath branches of every map. With one propagation per branch and
-        map column, qrf and gqrf took 56 and 204 `apply_propagator` calls in
-        one run; one stack per prefix and per map leaves 24 and 100."""
+        """static-dephasing's two register levels are two bath branches of
+        every tree and map. One call per tree level and per map leaves 8 and
+        6 `apply_propagator` calls for qrf and gqrf in one run (one per
+        branch and map column took 56 and 204, the prefix memo 24 and 100)."""
         model = static_dephasing()
         calls = []
         propagate = model.apply_propagator
         monkeypatch.setattr(model, "apply_propagator",
                             lambda *args: calls.append(1) or propagate(*args))
         run_criteria(model, criterion_settings(model, names=["qrf"]), seed=23)
-        assert len(calls) <= 26
+        assert len(calls) <= 8
         run_criteria(model, criterion_settings(model, names=["gqrf"]), seed=23)
-        assert len(calls) <= 26 + 110
+        assert len(calls) <= 8 + 6
 
 
 class TestFa:
@@ -372,9 +409,7 @@ class TestAflSplit:
 
     def test_qrf_passes_on_grid(self):
         model = afl()
-        pairs = [(a, b) for a in PAULIS.values() for b in PAULIS.values()]
-        rep = check_qrf(model, op_pairs=pairs,
-                        time_pairs=((0.2, 0.5), (0.2, 1.0), (0.5, 1.0)), tol=1e-5)
+        rep = check_qrf(model, time_pairs=((0.2, 0.5), (0.2, 1.0), (0.5, 1.0)), tol=1e-5)
         assert rep.verdict == "pass"
 
     def test_gqrf_fails(self):
@@ -767,21 +802,10 @@ class TestNibConvex:
                 assert value >= w["min_residual"] - 1e-9
 
 
-class TestGqrfOperatorSets:
-    def test_none_selects_the_defaults_and_empty_is_rejected(self):
-        model = tam()
-        rep = check_gqrf(model, op_sets=None, time_sets=((0.5, 1.0),))
-        assert rep.grid == "40 operator sequences over 1 time sets"
-        assert rep.to_dict() == check_gqrf(model, default_gqrf_op_sets(2, 2),
-                                           ((0.5, 1.0),)).to_dict()
-        for empty in ([], ()):
-            with pytest.raises(ValueError, match="op_sets is empty"):
-                check_gqrf(model, op_sets=empty)
-
-
 class TestNonQubitSystems:
     def test_qrf_gqrf_defaults_for_qutrit_collisions(self):
-        # the default operator sets follow dim_s (9 Gell-Mann operators here)
+        # the operator basis follows dim_s (9 Gell-Mann operators here):
+        # 81 pairs for qrf, all 9^8 sequences for gqrf, in slices
         model = collision(n_slots=3, pair_unitary=partial_swap(math.pi / 4, d=3))
         assert model.dim_s == 3
         qrf = check_qrf(model, time_pairs=((1.0, 2.0),), tol=1e-9)
@@ -790,6 +814,7 @@ class TestNonQubitSystems:
         gqrf = check_gqrf(model, time_sets=((1.0, 2.0, 3.0),), tol=1e-9)
         assert gqrf.verdict == "pass"
         assert gqrf.witnesses["max_residual"] < 1e-9
+        assert gqrf.grid == "every Hermitian-basis operator sequence: 43046721 over 1 time sets"
 
 
 class TestMapFamilyCriteria:
@@ -977,19 +1002,24 @@ class TestCaseArgumentsReadOnce:
 
     def test_qrf(self):
         model = tam()
-        pairs = [(SX, SX), (PAULIS["Z"], SX)]
-        want = check_qrf(model, pairs, self.TIMES).to_dict()
-        got = check_qrf(model, (p for p in pairs), (t for t in self.TIMES))
-        assert got.to_dict() == want
-        assert want["grid"] == "2 operator pairs x 2 time pairs, both orderings"
+        want = check_qrf(model, self.TIMES).to_dict()
+        assert check_qrf(model, (t for t in self.TIMES)).to_dict() == want
+        assert want["grid"] == "16 operator pairs x 2 time pairs, both orderings"
 
     def test_gqrf(self):
         model = tam()
-        sets = default_gqrf_op_sets(2, 2, n_sets=3)
-        want = check_gqrf(model, sets, self.TIMES).to_dict()
-        got = check_gqrf(model, (s for s in sets), (t for t in self.TIMES))
+        want = check_gqrf(model, self.TIMES).to_dict()
+        got = check_gqrf(model, (iter(t) for t in self.TIMES))
         assert got.to_dict() == want
-        assert want["grid"] == "6 operator sequences over 2 time sets"
+        assert want["grid"] == "every Hermitian-basis operator sequence: 8192 over 2 time sets"
+
+    def test_fa(self):
+        model = tam()
+        states = [np.eye(2) / 2, np.outer(plus_state(), plus_state().conj())]
+        want = check_fa(model, states, self.TIMES[0]).to_dict()
+        got = check_fa(model, (r for r in states), (t for t in self.TIMES[0]))
+        assert got.to_dict() == want
+        assert want["grid"] == "times=[0.5, 1.0], 2 initial states"
 
     def test_composability(self):
         model = tam()
@@ -1029,20 +1059,21 @@ class TestNoVacuousPass:
     """A checker given no case to test raises ValueError; it never passes."""
 
     @pytest.mark.parametrize("check", [
-        lambda: check_qrf(tam(), op_pairs=[]),
         lambda: check_qrf(tam(), time_pairs=[]),
         lambda: check_gqrf(tam(), time_sets=[]),
+        lambda: check_gqrf(tam(), time_sets=[()]),
         lambda: check_composability(tam(), []),
         lambda: check_semigroup(lambda tau: tomograph(tam(), 0.0, tau), []),
         lambda: check_fdd(tam(), []),
         lambda: check_fa(tam(), times=()),
+        lambda: check_fa(tam(), initial_states=[]),
         lambda: check_divisibility([]),
         lambda: check_divisibility(_three_maps()[:1]),
         lambda: check_distinguishability(_three_maps()[:1]),
         lambda: check_distinguishability(_three_maps(), state_pairs=[]),
         lambda: check_distinguishability(_three_maps(), w_grid=[]),
-    ], ids=["qrf-ops", "qrf-times", "gqrf-times", "composability", "semigroup", "fdd",
-            "fa", "divisibility-none", "divisibility-one", "distinguishability-one",
+    ], ids=["qrf-times", "gqrf-times", "gqrf-set", "composability", "semigroup", "fdd",
+            "fa", "fa-states", "divisibility-none", "divisibility-one", "distinguishability-one",
             "distinguishability-pairs", "distinguishability-weights"])
     def test_no_cases_raise(self, check):
         with pytest.raises(ValueError, match="would pass without testing anything"):
@@ -1088,8 +1119,9 @@ class TestMapStore:
     def test_direct_regression_calls_keep_one_store(self, monkeypatch):
         """A direct `qrf` or `gqrf` call builds each replaced-bath map once
         for its own duration: at afl's declared settings it makes as many
-        propagations as inside a run (224 and 330 with a map per tree node),
-        with the same report."""
+        propagations as inside a run (224 and 330 with a map per tree node
+        of the first prefix memo, 38 and 104 with the last), with the same
+        report."""
         model = afl()
         builds, _ = self._count_builds(monkeypatch, model)
         calls = []
@@ -1098,9 +1130,9 @@ class TestMapStore:
                             lambda *args: calls.append(1) or propagate(*args))
         s = criterion_settings(model, ["qrf", "gqrf"])
         qrf = check_qrf(model, time_pairs=s["qrf"]["time_pairs"], tol=s["qrf"]["tol"])
-        assert len(calls) == 38
+        assert len(calls) == 40
         gqrf = check_gqrf(model, time_sets=s["gqrf"]["time_sets"], tol=s["gqrf"]["tol"])
-        assert len(calls) == 38 + 104
+        assert len(calls) == 40 + 48
         assert max(builds.values()) == 2        # once per call
         run = run_criteria(model, s, 23)
         assert qrf.to_dict() == run["qrf"].to_dict()

@@ -343,6 +343,53 @@ class TestStaticUnravel:
         assert ens.meta["mean_deviation_from_map"] > 1e-3
 
 
+class TestStartState:
+    """Every sampler normalises a given psi0 and rejects a zero, non-finite
+    or wrong-length one with ValueError before propagating anything; the
+    default start keeps its bytes."""
+
+    SAMPLERS = {
+        "static": lambda psi0: static_unravel(static_dephasing(), [0.5], psi0=psi0),
+        "static-conjugate": lambda psi0: static_unravel(static_dephasing(), [0.5], psi0=psi0,
+                                                        basis="conjugate"),
+        "collision": lambda psi0: collision_unravel(collision(n_slots=2), psi0=psi0),
+        "collision-sampled": lambda psi0: collision_unravel(collision(n_slots=13), psi0=psi0,
+                                                            M=8, seed=3),
+        "mcwf-jump": lambda psi0: mcwf_jump(DECAY, psi0, [0.0, 0.1], M=8, seed=3),
+        "mcwf-diffusive": lambda psi0: mcwf_diffusive(DECAY, psi0, [0.0, 0.1], M=8, seed=3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_given_state_is_normalised(self, name):
+        ens = self.SAMPLERS[name]([1, 1])
+        assert np.array_equal(ens.states, self.SAMPLERS[name]([2, 2]).states)
+        assert np.max(np.abs(np.linalg.norm(ens.states, axis=-1) - 1)) < 1e-12
+        if name.startswith("static"):
+            assert abs(np.trace(ensemble_mean(ens, 0.5).mat) - 1) < 1e-12
+
+    @pytest.mark.parametrize("psi0", [[0, 0], [1, np.nan], [np.inf, 0], [1, 0, 0], [[1, 0]]],
+                             ids=["zero", "nan", "inf", "length", "matrix"])
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_bad_state_rejected(self, name, psi0, monkeypatch):
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("propagated before the start state was checked")
+        for cls in (type(static_dephasing()), type(collision())):
+            monkeypatch.setattr(cls, "apply_propagator", no_propagation)
+        monkeypatch.setattr(unravel, "_sample", no_propagation)
+        with pytest.raises(ValueError, match="psi0"):
+            self.SAMPLERS[name](psi0)
+
+    def test_default_start_keeps_its_bytes(self):
+        """The uniform superposition as before: unnormalised again in
+        `static_unravel` (the `pu` witness reads it), normalised in
+        `collision_unravel`."""
+        plus = np.ones(2, dtype=complex) / np.sqrt(2)
+        ens = static_unravel(static_dephasing(), [0.5])
+        assert ens.states[0, 0].tobytes() == plus.tobytes()
+        ens = collision_unravel(collision(n_slots=2))
+        assert ens.states[0, 0].tobytes() == (plus / np.linalg.norm(plus)).tobytes()
+
+
 class TestEnsembleStatistics:
     def test_single_deterministic_trajectory_mean(self):
         spec = LindbladSpec(2, None, [])
