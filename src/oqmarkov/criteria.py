@@ -353,7 +353,7 @@ def _tree_rows(model: JointModel, times, rows: np.ndarray, k: int = 0):
         joint[np.arange(len(kid)), kid % ds] = rows[kid // ds]
         out = model.apply_propagator(times[k], times[k + 1],
                                      joint.reshape(len(kid), -1)).reshape(-1, de)
-        del joint
+        del joint       # not held while the subtree grows
         yield from _tree_rows(model, times, out, k + 1) if k + 2 < len(times) else [out]
 
 

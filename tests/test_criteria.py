@@ -170,8 +170,8 @@ class TestRegressionTensor:
             assert abs(-got_predicted - want) <= 1e-12, (seq, want)
 
     def test_tam_worst_sequence(self):
-        """The worst of all 4^8 sequences at tam's declared times (40 sampled
-        sequences read 0.3406)."""
+        """The worst of all 4^8 sequences at tam's declared times (a sample
+        of 40 sequences reads 0.3406)."""
         rep = check_gqrf(tam(), time_sets=((0.5, 1.0, 1.5),))
         assert abs(rep.witnesses["max_residual"] - 0.4435024854178521) <= 1e-12
         assert rep.grid == "every Hermitian-basis operator sequence: 65536 over 1 time sets"
@@ -226,8 +226,7 @@ class TestRegressionTensor:
         """At afl's declared times the tree propagates 2 + 8 vectors per
         `qrf` time pair and 2 + 8 + 32 for `gqrf`'s time set, one per call
         on afl's 8002-entry joint vectors: with the replaced-bath maps the
-        run builds, 40 and 48 `apply_propagator` calls (the prefix memo
-        took 38 and 100, one `evolve` per case 394 and 242)."""
+        run builds, 40 and 48 `apply_propagator` calls."""
         model = afl()
         calls = []
         propagate = model.apply_propagator
@@ -272,7 +271,7 @@ class TestStackedPropagation:
         """static-dephasing's two register levels are two bath branches of
         every tree and map. One call per tree level and per map leaves 8 and
         6 `apply_propagator` calls for qrf and gqrf in one run (one per
-        branch and map column took 56 and 204, the prefix memo 24 and 100)."""
+        branch and map column would take 56 and 204)."""
         model = static_dephasing()
         calls = []
         propagate = model.apply_propagator
@@ -1119,9 +1118,7 @@ class TestMapStore:
     def test_direct_regression_calls_keep_one_store(self, monkeypatch):
         """A direct `qrf` or `gqrf` call builds each replaced-bath map once
         for its own duration: at afl's declared settings it makes as many
-        propagations as inside a run (224 and 330 with a map per tree node
-        of the first prefix memo, 38 and 104 with the last), with the same
-        report."""
+        propagations as inside a run, with the same report."""
         model = afl()
         builds, _ = self._count_builds(monkeypatch, model)
         calls = []
