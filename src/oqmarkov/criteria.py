@@ -339,14 +339,18 @@ def regression_prediction(model: JointModel, c_ops, times, rho_s0) -> complex:
     return complex(np.trace(x))
 
 
-def _tree_rows(model: JointModel, times, rows: np.ndarray, k: int = 0):
-    """The bath rows at times[-1] of the matrix-unit propagation tree grown
-    from `rows` at times[k], in leaf order: each row is placed at every |q>,
-    propagated to times[k + 1], and each row <p| of the result grows on;
+def _tree_rows(model: JointModel, times, rows: np.ndarray, ids: np.ndarray, k: int = 0):
+    """The live bath rows at times[-1] of the matrix-unit propagation tree
+    grown from `rows` (leaf numbers `ids`) at times[k]: each row is placed at
+    every |q>, propagated to times[k + 1], and each row <p| of the result
+    grows on as leaf (id d + q) d + p. A row that is exactly zero is dropped
+    with its subtree, which is zero too. Yields (ids, rows) in leaf order,
     depth first, at most DENSE_JOINT_LIMIT joint entries per call."""
     ds, de = model.dim_s, model.dim_e
     per_call = max(1, DENSE_JOINT_LIMIT // (ds * de))
     count = len(rows) * ds
+    # the leaf number of row p grown from kid = row d + q, at index kid d + p
+    grown = (ids[:, None] * (ds * ds) + np.arange(ds * ds)).ravel()
     for lo in range(0, count, per_call):
         kid = np.arange(lo, min(lo + per_call, count))
         joint = np.zeros((len(kid), ds, de), dtype=complex)
@@ -354,31 +358,72 @@ def _tree_rows(model: JointModel, times, rows: np.ndarray, k: int = 0):
         out = model.apply_propagator(times[k], times[k + 1],
                                      joint.reshape(len(kid), -1)).reshape(-1, de)
         del joint       # not held while the subtree grows
-        yield from _tree_rows(model, times, out, k + 1) if k + 2 < len(times) else [out]
+        out_ids = grown[lo * ds:(lo + len(kid)) * ds]
+        live = out.any(axis=1)
+        if not live.all():
+            out, out_ids = out[live], out_ids[live]
+        if k + 2 < len(times):
+            yield from _tree_rows(model, times, out, out_ids, k + 1)
+        elif len(out):
+            yield out_ids, out
+
+
+def _blas_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b (stacks broadcast), b's columns split so that each matrix
+    product takes fewer than 2**16 multiply-adds: OpenBLAS runs such a
+    complex product on the calling thread (a larger one wakes worker threads
+    that spin on after it, and splitting k between threads moves the last
+    bits)."""
+    cols = max(1, ((1 << 16) - 1) // (a.shape[-2] * a.shape[-1]))
+    if cols >= b.shape[-1]:
+        return a @ b
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]),
+                   dtype=np.result_type(a, b))
+    for lo in range(0, b.shape[-1], cols):
+        np.matmul(a, b[..., lo:lo + cols], out=out[..., lo:lo + cols])
+    return out
 
 
 def _leaf_gram(model: JointModel, times) -> np.ndarray:
     """The exact side at times t0, ..., tn: G = sum_b p_b conj(F_b) F_b^T
     over the bath branches (p_b, e_b), F_b's d^(2n) rows the leaves
-    (q0, p1, q1, ..., p_n) of the tree grown from e_b. The bath sum runs over
+    (q0, p1, q1, ..., p_n) of the tree grown from e_b. Zero leaves are
+    neither propagated nor multiplied: the products run over the leaves live
+    in some branch, padded with zero rows to a multiple of 4 (at most d^(2n)),
+    so that every live entry takes OpenBLAS's full-width kernels and is
+    bitwise the entry of the all-leaves product. The bath sum runs over
     blocks in a fixed order."""
     ds, de = model.dim_s, model.dim_e
     branches = model.env_branches()
-    leaves = np.empty((len(branches) * ds ** (2 * len(times) - 2), de), dtype=complex)
-    filled = 0
-    for stack in _tree_rows(model, times, np.array([phi for _, phi in branches])):
-        leaves[filled:filled + len(stack)] = stack
-        filled += len(stack)
-    size = len(leaves) // len(branches)
-    # OpenBLAS runs a complex product of m*n*k < 2**16 multiply-adds on the
-    # calling thread (a larger one wakes worker threads that spin on after it,
-    # and splitting k between threads moves the last bits); 64 if none can
-    step = ((1 << 16) - 1) // size ** 2 or 64
-    gram = np.zeros((size, size), dtype=complex)
-    for (p, _), f in zip(branches, leaves.reshape(len(branches), size, de)):
+    size = ds ** (2 * len(times) - 2)
+    found = list(_tree_rows(model, times, np.array([phi for _, phi in branches]),
+                            np.arange(len(branches))))
+    ids = np.concatenate([i for i, _ in found])
+    if len(ids) == len(branches) * size:    # every leaf live, in leaf order
+        live = None
+        leaves = np.concatenate([rows for _, rows in found]).reshape(len(branches), size, de)
+    else:
+        mask = np.zeros(size, dtype=bool)
+        mask[ids % size] = True
+        live, place = np.flatnonzero(mask), np.cumsum(mask) - 1
+        leaves = np.zeros((len(branches), min(size, -(-len(live) // 4) * 4), de), dtype=complex)
+        for i, rows in found:
+            leaves[i // size, place[i % size]] = rows
+    del found
+    # k-blocks of fewer than 2**16 multiply-adds over all d^(2n) leaves; where
+    # none can, blocks of 8 with the columns split (`_blas_product`)
+    step = ((1 << 16) - 1) // size ** 2
+    product, step = (np.matmul, step) if step else (_blas_product, 8)
+    gram = np.zeros(leaves.shape[1:2] * 2, dtype=complex)
+    for (p, _), f in zip(branches, leaves):
+        fc = f.conj()
         for lo in range(0, de, step):
-            gram += p * (f[:, lo:lo + step].conj() @ f[:, lo:lo + step].T)
-    return gram
+            gram += p * product(fc[:, lo:lo + step], f[:, lo:lo + step].T)
+    if live is None:
+        return gram
+    full = np.zeros((size, size), dtype=complex)
+    full[live[:, None], live] = gram[:len(live), :len(live)]
+    return full
 
 
 def _map_kron(model: JointModel, times) -> np.ndarray:
@@ -409,7 +454,8 @@ def _regression_slices(model: JointModel, times, rho_s0):
     ket = h.transpose(0, 2, 1).reshape(d * d, d * d)     # [b, (p, q)] = H_b[q, p]
     for j in range(1, n):
         for m, axis in ((bra, j), (ket, n + 1 + j)):
-            x = np.moveaxis(np.tensordot(m, x, axes=(1, axis)), 0, axis)
+            x = np.moveaxis(x, axis, 0)
+            x = np.moveaxis(_blas_product(m, x.reshape(d * d, -1)).reshape(x.shape), 0, axis)
     middle = [axis for j in range(1, n) for axis in (j, n + 1 + j)]
     y = x.transpose(middle + [0, n + 1, n, 2 * n + 1]).reshape(-1, d * d, d * d)
     first = np.einsum("bij,jk,akl->abli", h, np.asarray(rho_s0, dtype=complex),
@@ -417,7 +463,7 @@ def _regression_slices(model: JointModel, times, rho_s0):
     last = np.einsum("aij,bjk->abik", h, h).reshape(d ** 4, d * d)
     per_slice = max(1, (1 << 20) // d ** 8)
     for lo in range(0, len(y), per_slice):
-        yield lo, first @ y[lo:lo + per_slice] @ last.T
+        yield lo, _blas_product(_blas_product(first, y[lo:lo + per_slice]), last.T)
 
 
 def _largest(r: np.ndarray) -> float:

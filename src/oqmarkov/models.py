@@ -267,18 +267,25 @@ class AflModel(JointModel):
 
     def _band_error(self) -> float:
         """Largest deviation of the grid's characteristic function from
-        exp(-b) over 600 evenly spaced slopes b of the band. The phases
-        exp(i b u) at one slope are those at the previous slope times
-        exp(i db u): one complex multiply per grid point and slope in place
-        of a cosine."""
+        exp(-b) over 600 evenly spaced slopes b of the band. Its values at
+        the four slopes b, b + db, b + 2 db, b + 3 db are the real parts of
+        one product of the powers exp(i j db u), j = 0..3, with the weighted
+        phases z = w exp(i b u), and z then steps on by exp(i 4 db u): no
+        cosine, and one product per four slopes (a product of eight woke
+        OpenBLAS's worker threads)."""
         b = np.linspace(_AFL_BAND[0], _AFL_BAND[1], 600)
-        z = self.weights * np.exp(1j * b[0] * self._u)
         step = np.exp(1j * (b[1] - b[0]) * self._u)
-        vals = np.empty(len(b))
-        for k in range(len(b)):
-            vals[k] = z.real.sum()
-            z *= step
-        return float(np.max(np.abs(vals - np.exp(-b))))
+        powers = np.empty((4, len(step)), dtype=complex)
+        powers[0] = 1.0
+        for j in range(1, 4):
+            powers[j] = powers[j - 1] * step
+        stride = powers[3] * step
+        z = self.weights * np.exp(1j * b[0] * self._u)
+        vals = np.empty((len(b) // 4, 4))
+        for row in vals:
+            row[:] = (powers @ z).real
+            z *= stride
+        return float(np.max(np.abs(vals.ravel() - np.exp(-b))))
 
     def env_branches(self):
         return [(1.0, self.amplitudes)]

@@ -10,7 +10,9 @@ bitwise those of the loop here. `qrf` and `gqrf` read every correlation at
 a time tuple from one regression tensor (a Gram matrix of the bath leaves
 of a matrix-unit propagation tree, and a Kronecker product of the
 replaced-bath maps), whose entries agree with these per-case loops to
-rounding. `check_fa` decides its clauses in the span of the bath rows;
+rounding. The package's tree drops every zero row and multiplies only the
+leaves that are live; `reference_leaf_gram` grows every leaf and multiplies
+them all. `check_fa` decides its clauses in the span of the bath rows;
 `reference_fa` forms the dense joint state instead."""
 
 import itertools
@@ -78,6 +80,30 @@ def reference_prediction(model, c_ops, times, rho_s0) -> complex:
         x = generalized_map(model, times[j - 1], times[j])(x)
         x = apply_cop(c_ops[j], x)
     return complex(np.trace(x))
+
+
+def reference_leaf_gram(model, times) -> np.ndarray:
+    """The exact side of the regression tensor from every leaf of the
+    matrix-unit propagation tree, zero leaves included: each level places
+    every row at every |q>, propagates the whole level in one stack and
+    splits the result into its rows <p|. G = sum_b p_b conj(F_b) F_b^T is
+    summed in (branch, block) order over blocks of (2**16 - 1) // size**2
+    bath columns, 64 where none fit."""
+    ds, de = model.dim_s, model.dim_e
+    branches = model.env_branches()
+    rows = np.array([phi for _, phi in branches])
+    for t1, t2 in zip(times, times[1:]):
+        joint = np.zeros((len(rows), ds, ds, de), dtype=complex)
+        for q in range(ds):
+            joint[:, q, q] = rows
+        rows = model.apply_propagator(t1, t2, joint.reshape(-1, ds * de)).reshape(-1, de)
+    size = ds ** (2 * len(times) - 2)
+    step = ((1 << 16) - 1) // size ** 2 or 64
+    gram = np.zeros((size, size), dtype=complex)
+    for (p, _), f in zip(branches, rows.reshape(len(branches), size, de)):
+        for lo in range(0, de, step):
+            gram += p * (f[:, lo:lo + step].conj() @ f[:, lo:lo + step].T)
+    return gram
 
 
 def reference_fa(model, initial_states, times) -> dict:

@@ -19,13 +19,13 @@ from oqmarkov.criteria import (CriterionReport, check_composability,
                                map_residual, multitime_correlation,
                                generalized_map, regression_prediction,
                                replacement_map, run_criteria, tomograph, worst_case)
-from oqmarkov.models import (afl, assemble_map, collision, eternal_me, nqib_qubit,
-                             partial_swap, static_dephasing, tam)
+from oqmarkov.models import (afl, assemble_map, collision, eternal_me, make_model,
+                             nqib_qubit, partial_swap, static_dephasing, tam)
 from oqmarkov.superop import SuperOperator, compose, is_cptp, vec
 
 from closed_forms import afl_correlation_exact, afl_correlation_regression, tam_map
 from dense_reference import (dense_propagator, reference_correlation, reference_fa,
-                             reference_prediction)
+                             reference_leaf_gram, reference_prediction)
 
 
 class TestCriterionReport:
@@ -169,6 +169,80 @@ class TestRegressionTensor:
             want = reference_prediction(model, c_ops, times, rho)
             assert abs(-got_predicted - want) <= 1e-12, (seq, want)
 
+    @pytest.mark.parametrize("name", ["tam", "nqib", "collision", "static-dephasing", "afl"])
+    def test_pruned_gram_is_the_all_leaves_gram_on_presets(self, name):
+        """Zero leaves are neither propagated nor multiplied. Every joint
+        preset's tree has some at each `qrf` and `gqrf` time tuple, and its
+        Gram matrix is bitwise that of every leaf (`reference_leaf_gram`)."""
+        model = make_model(name)
+        s = criterion_settings(model, ["qrf", "gqrf"])
+        for times in ([(model.t0,) + tuple(pair) for pair in s["qrf"]["time_pairs"]]
+                      + [(model.t0,) + tuple(ts) for ts in s["gqrf"]["time_sets"]]):
+            want = reference_leaf_gram(model, times)
+            assert np.count_nonzero(want.any(axis=1)) < len(want), times
+            assert criteria._leaf_gram(model, times).tobytes() == want.tobytes(), times
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), register=st.booleans(), d=st.integers(2, 3),
+           unitary=st.sampled_from(["haar", "partial-swap", "diagonal"]),
+           ancilla=st.sampled_from(["ground", "pure", "mixed", "diagonal"]),
+           size=st.integers(1, 3), n=st.integers(1, 3), on_slots=st.booleans())
+    def test_pruned_gram_is_the_all_leaves_gram(self, seed, register, d, unitary, ancilla,
+                                                size, n, on_slots):
+        """Random collisions (1-3 slots; Haar, partial-swap or diagonal pair
+        unitaries; ground, pure, mixed or diagonal mixed ancillas; times on
+        or inside slots) and static registers (2-4 levels, random or
+        diagonal Hamiltonians), n = 1..3 times after t0. A qubit's Gram
+        matrix is bitwise the all-leaves one. A qutrit's agrees to 1e-12:
+        its d^(2n) leaves are no multiple of 4, so the all-leaves product
+        runs OpenBLAS's tail kernels on other rows than the pruned one."""
+        assume(d == 2 or n < 3)
+        rng = np.random.default_rng(seed)
+        if register:
+            hams = [np.diag(rng.normal(size=d)) if unitary == "diagonal"
+                    else random_hermitian(d, rng) for _ in range(size + 1)]
+            model = static_dephasing(rng.dirichlet(np.ones(size + 1)), hams)
+            grid = rng.uniform(0.0, 2.0, n)
+        else:
+            pair = {"haar": lambda: random_unitary(d * d, rng),
+                    "partial-swap": lambda: partial_swap(rng.uniform(0.0, math.pi), d),
+                    "diagonal": lambda: np.diag(np.exp(2j * math.pi * rng.uniform(size=d * d)))}
+            state = {"ground": lambda: ket(0, d), "pure": lambda: random_pure(d, rng),
+                     "mixed": lambda: random_density(d, rng=rng),
+                     "diagonal": lambda: np.diag(rng.dirichlet(np.ones(d)))}
+            model = collision(size, pair[unitary](), ancilla_state=state[ancilla]())
+            grid = rng.integers(1, size + 1, n) if on_slots else rng.uniform(0.0, size, n)
+        times = (model.t0,) + tuple(float(t) for t in np.sort(grid))
+        got, want = criteria._leaf_gram(model, times), reference_leaf_gram(model, times)
+        if d == 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_qutrit_gram_at_three_times(self):
+        """729 leaves: the Gram products are split below 2**16 multiply-adds
+        (`_blas_product`), and the matrix agrees with the all-leaves one."""
+        model = collision(n_slots=3, pair_unitary=partial_swap(math.pi / 4, d=3))
+        times = (0.0, 1.0, 2.0, 3.0)
+        got, want = criteria._leaf_gram(model, times), reference_leaf_gram(model, times)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_qutrit_tensor_runs_on_the_calling_thread(self):
+        """A qutrit at three times: every Gram and contraction product stays
+        below OpenBLAS's one-thread size, so the process takes no more CPU
+        time than wall time (a threaded product read 1.5 x). The first call
+        outlasts the spin of worker threads an earlier test may have woken."""
+        import resource
+        import time
+        model = collision(n_slots=3, pair_unitary=partial_swap(math.pi / 4, d=3))
+        check_gqrf(model, time_sets=((1, 2, 3),))
+        before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+        check_gqrf(model, time_sets=((1, 2, 3),))
+        wall = time.perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+        assert cpu <= 1.1 * wall + 0.01, (cpu, wall)
+
     def test_tam_worst_sequence(self):
         """The worst of all 4^8 sequences at tam's declared times (a sample
         of 40 sequences reads 0.3406)."""
@@ -223,10 +297,12 @@ class TestRegressionTensor:
             regression_prediction(tam(), [(SX, SX)] * 2, (0.0, 0.5, 1.0), np.eye(2) / 2)
 
     def test_afl_preset_propagates_each_tree_level(self, monkeypatch):
-        """At afl's declared times the tree propagates 2 + 8 vectors per
-        `qrf` time pair and 2 + 8 + 32 for `gqrf`'s time set, one per call
-        on afl's 8002-entry joint vectors: with the replaced-bath maps the
-        run builds, 40 and 48 `apply_propagator` calls."""
+        """afl dephases, so a leaf (q0, p1, ..., p_n) is zero unless
+        p_k = q_(k-1): at afl's declared times the tree propagates the 2 + 4
+        vectors of live rows per `qrf` time pair and 2 + 4 + 8 for `gqrf`'s
+        time set, one per call on afl's 8002-entry joint vectors. With the
+        replaced-bath maps the run builds, 28 and 20 `apply_propagator`
+        calls."""
         model = afl()
         calls = []
         propagate = model.apply_propagator
@@ -241,14 +317,14 @@ class TestRegressionTensor:
                 return report
             monkeypatch.setattr(criteria, name, counted)
         run_criteria(model, criterion_settings(model, names=["qrf", "gqrf"]), seed=23)
-        assert counts["check_qrf"] <= 40
-        assert counts["check_gqrf"] <= 48
+        assert counts["check_qrf"] <= 28
+        assert counts["check_gqrf"] <= 20
 
     def test_afl_gqrf_holds_few_vectors(self):
         """The tree grows depth first, one vector per level at a time on
-        afl's bath, so the 64 leaves (4.1 MB) are the bulk of what it holds:
-        with afl's maps built, gqrf at its declared settings peaks at about
-        4.9 MB of traced allocations."""
+        afl's bath, and keeps only the 8 live leaves of 64 (0.5 MB): with
+        afl's maps built, gqrf at its declared settings peaks at about
+        1.7 MB of traced allocations."""
         import tracemalloc
         model = afl()
         s = criterion_settings(model, ["gqrf"])["gqrf"]
@@ -1127,9 +1203,9 @@ class TestMapStore:
                             lambda *args: calls.append(1) or propagate(*args))
         s = criterion_settings(model, ["qrf", "gqrf"])
         qrf = check_qrf(model, time_pairs=s["qrf"]["time_pairs"], tol=s["qrf"]["tol"])
-        assert len(calls) == 40
+        assert len(calls) == 28
         gqrf = check_gqrf(model, time_sets=s["gqrf"]["time_sets"], tol=s["gqrf"]["tol"])
-        assert len(calls) == 40 + 48
+        assert len(calls) == 28 + 20
         assert max(builds.values()) == 2        # once per call
         run = run_criteria(model, s, 23)
         assert qrf.to_dict() == run["qrf"].to_dict()
