@@ -360,11 +360,10 @@ def _tree_rows(model: JointModel, times, rows: np.ndarray, ids: np.ndarray, k: i
         del joint       # not held while the subtree grows
         out_ids = grown[lo * ds:(lo + len(kid)) * ds]
         live = out.any(axis=1)
-        if not live.all():
-            out, out_ids = out[live], out_ids[live]
+        out, out_ids = out[live], out_ids[live]
         if k + 2 < len(times):
             yield from _tree_rows(model, times, out, out_ids, k + 1)
-        elif len(out):
+        else:
             yield out_ids, out
 
 
@@ -398,17 +397,19 @@ def _leaf_gram(model: JointModel, times) -> np.ndarray:
     size = ds ** (2 * len(times) - 2)
     found = list(_tree_rows(model, times, np.array([phi for _, phi in branches]),
                             np.arange(len(branches))))
-    ids = np.concatenate([i for i, _ in found])
-    if len(ids) == len(branches) * size:    # every leaf live, in leaf order
-        live = None
-        leaves = np.concatenate([rows for _, rows in found]).reshape(len(branches), size, de)
-    else:
-        mask = np.zeros(size, dtype=bool)
-        mask[ids % size] = True
-        live, place = np.flatnonzero(mask), np.cumsum(mask) - 1
-        leaves = np.zeros((len(branches), min(size, -(-len(live) // 4) * 4), de), dtype=complex)
-        for i, rows in found:
-            leaves[i // size, place[i % size]] = rows
+    mask = np.zeros(size, dtype=bool)
+    for i, _ in found:
+        mask[i % size] = True
+    live, place = np.flatnonzero(mask), np.cumsum(mask) - 1
+    # Padded to a multiple of 4 rows: this assumes the complex product forms
+    # rows 4 at a time in one kernel, the remainder in tail kernels that round
+    # otherwise, and an entry's bits not depending on its row (OpenBLAS 0.3's
+    # x86-64 zgemm). Every live entry then takes the kernel it takes among all
+    # d^(2n) leaves, a multiple of 4 for d = 2; a kernel of another width
+    # would move last bits only.
+    leaves = np.zeros((len(branches), min(size, -(-len(live) // 4) * 4), de), dtype=complex)
+    for i, rows in found:
+        leaves[i // size, place[i % size]] = rows
     del found
     # k-blocks of fewer than 2**16 multiply-adds over all d^(2n) leaves; where
     # none can, blocks of 8 with the columns split (`_blas_product`)
@@ -419,7 +420,7 @@ def _leaf_gram(model: JointModel, times) -> np.ndarray:
         fc = f.conj()
         for lo in range(0, de, step):
             gram += p * product(fc[:, lo:lo + step], f[:, lo:lo + step].T)
-    if live is None:
+    if len(live) == size:
         return gram
     full = np.zeros((size, size), dtype=complex)
     full[live[:, None], live] = gram[:len(live), :len(live)]
@@ -463,7 +464,7 @@ def _regression_slices(model: JointModel, times, rho_s0):
     last = np.einsum("aij,bjk->abik", h, h).reshape(d ** 4, d * d)
     per_slice = max(1, (1 << 20) // d ** 8)
     for lo in range(0, len(y), per_slice):
-        yield lo, _blas_product(_blas_product(first, y[lo:lo + per_slice]), last.T)
+        yield lo, first @ y[lo:lo + per_slice] @ last.T
 
 
 def _largest(r: np.ndarray) -> float:
