@@ -15,7 +15,8 @@ integer M and --jobs, a finite positive --dt and --tmax, and an output grid
 that --dt divides. A config value of the wrong JSON type (M, jobs and seed
 must be integers; dt, tmax, tol, t0, t1 and t2 real numbers) is a usage
 error too. Identical configuration and seed produce byte-identical output
-files; wall-clock timing is only embedded when --timing is passed.
+files; wall-clock timing is only embedded when --timing is passed (an
+analyze and hierarchy flag; the samplers reject it).
 """
 
 from __future__ import annotations
@@ -321,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output path (or stem for csv+json pairs)")
         sp.add_argument("--assert-pass", action="store_true",
                         help="exit 1 if any requested criterion fails")
+
+    def timing(sp):
         sp.add_argument("--timing", action="store_true",
                         help="embed wall-clock timing (breaks byte reproducibility)")
 
@@ -334,12 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, help="criterion tolerance override")
     sp.add_argument("--format", choices=("json", "csv"))
     common(sp)
+    timing(sp)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("hierarchy", help="full verdict table for a model")
     sp.add_argument("--model")
     sp.add_argument("--format", choices=("json", "csv"))
     common(sp)
+    timing(sp)
     sp.set_defaults(func=cmd_hierarchy)
 
     sp = sub.add_parser("mcwf", help="Monte-Carlo wave-function run")

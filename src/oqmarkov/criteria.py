@@ -411,15 +411,15 @@ def _leaf_gram(model: JointModel, times) -> np.ndarray:
     for i, rows in found:
         leaves[i // size, place[i % size]] = rows
     del found
-    # k-blocks of fewer than 2**16 multiply-adds over all d^(2n) leaves; where
-    # none can, blocks of 8 with the columns split (`_blas_product`)
-    step = ((1 << 16) - 1) // size ** 2
-    product, step = (np.matmul, step) if step else (_blas_product, 8)
+    # k-blocks of fewer than 2**16 multiply-adds over all d^(2n) leaves, whose
+    # products `_blas_product` leaves whole; where none can, blocks of 8 with
+    # the columns split
+    step = ((1 << 16) - 1) // size ** 2 or 8
     gram = np.zeros(leaves.shape[1:2] * 2, dtype=complex)
     for (p, _), f in zip(branches, leaves):
         fc = f.conj()
         for lo in range(0, de, step):
-            gram += p * product(fc[:, lo:lo + step], f[:, lo:lo + step].T)
+            gram += p * _blas_product(fc[:, lo:lo + step], f[:, lo:lo + step].T)
     if len(live) == size:
         return gram
     full = np.zeros((size, size), dtype=complex)

@@ -151,23 +151,23 @@ def assemble_map(model: JointModel, branches, times: Sequence[float], ops: Seque
     exceeds DENSE_JOINT_LIMIT: a stack of vectors that long takes
     temporaries past glibc's mmap and trim thresholds (128 KiB), each handed
     back to the kernel and faulted in again, so such columns go one at a
-    time. The branches are summed in their
-    order, so both ways give the same bits. No branches give the zero map."""
+    time, each conjugated once. The branches are summed in their order, so
+    both ways give the same bits. No branches give the zero map."""
     ds, de = model.dim_s, model.dim_e
     ft = None if effect is None else np.asarray(effect, dtype=complex).T
     blocks = np.zeros((ds,) * 4, dtype=complex)     # [i, j]: the image of |i><j|
+    # row (b, i) is kron(|i>, e_b), as one broadcast product
+    phis = np.array([phi for _, phi in branches]).reshape(len(branches), 1, 1, de)
+    starts = (np.eye(ds, dtype=complex)[None, :, :, None] * phis).reshape(-1, ds * de)
     if branches and ds * de <= DENSE_JOINT_LIMIT:
-        # row (b, i) is kron(|i>, e_b), as one broadcast product
-        phis = np.array([phi for _, phi in branches])[:, None, None, :]
-        starts = (np.eye(ds, dtype=complex)[None, :, :, None] * phis).reshape(-1, ds * de)
         mats = evolve(model, starts, times, ops).reshape(-1, ds, ds, de)
         left = mats if ft is None else mats @ ft
         prods = left[:, :, None] @ mats.conj()[:, None].swapaxes(-1, -2)
     else:
-        mats = [evolve(model, np.kron(ket(i, ds), phi), times, ops).reshape(ds, de)
-                for _, phi in branches for i in range(ds)]
+        mats = [evolve(model, s, times, ops).reshape(ds, de) for s in starts]
         left = mats if ft is None else [u @ ft for u in mats]
-        prods = [np.array([[left[b + i] @ mats[b + j].conj().T for j in range(ds)]
+        bras = [u.conj().T for u in mats]
+        prods = [np.array([[left[b + i] @ bras[b + j] for j in range(ds)]
                            for i in range(ds)]) for b in range(0, len(mats), ds)]
     for (p, _), prod in zip(branches, prods):
         blocks += p * prod

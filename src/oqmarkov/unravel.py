@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import numpy as np
 
-from .core import DensityOperator, Operator, ket
+from .core import DensityOperator, Operator
 from .criteria import tomograph
 from .superop import LindbladSpec
 
@@ -64,13 +64,6 @@ class Ensemble:
         return float(sum(self.weights.tolist()))
 
 
-def _branch_ensemble(times, branches, kind: str, seed=None, meta=None) -> Ensemble:
-    """Ensemble from (weight, state history, record) triples."""
-    return Ensemble(times, np.array([hist for _, hist, _ in branches], dtype=complex),
-                    np.array([w for w, _, _ in branches], dtype=float), kind, seed,
-                    meta or {}, np.array([rec for _, _, rec in branches], dtype=np.int64))
-
-
 def _time_index(ens: Ensemble, t: float) -> int:
     idx = np.argmin(np.abs(ens.times - t))
     if abs(ens.times[idx] - t) > 1e-9:
@@ -78,30 +71,32 @@ def _time_index(ens: Ensemble, t: float) -> int:
     return int(idx)
 
 
-def _projectors_at(ens: Ensemble, t: float):
-    """Weights and states at a grid time, in trajectory order."""
+def _weighted_sum(ens: Ensemble, t: float, term) -> np.ndarray:
+    """sum_i w_i term(P_i) over the projectors P_i of the states at a grid
+    time, added in trajectory order onto a zero: bitwise the loop
+    ``total += w_i * term(P_i)``, at d = 1 too, where a reduction sums
+    pairwise."""
     if not len(ens.weights):
         raise ValueError("empty ensemble")
-    return zip(ens.weights.tolist(), ens.states[:, _time_index(ens, t)])
+    v = ens.states[:, _time_index(ens, t)]
+    x = ens.weights[:, None, None] * term(v[:, :, None] * v.conj()[:, None, :])
+    x[0] += 0       # the loop's first add, onto zero, turns -0.0 into 0.0
+    return np.add.accumulate(x, axis=0, out=x)[-1]
 
 
 def ensemble_mean(ens: Ensemble, t: float) -> DensityOperator:
     """Weighted average of the pure-state projectors at a grid time."""
-    d = ens.states.shape[2]
-    rho = np.zeros((d, d), dtype=complex)
-    for w, v in _projectors_at(ens, t):
-        rho += w * np.outer(v, v.conj())
-    return DensityOperator(rho, psd_tol=1e-7, herm_tol=1e-8, trace_tol=1e-7)
+    return DensityOperator(_weighted_sum(ens, t, lambda pi: pi),
+                           psd_tol=1e-7, herm_tol=1e-8, trace_tol=1e-7)
 
 
 def ensemble_second_moment(ens: Ensemble, t: float) -> Operator:
     """Weighted average of projector (x) projector; distinguishes ensembles
     with equal means."""
     d = ens.states.shape[2]
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for w, v in _projectors_at(ens, t):
-        pi = np.outer(v, v.conj())
-        out += w * np.kron(pi, pi)
+    # member i is kron(P_i, P_i), as one broadcast product
+    out = _weighted_sum(ens, t, lambda pi: (pi[:, :, None, :, None] * pi[:, None, :, None, :])
+                        .reshape(-1, d * d, d * d))
     return Operator(out, (d, d))
 
 
@@ -378,6 +373,22 @@ def _slot_basis(chooser, slot: int, d: int) -> np.ndarray:
     return b
 
 
+def _branch_tree(hist, weights, records, split, n_steps: int):
+    """The exact unravellings' enumerator: the branches (hist (M, k, d),
+    weights, records (M, j)) grown by n_steps measurements, in (branch,
+    outcome) order. ``split(states, records, k)`` gives step k's unnormalised
+    (M, outcomes, d) branch states and (M, outcomes) weights from the
+    branches' last states; outcomes above weight 1e-14 are kept, renormalised."""
+    for k in range(n_steps):
+        branches, w = split(hist[:, -1], records, k)
+        rows, outs = np.nonzero(w > 1e-14)
+        psi = branches[rows, outs] / np.sqrt(w[rows, outs])[:, None]
+        hist = np.concatenate([hist[rows], psi[:, None]], axis=1)
+        weights = weights[rows] * w[rows, outs]
+        records = np.column_stack([records[rows], outs])
+    return hist, weights, records
+
+
 def collision_unravel(model, basis_per_slot=None, psi0=None,
                       M: int | None = None, seed: int | None = None) -> Ensemble:
     """Measure the just-used ancilla after each collision slot.
@@ -407,15 +418,9 @@ def collision_unravel(model, basis_per_slot=None, psi0=None,
         return branches, np.sum(branches.real ** 2 + branches.imag ** 2, axis=2)
 
     if n_branches <= BRANCH_ENUM_LIMIT:
-        hist = psi0[None, None, :]
-        weights, records = np.ones(1), np.zeros((1, 0), dtype=np.int64)
-        for k in range(n):
-            branches, w = collide(hist[:, -1], k)
-            rows, outs = np.nonzero(w > 1e-14)
-            psi = branches[rows, outs] / np.sqrt(w[rows, outs])[:, None]
-            hist = np.concatenate([hist[rows], psi[:, None]], axis=1)
-            weights = weights[rows] * w[rows, outs]
-            records = np.column_stack([records[rows], outs])
+        hist, weights, records = _branch_tree(
+            psi0[None, None, :], np.ones(1), np.zeros((1, 0), dtype=np.int64),
+            lambda psi, _, k: collide(psi, k), n)
         return Ensemble(times, hist, weights, "collision-exact", None,
                         {"exact": True, "n_branches": len(weights)}, records)
 
@@ -447,7 +452,8 @@ def static_unravel(model, times, psi0=None,
 
     In the register basis the branch states are exactly pure and the branch
     sum is exactly the dynamical map: this is the construction behind the
-    uniqueness of the scheme. Any other basis disturbs the register
+    uniqueness of the scheme. Any other basis ("conjugate", or a unitary
+    array whose columns are the outcome states) disturbs the register
     statistics; the resulting mean deviation is reported in the metadata as
     the demonstration of that uniqueness. A given psi0 is normalised; the
     default is the uniform superposition.
@@ -456,41 +462,32 @@ def static_unravel(model, times, psi0=None,
     psi0 = np.ones(ds, dtype=complex) / np.sqrt(ds) if psi0 is None else _unit_start(psi0, ds)
     times = np.asarray(times, dtype=float)
     full_times = np.concatenate([[model.t0], times])
-    if basis == "register" or basis is None:
-        us = [model.sector_unitaries(t - model.t0) for t in times]
-        branches = [(float(model.probs[j]), [psi0] + [u[j] @ psi0 for u in us], (j,))
-                    for j in range(r) if model.probs[j] > 1e-14]
-        return _branch_ensemble(full_times, branches, "static-register",
-                                meta={"exact": True, "basis": "register"})
+    live = np.flatnonzero(model.probs > 1e-14)
+    if basis is None or isinstance(basis, str) and basis == "register":
+        states = [np.tile(psi0, (len(live), 1))] + \
+            [model.sector_unitaries(t - model.t0)[live] @ psi0 for t in times]
+        return Ensemble(full_times, np.stack(states, axis=1), model.probs[live],
+                        "static-register", None, {"exact": True, "basis": "register"},
+                        live[:, None])
 
     b = _CONJUGATE if isinstance(basis, str) and basis == "conjugate" \
         else np.asarray(basis, dtype=complex)
     if b.shape != (r, r) or np.max(np.abs(b.conj().T @ b - np.eye(r))) > 1e-10:
         raise ValueError("basis must be a unitary on the register")
-    # branch over initial diagonal measurement, then over the chosen basis
-    branches = []
-    for j in range(r):
-        p = float(model.probs[j])
-        if p > 1e-14:
-            branches.append((p, np.kron(psi0, ket(j, r)), (j,), [psi0]))
-    tcur = model.t0
-    for t in times:
-        new = []
-        for w, joint, rec, hist in branches:
-            joint = model.apply_propagator(tcur, t, joint)
-            mat = joint.reshape(ds, r)
-            for m_out in range(r):
-                amp = mat @ b[:, m_out].conj()
-                wk = float(np.vdot(amp, amp).real)
-                if wk <= 1e-14:
-                    continue
-                sys = amp / np.sqrt(wk)
-                new.append((w * wk, np.kron(sys, b[:, m_out]), rec + (m_out,),
-                            hist + [sys]))
-        branches = new
-        tcur = t
-    ens = _branch_ensemble(full_times, [(w, hist, rec) for w, _, rec, hist in branches],
-                           "static-nonregister", meta={"exact": True, "basis": "custom"})
+
+    def measure(psi, records, k):
+        # the register is e_m after outcome m at t0, column m of b after a
+        # later one; psi (x) register is one broadcast product, bitwise kron
+        reg = (np.eye(r, dtype=complex) if k == 0 else b.T)[records[:, -1]]
+        joint = (psi[:, :, None] * reg[:, None, :]).reshape(len(psi), ds * r)
+        mat = model.apply_propagator(full_times[k], full_times[k + 1], joint).reshape(-1, ds, r)
+        branches = np.swapaxes(mat @ b.conj(), 1, 2)
+        return branches, np.sum(branches.real ** 2 + branches.imag ** 2, axis=2)
+
+    hist, weights, records = _branch_tree(np.tile(psi0, (len(live), 1, 1)), model.probs[live],
+                                          live[:, None], measure, len(times))
+    ens = Ensemble(full_times, hist, weights, "static-nonregister", None,
+                   {"exact": True, "basis": "custom"}, records)
     # mean deviation from the uninterrupted map output, per time
     ens.meta["mean_deviation_from_map"] = mean_deviation_from_map(
         ens, model, np.outer(psi0, psi0.conj()), times)

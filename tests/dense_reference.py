@@ -13,7 +13,11 @@ replaced-bath maps), whose entries agree with these per-case loops to
 rounding. The package's tree drops every zero row and multiplies only the
 leaves that are live; `reference_leaf_gram` grows every leaf and multiplies
 them all. `check_fa` decides its clauses in the span of the bath rows;
-`reference_fa` forms the dense joint state instead."""
+`reference_fa` forms the dense joint state instead. The exact unravellings
+grow all branches at once on one enumerator, with one stacked propagation
+per time; `reference_static_unravel` and `reference_collision_unravel`
+grow them as before, and `reference_ensemble_mean` and
+`reference_second_moment` sum one trajectory at a time."""
 
 import itertools
 
@@ -125,3 +129,77 @@ def reference_fa(model, initial_states, times) -> dict:
             dist = max(dist, 0.5 * trace_norm(a - b))
     return {"max_mutual_information": mi, "max_negativity": neg,
             "max_env_marginal_distance": dist}
+
+
+def reference_static_unravel(model, times, psi0, basis=None):
+    """`static_unravel` one register branch at a time: in the register
+    basis (basis None) each live level's states u_j psi0; in a unitary
+    basis b, each branch's joint state kron(state, register) propagated
+    alone and split one outcome column of b at a time. The weights, the
+    (branch, time, d_s) states and the records."""
+    ds, r = model.dim_s, model.dim_e
+    full_times = [model.t0] + list(times)
+    live = [j for j in range(r) if model.probs[j] > 1e-14]
+    if basis is None:
+        us = [model.sector_unitaries(t - model.t0) for t in times]
+        branches = [(float(model.probs[j]), [psi0] + [u[j] @ psi0 for u in us], (j,))
+                    for j in live]
+    else:
+        branches = [(float(model.probs[j]), [psi0], (j,), np.kron(psi0, ket(j, r)))
+                    for j in live]
+        for t1, t2 in zip(full_times, full_times[1:]):
+            grown = []
+            for w, hist, rec, joint in branches:
+                mat = model.apply_propagator(t1, t2, joint).reshape(ds, r)
+                for m in range(r):
+                    amp = mat @ basis[:, m].conj()
+                    wk = float(np.vdot(amp, amp).real)
+                    if wk > 1e-14:
+                        psi = amp / np.sqrt(wk)
+                        grown.append((w * wk, hist + [psi], rec + (m,),
+                                      np.kron(psi, basis[:, m])))
+            branches = grown
+    return (np.array([b[0] for b in branches], dtype=float),
+            np.array([b[1] for b in branches], dtype=complex),
+            np.array([b[2] for b in branches], dtype=np.int64))
+
+
+def reference_collision_unravel(model, bases, psi0):
+    """`collision_unravel`'s exact mode as its own loop: per slot, the pair
+    unitary on every branch's psi (x) ancilla, split by the outcomes of
+    bases[k] and pruned at weight 1e-14. The weights, states and records."""
+    ds, da = model.dim_s, model.dim_a
+    anc = model.ancilla_vector()
+    hist = psi0[None, None, :]
+    weights, records = np.ones(1), np.zeros((1, 0), dtype=np.int64)
+    for basis in bases:
+        psi_rows = hist[:, -1]
+        joint = (psi_rows[:, :, None] * anc).reshape(len(psi_rows), ds * da)
+        mat = (joint @ model.pair_unitary.T).reshape(-1, ds, da)
+        branches = np.swapaxes(mat @ basis.conj(), 1, 2)
+        w = np.sum(branches.real ** 2 + branches.imag ** 2, axis=2)
+        rows, outs = np.nonzero(w > 1e-14)
+        psi = branches[rows, outs] / np.sqrt(w[rows, outs])[:, None]
+        hist = np.concatenate([hist[rows], psi[:, None]], axis=1)
+        weights = weights[rows] * w[rows, outs]
+        records = np.column_stack([records[rows], outs])
+    return weights, hist, records
+
+
+def reference_ensemble_mean(weights, states) -> np.ndarray:
+    """sum_i w_i |v_i><v_i|, one trajectory at a time."""
+    d = states.shape[1]
+    rho = np.zeros((d, d), dtype=complex)
+    for w, v in zip(weights.tolist(), states):
+        rho += w * np.outer(v, v.conj())
+    return rho
+
+
+def reference_second_moment(weights, states) -> np.ndarray:
+    """sum_i w_i P_i (x) P_i, one trajectory at a time."""
+    d = states.shape[1]
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for w, v in zip(weights.tolist(), states):
+        pi = np.outer(v, v.conj())
+        out += w * np.kron(pi, pi)
+    return out

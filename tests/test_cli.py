@@ -243,6 +243,15 @@ class TestHierarchy:
                     "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "criterion,verdict,tolerance,witness,value"
 
+    @pytest.mark.parametrize("command", ["hierarchy", "analyze"])
+    def test_timing_flag_embeds_the_wall_time(self, tmp_path, command):
+        out = tmp_path / "h.json"
+        extra = ["--criteria", "semigroup"] if command == "analyze" else []
+        assert run([command, "--model", "eternal", *extra, "--timing", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        jsonschema.validate(payload, load_schema())
+        assert payload["timing"]["seconds"] > 0
+
 
 SAMPLERS = [["mcwf", "--spec", "decay", "--tmax", "0.1"],
             ["mcsm", "--spec", "ou", "--tmax", "0.1"]]
@@ -254,6 +263,13 @@ class TestSamplerFlags:
         assert run(argv + ["--M", "4", "--format", "json",
                            "--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", SAMPLERS, ids=["mcwf", "mcsm"])
+    def test_timing_is_not_a_sampler_flag(self, tmp_path, argv):
+        """A sampler's summary has no timing field, so the flag is a usage
+        error rather than silently ignored."""
+        assert run(argv + ["--M", "4", "--timing", "--out", str(tmp_path / "x")]) == 2
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", SAMPLERS, ids=["mcwf", "mcsm"])
     @pytest.mark.parametrize("m", [0, -3])

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oqmarkov.core import SM, SX, SZ, plus_state
+from oqmarkov.core import (SM, SX, SZ, plus_state, random_hermitian, random_pure,
+                           random_unitary)
 from oqmarkov.criteria import tomograph
 from oqmarkov.models import collision, eternal_me, partial_swap, static_dephasing
 from oqmarkov.superop import LindbladSpec
 from oqmarkov import unravel
 from oqmarkov.classical import mcsm, ou_spec, poisson_spec
-from oqmarkov.unravel import (Ensemble, _chunked, _fill_draws, _prepare_grid, _Streams,
-                              collision_unravel, ensemble_mean, ensembles_distinct,
-                              mcwf_diffusive, mcwf_jump, static_unravel,
-                              ensemble_to_rows)
+from oqmarkov.unravel import (_CONJUGATE, Ensemble, _chunked, _fill_draws, _prepare_grid,
+                              _Streams, collision_unravel, ensemble_mean,
+                              ensemble_second_moment, ensembles_distinct, mcwf_diffusive,
+                              mcwf_jump, static_unravel, ensemble_to_rows)
+
+from dense_reference import (reference_collision_unravel, reference_ensemble_mean,
+                             reference_second_moment, reference_static_unravel)
 
 DECAY = LindbladSpec(2, None, [(SM, 2.0)])
 EXCITED = np.array([0.0, 1.0], dtype=complex)
@@ -342,6 +346,27 @@ class TestStaticUnravel:
         ens = static_unravel(model, times=(0.5, 1.0), basis="conjugate")
         assert ens.meta["mean_deviation_from_map"] > 1e-3
 
+    def test_basis_given_as_an_array(self):
+        """A unitary array is a basis (its columns the outcome states), not
+        a name compared elementwise; the conjugate preset's own array gives
+        the preset's bits."""
+        model = static_dephasing()
+        haar = random_unitary(2, np.random.default_rng(8))
+        ens = static_unravel(model, [0.5, 1.0], basis=haar)
+        assert ens.meta["basis"] == "custom" and ens.records.shape == (len(ens.weights), 3)
+        assert abs(ens.total_weight() - 1) < 1e-12
+        by_name = static_unravel(model, [0.5, 1.0], basis="conjugate")
+        by_array = static_unravel(model, [0.5, 1.0], basis=_CONJUGATE.copy())
+        for key in ("states", "weights", "records"):
+            assert getattr(by_array, key).tobytes() == getattr(by_name, key).tobytes()
+        assert by_array.meta == by_name.meta
+
+    def test_non_unitary_basis_rejected(self):
+        with pytest.raises(ValueError, match="unitary on the register"):
+            static_unravel(static_dephasing(), [0.5], basis=np.ones((2, 2)))
+        with pytest.raises(ValueError, match="unitary on the register"):
+            static_unravel(static_dephasing(), [0.5], basis=np.eye(3))
+
 
 class TestStartState:
     """Every sampler normalises a given psi0 and rejects a zero, non-finite
@@ -606,3 +631,98 @@ class TestStateAxisReductions:
         with np.errstate(invalid="ignore", over="ignore"):
             assert unravel._row_norm(z).tobytes() == \
                 np.linalg.norm(z, axis=1, keepdims=True).tobytes()
+
+
+def _register(rng, levels: int, ds: int):
+    """A static register of `levels` levels, some of probability zero (never
+    all), with random Hermitian H_j on d_s levels."""
+    probs = rng.dirichlet(np.ones(levels))
+    probs[rng.random(levels) < 0.3] = 0.0
+    if not probs.any():
+        probs[rng.integers(levels)] = 1.0
+    return static_dephasing(probs / probs.sum(), [random_hermitian(ds, rng) for _ in range(levels)])
+
+
+class TestExactEnumerator:
+    """Both exact unravellings run on one enumerator, `_branch_tree`, with one
+    stacked propagation per time, and the ensemble statistics are stacked
+    sums. Against the loops they replace (`dense_reference`): the register
+    path, the collision exact mode and the statistics are bitwise equal; a
+    custom register basis keeps every branch and record, and its states,
+    weights and mean deviation agree to 1e-12 (its outcome amplitudes are
+    one matrix product now, not one matrix-vector product per outcome)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(levels=st.integers(1, 4), ds=st.integers(2, 3), n_times=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_static_unravel_matches_the_branch_loop(self, levels, ds, n_times, seed):
+        rng = np.random.default_rng(seed)
+        model = _register(rng, levels, ds)
+        times = np.sort(rng.uniform(0.0, 2.0, n_times))
+        psi0 = random_pure(ds, rng)
+        reg = static_unravel(model, times, psi0=psi0)
+        want = reference_static_unravel(model, times, reg.states[0, 0])
+        for got, ref in zip((reg.weights, reg.states, reg.records), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        basis = random_unitary(levels, rng)
+        ens = static_unravel(model, times, psi0=psi0, basis=basis)
+        weights, states, records = reference_static_unravel(model, times, ens.states[0, 0],
+                                                            basis)
+        assert np.array_equal(ens.records, records) and ens.records.dtype == np.int64
+        assert np.max(np.abs(ens.weights - weights)) <= 1e-12
+        assert np.max(np.abs(ens.states - states)) <= 1e-12
+        rho0 = np.outer(states[0, 0], states[0, 0].conj())
+        dev = max(np.max(np.abs(reference_ensemble_mean(weights, states[:, k + 1])
+                                - tomograph(model, model.t0, t)(rho0)))
+                  for k, t in enumerate(times))
+        assert abs(ens.meta["mean_deviation_from_map"] - dev) <= 1e-12
+
+    def test_static_unravel_propagates_one_stack_per_time(self, monkeypatch):
+        """Three live levels and a 4-outcome basis: 3, 12 and 48 branches
+        are propagated, one stack a time, into 192 leaves."""
+        rng = np.random.default_rng(1)
+        model = static_dephasing([0.2, 0.0, 0.5, 0.3], [random_hermitian(2, rng) for _ in range(4)])
+        calls = []
+        inner = type(model).apply_propagator
+
+        def counted(self, t1, t2, joint):
+            calls.append(joint.shape)
+            return inner(self, t1, t2, joint)
+        monkeypatch.setattr(type(model), "apply_propagator", counted)
+        monkeypatch.setattr(unravel, "mean_deviation_from_map", lambda *args: 0.0)
+        ens = static_unravel(model, [0.5, 1.0, 2.0], basis=random_unitary(4, rng))
+        assert calls == [(3, 8), (12, 8), (48, 8)] and len(ens.weights) == 192
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 3), n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_collision_exact_mode_matches_the_loop(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        model = collision(n, random_unitary(d * d, rng), ancilla_state=random_pure(d, rng))
+        bases = [random_unitary(d, rng) for _ in range(n)]
+        ens = collision_unravel(model, lambda k: bases[k], psi0=random_pure(d, rng))
+        want = reference_collision_unravel(model, bases, ens.states[0, 0])
+        for got, ref in zip((ens.weights, ens.states, ens.records), want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 300), d=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_statistics_are_the_per_trajectory_sums(self, m, d, seed):
+        """Random normalised ensembles, with zero weights, zero amplitudes
+        and negative zeros: the mean and the second moment are bitwise the
+        per-trajectory sums."""
+        rng = np.random.default_rng(seed)
+        states = rng.standard_normal((m, 2, d)) + 1j * rng.standard_normal((m, 2, d))
+        states[rng.random((m, 2, d)) < 0.2] = 0.0
+        states[:, :, 0] += states[:, :, 0] == 0          # no zero state
+        states /= np.linalg.norm(states, axis=2, keepdims=True)
+        states[rng.random((m, 2, d)) < 0.1] *= -1.0
+        weights = rng.random(m)
+        weights[rng.random(m) < 0.1] = 0.0
+        weights = weights / weights.sum() if weights.any() else np.full(m, 1.0 / m)
+        ens = Ensemble(np.array([0.0, 1.0]), states, weights, "random")
+        for k, t in enumerate(ens.times):
+            assert ensemble_mean(ens, t).mat.tobytes() == \
+                reference_ensemble_mean(weights, states[:, k]).tobytes()
+            assert ensemble_second_moment(ens, t).mat.tobytes() == \
+                reference_second_moment(weights, states[:, k]).tobytes()
