@@ -8,15 +8,15 @@ at least one witness exceeds the tolerance it was tested against, and every
 the underlying quantified-over-all-times definitions; the grid descriptor
 in the report records exactly what was sampled.
 
-`qrf` and `gqrf` sample times only: at each time tuple they read every
-Hermitian-basis operator sequence from one regression tensor, a contraction
-of the Gram matrix of a propagation tree's bath leaves minus a Kronecker
-product of replaced-bath maps.
+`qrf`, `gqrf`, `composability`, `fdd` and `nib` on a product bath sample
+times only: at each time tuple they contract one process difference, the
+Gram matrix of a propagation tree's bath leaves minus a Kronecker product
+of replaced-bath maps, with their insertions.
 
 Every map from a joint model's initial bath comes from `generalized_map`,
-which builds each (t1, t2) map once per `run_criteria` run (the run loop of
-`hierarchy_report` and `analyze`), or per `qrf`/`gqrf` call made outside a
-run, and keeps nothing after it.
+which builds each (t1, t2) map, like each difference, once per `run_criteria`
+run (the run loop of `hierarchy_report` and `analyze`), or per `qrf`/`gqrf`
+call made outside a run, and keeps nothing after it.
 `replacement_map` resets the bath to any Hermitian operator instead. `nib`
 seeds from the initial bath state, and `nqib` tests the channel of the
 model's own `breaking_channel`.
@@ -109,7 +109,7 @@ def _listed(values, name: str, least: int = 1) -> list:
 # Map extraction
 # ---------------------------------------------------------------------------
 
-# (model, {(t1, t2): map}) of the run in progress, set by `run_criteria`
+# (model, {(t1, t2): map, ("difference", times): array}) set by `run_criteria`
 _RUN_MAPS = contextvars.ContextVar("run_maps", default=(None, None))
 
 
@@ -124,8 +124,8 @@ def tomograph(model: JointModel, t0: float, t: float) -> SuperOperator:
 @contextlib.contextmanager
 def _map_store(model):
     """Keep one map store for the model while the block runs, unless one is
-    kept for it already: `generalized_map` then builds each of the model's
-    maps once in it. The store ends with the outermost block."""
+    kept for it already: each of the model's maps and differences is then
+    built once in it. The store ends with the outermost block."""
     if _RUN_MAPS.get()[0] is model:
         yield
         return
@@ -136,18 +136,23 @@ def _map_store(model):
         _RUN_MAPS.reset(token)
 
 
+def _stored(model, key, build):
+    """build(), kept under key in the model's map store while one is open."""
+    run_model, store = _RUN_MAPS.get()
+    store = store if model is run_model else {}
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
 def generalized_map(model: JointModel, t1: float, t2: float) -> SuperOperator:
     """Replaced-bath map: the bath is reset at t1 to its initial state
     before the joint propagation to t2 (the model is written in the bath's
     interaction picture, where that state does not evolve freely). Within a
     `run_criteria` run on this model, or a `qrf` or `gqrf` call, each
     (t1, t2) map is built once."""
-    run_model, maps = _RUN_MAPS.get()
-    if model is not run_model:
-        maps = {}
-    if (t1, t2) not in maps:
-        maps[t1, t2] = assemble_map(model, model.env_branches(), (t1, t2), (None, None))
-    return maps[t1, t2]
+    return _stored(model, (t1, t2), lambda: assemble_map(model, model.env_branches(),
+                                                         (t1, t2), (None, None)))
 
 
 def replacement_map(model: JointModel, t1: float, t2: float,
@@ -196,16 +201,21 @@ def _probe_stack(d: int) -> np.ndarray:
     return stack
 
 
-def map_residual(s1: SuperOperator, s2: SuperOperator) -> dict:
-    """Two residuals of a map difference: max absolute Liouville entry and
-    the worst trace distance of outputs over a fixed probe-state set."""
-    diff, d = s1.mat - s2.mat, s1.dim
+def difference_residual(diff: np.ndarray) -> dict:
+    """Two residuals of a map difference's Liouville matrix: max absolute
+    entry and the worst trace distance of outputs over a fixed probe set."""
+    d = math.isqrt(len(diff))
     max_entry = float(np.max(np.abs(diff)))
     # one matrix-vector product per probe; each output unvectorised
     outs = (diff @ _probe_stack(d)[..., None]).reshape(-1, d, d).swapaxes(-1, -2)
     action = max([0.0, *(0.5 * trace_norms(outs)).tolist()])
     return {"max_entry": max_entry, "action_norm": action,
             "residual": max(max_entry, action)}
+
+
+def map_residual(s1: SuperOperator, s2: SuperOperator) -> dict:
+    """`difference_residual` of s1 - s2."""
+    return difference_residual(s1.mat - s2.mat)
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +449,33 @@ def _map_kron(model: JointModel, times) -> np.ndarray:
     return kron
 
 
+def _process_difference(model: JointModel, times) -> np.ndarray:
+    """G - kron M_k at times t0 <= ... <= tn from the model's initial time,
+    built once per map store: [leaf, leaf'] is the joint minus the chained
+    <p_n'|.|p_n> of |q0'><q0| with X -> |q_k'><p_k'| X |p_k><q_k| at each t_k
+    (Pollock et al., arXiv:1512.00589; Milz & Modi, arXiv:2012.01894)."""
+    times = tuple(times)
+    if abs(times[0] - model.t0) > 1e-12:
+        raise ValueError(f"maps are defined from the model's initial time {model.t0}")
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError(f"times {list(times)} must be non-decreasing from the "
+                         f"model's initial time {model.t0}")
+    return _stored(model, ("difference", times),
+                   lambda: _leaf_gram(model, times) - _map_kron(model, times))
+
+
 def _regression_slices(model: JointModel, times, rho_s0):
     """The regression tensor at times t0, ..., tn: exact minus predicted
     correlation of each Hermitian-basis sequence (A_j, B_j) = (H_a_j, H_b_j),
-    G - kron M_k contracted with the basis on every leg (X0 = B0 rho_s0 A0,
-    the trace Tr[An Bn .]). Yields (lo, R) in slices of at most 2**20
-    entries, R[c - lo, f, l] for the row-major indices c of
+    the process difference contracted with the basis on every leg (X0 =
+    B0 rho_s0 A0, the trace Tr[An Bn .]). Yields (lo, R) in slices of at
+    most 2**20 entries, R[c - lo, f, l] for the row-major indices c of
     (a1, b1, ..., b_(n-1)), f of (a0, b0) and l of (an, bn)."""
     d, n = model.dim_s, len(times) - 1
     h = np.array(hermitian_basis(d))
     # a leaf is (q0, [p1 q1], ..., [p_(n-1) q_(n-1)], p_n): the bra's, then the ket's
     leaf = (d,) + (d * d,) * (n - 1) + (d,)
-    x = (_leaf_gram(model, times) - _map_kron(model, times)).reshape(leaf + leaf)
+    x = _process_difference(model, times).reshape(leaf + leaf)
     bra = h.reshape(d * d, d * d)                        # [a, (p, q)] = H_a[p, q]
     ket = h.transpose(0, 2, 1).reshape(d * d, d * d)     # [b, (p, q)] = H_b[q, p]
     for j in range(1, n):
@@ -465,6 +490,21 @@ def _regression_slices(model: JointModel, times, rho_s0):
     per_slice = max(1, (1 << 20) // d ** 8)
     for lo in range(0, len(y), per_slice):
         yield lo, first @ y[lo:lo + per_slice] @ last.T
+
+
+def _pulsed_difference(model: JointModel, times, pulses) -> np.ndarray:
+    """The joint minus the replaced-bath chain from times[0] to tn with
+    X -> U_k X U_k^dag at each t_k, U_k = pulses[k - 1], as a Liouville
+    matrix: the process difference with weights U_k^dag[p, q] on the bra's
+    leg k and U_k[q', p'] on the ket's, read out through U_n."""
+    d, n, u = model.dim_s, len(times) - 1, pulses[-1]
+    # axes q0, p1, q1, ..., p_n of the bra, then of the ket; a, a' read out
+    args = [_process_difference(model, times).reshape((d,) * 4 * n), list(range(4 * n))]
+    for k, p in enumerate(pulses[:-1]):
+        args += [p.conj(), [2 * k + 2, 2 * k + 1], p, [2 * n + 2 * k + 2, 2 * n + 2 * k + 1]]
+    args += [u.conj(), [4 * n, 2 * n - 1], u, [4 * n + 1, 4 * n - 1], [4 * n, 4 * n + 1, 0, 2 * n]]
+    # [a, a', q0, q0'] is <a'|.|a> of |q0'><q0|: Liouville entry [a' + d a, q0' + d q0]
+    return np.einsum(*args).reshape(d * d, d * d)
 
 
 def _largest(r: np.ndarray) -> float:
@@ -499,12 +539,10 @@ def check_gqrf(model: JointModel, time_sets=((0.5, 1.0, 1.5),), tol: float = 1e-
     sequence of Hermitian-basis operator pairs (A_j, B_j), j = 0..n, must
     give the same correlation from the joint dynamics as from the chain of
     replaced-bath maps; the witness is the largest |exact - predicted| over
-    all (d^2)^(2n+2) sequences. They are read from the process tensor
-    (Pollock et al., Phys. Rev. A 97, 012127 (2018), arXiv:1512.00589; Milz &
-    Modi, PRX Quantum 2, 030201 (2021), arXiv:2012.01894): the insertions
-    X -> B X A with matrix units A, B span every map, so each correlation is
-    a contraction of one Gram matrix of bath leaves, and each prediction one
-    of a Kronecker product of maps (`_regression_slices`)."""
+    all (d^2)^(2n+2) sequences, read from the process difference: the
+    insertions X -> B X A with matrix units A, B span every map, so each
+    correlation is a contraction of one Gram matrix of bath leaves, and each
+    prediction one of a Kronecker product of maps (`_regression_slices`)."""
     rho_s0 = _default_rho0(model.dim_s) if rho_s0 is None else rho_s0
     time_sets = [(model.t0,) + tuple(_listed(ts, "times"))
                  for ts in _listed(time_sets, "time sets")]
@@ -524,13 +562,18 @@ def check_gqrf(model: JointModel, time_sets=((0.5, 1.0, 1.5),), tol: float = 1e-
 
 def check_composability(model: JointModel, time_triples, tol: float = 1e-9) -> CriterionReport:
     """Resetting the bath to its initial state at the midpoint must
-    reproduce the map."""
+    reproduce the map: the process difference at (t0, t1, t2) with the
+    identity at t1 (p1 = q1 on both sides) must vanish. This code's argument
+    for qrf -> composability at the same times, by linearity: `qrf`'s
+    entries with the identity at t1 are this difference on rho_s0, read out
+    on a complete basis, so inputs that span the operators make it zero (up
+    to the expansion's factor under a tolerance)."""
     time_triples = _listed(time_triples, "time triples")
 
     def residuals():
         for t0, t1, t2 in time_triples:
-            chained = compose(generalized_map(model, t1, t2), tomograph(model, t0, t1))
-            res = map_residual(tomograph(model, t0, t2), chained)
+            res = difference_residual(
+                _pulsed_difference(model, (t0, t1, t2), [np.eye(model.dim_s)] * 2))
             yield res["residual"], ((t0, t1, t2), res)
 
     worst, at, verdict = worst_case(residuals(), tol)
@@ -677,13 +720,13 @@ def check_nib(model: JointModel, time_triple=(0.0, 1.0, 2.0),
     it is minimised from two seeds (the centre and the initial bath state),
     and a subgradient cut at the minimiser gives the witness lower_bound,
     which certifies a fail when it exceeds the tolerance. Other baths try
-    only the initial bath state, whose map is the run's replaced-bath map,
-    so their fails are not certified, and the report says so."""
+    only the initial bath state, whose residual is `composability`'s at the
+    triple, so their fails are not certified, and the report says so."""
     if model.env_kind in ("qubit", "register"):
         return _check_nib_convex(model, time_triple, tol)
     t0, t1, t2 = time_triple
-    e2, e1 = tomograph(model, t0, t2), tomograph(model, t0, t1)
-    res = map_residual(e2, compose(generalized_map(model, t1, t2), e1))
+    res = difference_residual(
+        _pulsed_difference(model, (t0, t1, t2), [np.eye(model.dim_s)] * 2))
     witnesses = {"min_residual": res["residual"],
                  "max_entry": res["max_entry"],
                  "action_norm": res["action_norm"],
@@ -839,29 +882,40 @@ def check_distinguishability(family, state_pairs=None, w_grid=None,
 # Dynamical-decoupling criteria
 # ---------------------------------------------------------------------------
 
+def _pulse_sequence(model: JointModel, idx: int, pulses, times):
+    """Sequence idx's pulses as arrays, after checking that each is a
+    d_s x d_s unitary and that the pulse times do not decrease from t0."""
+    d, pulses, times = model.dim_s, [np.asarray(p, dtype=complex) for p in pulses], list(times)
+    if len(pulses) != len(times):
+        raise ValueError(f"sequence {idx}: {len(pulses)} pulses for {len(times)} pulse times")
+    for k, (u, t, before) in enumerate(zip(pulses, times, [model.t0] + times)):
+        if u.shape != (d, d) or np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-10:
+            raise ValueError(f"sequence {idx}, pulse {k}: not a {d} x {d} unitary")
+        if t < before:
+            raise ValueError(f"sequence {idx}, pulse {k}: time {t} is before {before}")
+    return pulses, times
+
+
 def check_fdd(model: JointModel, pulse_sequences, tol: float = 1e-9) -> CriterionReport:
     """Pulse sequences must commute through the dynamics as a chain of
     replaced-bath maps interleaved with the pulses: each segment starts from
-    the bath in its initial state, so the first one is the map from t0."""
-    from .superop import identity_superop, unitary_superop
-    pulse_sequences = _listed(pulse_sequences, "pulse sequences")
-
-    def residuals():
-        for seq_idx, (pulses, times) in enumerate(pulse_sequences):
-            chain, tcur = None, model.t0
-            for pulse, tk in zip(pulses, times):
-                step = compose(unitary_superop(np.asarray(pulse, dtype=complex)),
-                               generalized_map(model, tcur, tk))
-                chain = step if chain is None else compose(step, chain)
-                tcur = tk
-            if chain is None:
-                chain = identity_superop(model.dim_s)
-            yield map_residual(dd_apply(model, pulses, times), chain)["residual"], seq_idx
-
-    worst, seq_idx, verdict = worst_case(residuals(), tol)
+    the bath in its initial state, so the first one is the map from t0: the
+    process difference at (t0, t1, ..., tn) with X -> U_k X U_k^dag at each
+    middle leg and the read-out must vanish (an empty sequence reads 0).
+    This code's argument for gqrf -> fdd at the same times, by linearity:
+    `gqrf`'s insertions X -> B X A, inputs B0 rho_s0 A0 (rho_s0 pure or full
+    rank) and read-outs Tr[An Bn .] on a complete basis span every map,
+    operator and functional, so every contraction of the difference
+    vanishes with them (up to the basis coefficients of the pulses, input
+    and read-out under a tolerance)."""
+    sequences = [_pulse_sequence(model, i, *seq)
+                 for i, seq in enumerate(_listed(pulse_sequences, "pulse sequences"))]
+    worst, seq_idx, verdict = worst_case(
+        ((difference_residual(_pulsed_difference(model, [model.t0] + ts, pulses))["residual"], i)
+         for i, (pulses, ts) in enumerate(sequences) if pulses), tol)
     witnesses = {"max_residual": worst,
                  "worst_sequence_index": float(-1 if seq_idx is None else seq_idx)}
-    grid = f"{len(pulse_sequences)} pulse sequences"
+    grid = f"{len(sequences)} pulse sequences"
     return CriterionReport("fdd", verdict, witnesses, tol, grid)
 
 

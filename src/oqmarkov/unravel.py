@@ -361,15 +361,21 @@ _CONJUGATE = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def _slot_basis(chooser, slot: int, d: int) -> np.ndarray:
-    if chooser is None or chooser == "computational":
-        return np.eye(d, dtype=complex)
-    if chooser == "conjugate":
+    """Slot `slot`'s measurement basis, its columns the outcome states: a
+    preset name, one unitary array for every slot, or a function of the
+    slot that returns one."""
+    if chooser is None or isinstance(chooser, str):
+        if chooser in (None, "computational"):
+            return np.eye(d, dtype=complex)
+        if chooser != "conjugate":
+            raise ValueError(f"unknown basis {chooser!r}; the presets are "
+                             "'computational' and 'conjugate'")
         if d != 2:
             raise ValueError("conjugate basis preset is for qubit ancillas")
         return _CONJUGATE
-    b = np.asarray(chooser(slot), dtype=complex)
-    if np.max(np.abs(b.conj().T @ b - np.eye(d))) > 1e-10:
-        raise ValueError("measurement basis is not unitary")
+    b = np.asarray(chooser(slot) if callable(chooser) else chooser, dtype=complex)
+    if b.shape != (d, d) or np.max(np.abs(b.conj().T @ b - np.eye(d))) > 1e-10:
+        raise ValueError(f"measurement basis is not a {d} x {d} unitary")
     return b
 
 
@@ -398,7 +404,9 @@ def collision_unravel(model, basis_per_slot=None, psi0=None,
     enumerated when their count stays below the enumeration limit;
     otherwise M branches are sampled on ``_sample``, one slot a step and one
     uniform a slot from each trajectory's stream, and the ensemble carries
-    statistical rather than exact weights. psi0 (default: the uniform
+    statistical rather than exact weights. Each slot's ancilla basis is
+    "computational" (the default), "conjugate", one unitary array for every
+    slot, or a function of the slot. psi0 (default: the uniform
     superposition) is normalised.
     """
     ds, da, n = model.dim_s, model.dim_a, model.n_slots

@@ -12,7 +12,11 @@ of a matrix-unit propagation tree, and a Kronecker product of the
 replaced-bath maps), whose entries agree with these per-case loops to
 rounding. The package's tree drops every zero row and multiplies only the
 leaves that are live; `reference_leaf_gram` grows every leaf and multiplies
-them all. `check_fa` decides its clauses in the span of the bath rows;
+them all. `composability`, `fdd` and `nib` on a product bath contract the
+same difference with the identity or the pulses;
+`reference_composability_difference` and `reference_fdd_difference` form
+their maps by composing replaced-bath maps, as the checkers did before.
+`check_fa` decides its clauses in the span of the bath rows;
 `reference_fa` forms the dense joint state instead. The exact unravellings
 grow all branches at once on one enumerator, with one stacked propagation
 per time; `reference_static_unravel` and `reference_collision_unravel`
@@ -23,11 +27,12 @@ import itertools
 
 import numpy as np
 
-from oqmarkov.criteria import generalized_map
+from oqmarkov.criteria import generalized_map, tomograph
 from oqmarkov.core import (DensityOperator, ket, mutual_information, negativity,
                            partial_trace, trace_norm)
-from oqmarkov.models import _eig_branches, evolve
-from oqmarkov.superop import SuperOperator, vec
+from oqmarkov.models import _eig_branches, dd_apply, evolve
+from oqmarkov.superop import (SuperOperator, compose, identity_superop, unitary_superop,
+                              vec)
 
 
 def apply_cop(c_op, x: np.ndarray) -> np.ndarray:
@@ -108,6 +113,29 @@ def reference_leaf_gram(model, times) -> np.ndarray:
         for lo in range(0, de, step):
             gram += p * (f[:, lo:lo + step].conj() @ f[:, lo:lo + step].T)
     return gram
+
+
+def reference_composability_difference(model, triple) -> np.ndarray:
+    """E(t0 -> t2) - G(t1, t2) E(t0 -> t1) as a Liouville matrix, from the
+    tomographs and the replaced-bath map."""
+    t0, t1, t2 = triple
+    chained = compose(generalized_map(model, t1, t2), tomograph(model, t0, t1))
+    return tomograph(model, t0, t2).mat - chained.mat
+
+
+def reference_fdd_difference(model, pulses, times) -> np.ndarray:
+    """`dd_apply` minus the chain of replaced-bath maps interleaved with the
+    pulses, as a Liouville matrix: each segment starts from the bath in its
+    initial state, so the first one is the map from t0."""
+    chain, tcur = None, model.t0
+    for pulse, tk in zip(pulses, times):
+        step = compose(unitary_superop(np.asarray(pulse, dtype=complex)),
+                       generalized_map(model, tcur, tk))
+        chain = step if chain is None else compose(step, chain)
+        tcur = tk
+    if chain is None:
+        chain = identity_superop(model.dim_s)
+    return dd_apply(model, pulses, times).mat - chain.mat
 
 
 def reference_fa(model, initial_states, times) -> dict:

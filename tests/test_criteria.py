@@ -24,8 +24,10 @@ from oqmarkov.models import (afl, assemble_map, collision, eternal_me, make_mode
 from oqmarkov.superop import SuperOperator, compose, is_cptp, vec
 
 from closed_forms import afl_correlation_exact, afl_correlation_regression, tam_map
-from dense_reference import (dense_propagator, reference_correlation, reference_fa,
-                             reference_leaf_gram, reference_prediction)
+from dense_reference import (dense_propagator, reference_composability_difference,
+                             reference_correlation, reference_fa,
+                             reference_fdd_difference, reference_leaf_gram,
+                             reference_prediction)
 
 
 class TestCriterionReport:
@@ -346,6 +348,114 @@ class TestRegressionTensor:
             finally:
                 tracemalloc.stop()
         assert peak < 6e6
+
+
+def _random_joint(rng, register: bool, d: int, size: int):
+    """A random collision (d levels, `size` slots, Haar pair unitary, pure
+    or mixed ancilla) or static register (d levels, size + 1 register
+    levels), with the end of its time range."""
+    if register:
+        return static_dephasing(rng.dirichlet(np.ones(size + 1)),
+                                [random_hermitian(d, rng) for _ in range(size + 1)]), 2.0
+    ancilla = random_density(d, rng=rng) if rng.random() < 0.5 else random_pure(d, rng)
+    return collision(size, random_unitary(d * d, rng), ancilla_state=ancilla), float(size)
+
+
+class TestPulsedDifference:
+    """`composability`, `fdd` and `nib` on a product bath contract the
+    process difference with the identity or with their pulses. The
+    contraction must equal the maps they composed before
+    (`reference_composability_difference`, `reference_fdd_difference`), and
+    a tuple that `qrf` or `gqrf` read in the same store must propagate
+    nothing."""
+
+    @staticmethod
+    def _assert_matches(model, times, pulses):
+        t0, t1, t2 = model.t0, times[0], times[-1]
+        got = criteria._pulsed_difference(model, (t0, t1, t2), [np.eye(model.dim_s)] * 2)
+        want = reference_composability_difference(model, (t0, t1, t2))
+        assert np.max(np.abs(got - want)) <= 1e-14, (times, "composability")
+        got = criteria._pulsed_difference(model, (t0,) + tuple(times), pulses)
+        want = reference_fdd_difference(model, pulses, times)
+        assert np.max(np.abs(got - want)) <= 1e-14, (times, "fdd")
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), register=st.booleans(), d=st.integers(2, 3),
+           size=st.integers(1, 3), n=st.integers(1, 3))
+    def test_contraction_is_the_chain(self, seed, register, d, size, n):
+        """Random collisions (d = 2, 3; 1-3 slots) and static registers
+        (2-4 levels), with n = 1..3 random pulses at random times (a qutrit
+        takes at most 2)."""
+        assume(d == 2 or n < 3)
+        rng = np.random.default_rng(seed)
+        model, t_end = _random_joint(rng, register, d, size)
+        times = [float(t) for t in np.sort(rng.uniform(0.0, t_end, n))]
+        self._assert_matches(model, times, [random_unitary(d, rng) for _ in range(n)])
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3))
+    def test_afl_with_random_pulses(self, seed, n):
+        rng = np.random.default_rng(seed)
+        times = [float(t) for t in np.sort(rng.uniform(0.0, 2.0, n))]
+        self._assert_matches(afl(), times, [random_unitary(2, rng) for _ in range(n)])
+
+    def test_shared_tuples_propagate_nothing(self, monkeypatch):
+        """In one store after `qrf` and `gqrf`, collision's `composability`,
+        `fdd` and `nib` at their tuples make no `apply_propagator` call, and
+        each distinct tuple's Gram matrix is built once."""
+        import collections
+        model = collision()
+        calls, grams = [], collections.Counter()
+        propagate, leaf_gram = model.apply_propagator, criteria._leaf_gram
+        monkeypatch.setattr(model, "apply_propagator",
+                            lambda *args: calls.append(1) or propagate(*args))
+        monkeypatch.setattr(criteria, "_leaf_gram",
+                            lambda m, times: grams.update([tuple(times)]) or leaf_gram(m, times))
+        with criteria._map_store(model):
+            check_qrf(model, time_pairs=((1.0, 2.0), (2.0, 4.0)))
+            check_gqrf(model, time_sets=((1.0, 2.0, 3.0),))
+            before = len(calls)
+            check_composability(model, [(0.0, 1.0, 2.0), (0.0, 2.0, 4.0)])
+            check_fdd(model, [([SX, SX], [1.0, 2.0]), ([SX] * 3, [1.0, 2.0, 3.0])])
+            check_nib(model, (0.0, 2.0, 4.0))
+            assert len(calls) == before
+        assert grams == {(0.0, 1.0, 2.0): 1, (0.0, 2.0, 4.0): 1, (0.0, 1.0, 2.0, 3.0): 1}
+
+    @pytest.mark.parametrize("name", ["collision", "afl"])
+    def test_no_map_is_composed(self, monkeypatch, name):
+        """`composability`, `fdd` and `nib` on a product or grid bath read
+        the contraction only: no `compose`, `tomograph` or `dd_apply`."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a map was composed")
+        for attr in ("compose", "tomograph", "dd_apply"):
+            monkeypatch.setattr(criteria, attr, refuse)
+        model = make_model(name)
+        for crit in ("composability", "fdd", "nib"):
+            run_criteria(model, criterion_settings(model, [crit]), seed=23)
+
+
+class TestTimeOrder:
+    """A time tuple must not decrease from the model's initial time: these
+    read a verdict from a backward propagation before. Equal times stay
+    legal."""
+
+    def test_composability(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            check_composability(tam(), [(0.0, 2.0, 1.0)])
+
+    def test_qrf(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            check_qrf(tam(), time_pairs=((2.0, 1.0),))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            check_qrf(tam(), time_pairs=((-0.5, 1.0),))
+
+    def test_gqrf(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            check_gqrf(tam(), time_sets=((1.5, 1.0, 0.5),))
+
+    def test_equal_times(self):
+        assert check_gqrf(tam(), time_sets=((0.5, 0.5, 1.0),)).verdict == "fail"
+        assert check_qrf(tam(), time_pairs=((0.0, 0.0),)).verdict == "pass"
 
 
 class TestStackedPropagation:
@@ -1076,6 +1186,31 @@ class TestFdd:
         model = collision()
         rep = check_fdd(model, [([], [])], tol=1e-12)
         assert rep.verdict == "pass"
+
+    def test_empty_sequence_reads_zero_without_a_tensor(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("process difference built")
+        monkeypatch.setattr(criteria, "_process_difference", refuse)
+        rep = check_fdd(tam(), [([], [])], tol=0.0)
+        assert rep.witnesses["max_residual"] == 0.0 and rep.verdict == "pass"
+
+    @pytest.mark.parametrize("seqs, match", [
+        ([([SX], [1.0]), ([np.eye(3)], [1.0])], "sequence 1, pulse 0: not a 2 x 2 unitary"),
+        ([([SX, 2 * SX], [0.5, 1.0])], "sequence 0, pulse 1: not a 2 x 2 unitary"),
+        ([([SX, SX], [1.0, 0.5])], "sequence 0, pulse 1: time 0.5 is before 1.0"),
+        ([([SX], [-0.5])], "sequence 0, pulse 0: time -0.5 is before 0.0"),
+        ([([SX], [0.5, 1.0])], "sequence 0: 1 pulses for 2 pulse times"),
+    ], ids=["qutrit-pulse", "not-unitary", "time-order", "before-t0", "count"])
+    def test_pulses_checked_before_propagation(self, seqs, match):
+        """Every pulse is a d_s x d_s unitary at a time that does not
+        decrease from t0; the error names the sequence and the pulse."""
+        model = tam()
+
+        def refuse(*args):
+            raise AssertionError("propagated")
+        model.apply_propagator = refuse
+        with pytest.raises(ValueError, match=match):
+            check_fdd(model, seqs)
 
 
 class TestCaseArgumentsReadOnce:

@@ -317,6 +317,36 @@ class TestCollisionUnravel:
             assert [''.join(map(str, r)) for r in ens.records.tolist()] == rows
             assert ens.records.dtype == np.int64
 
+    def test_identity_array_is_the_computational_basis(self):
+        model = collision(n_slots=2)
+        by_array = collision_unravel(model, np.eye(2))
+        by_name = collision_unravel(model, "computational")
+        for field in ("weights", "states", "records"):
+            assert getattr(by_array, field).tobytes() == getattr(by_name, field).tobytes()
+
+    def test_array_basis_applies_to_every_slot(self):
+        """An array is the basis of every slot, as a function returning it
+        for each slot is."""
+        model = collision(n_slots=3, pair_unitary=partial_swap(0.7))
+        basis = random_unitary(2, np.random.default_rng(3))
+        by_array = collision_unravel(model, basis)
+        by_function = collision_unravel(model, lambda slot: basis)
+        for field in ("weights", "states", "records"):
+            assert getattr(by_array, field).tobytes() == getattr(by_function, field).tobytes()
+        weights, _, records = reference_collision_unravel(
+            model, [basis] * 3, np.ones(2, dtype=complex) / np.sqrt(2))
+        assert np.array_equal(by_array.records, records)
+        assert np.allclose(by_array.weights, weights, atol=1e-14)
+
+    @pytest.mark.parametrize("basis, match", [
+        ("register", "unknown basis 'register'; the presets are 'computational' and 'conjugate'"),
+        (np.eye(3), "not a 2 x 2 unitary"),
+        (np.ones((2, 2)), "not a 2 x 2 unitary"),
+    ], ids=["unknown-name", "wrong-size", "not-unitary"])
+    def test_bad_basis_rejected(self, basis, match):
+        with pytest.raises(ValueError, match=match):
+            collision_unravel(collision(n_slots=2), basis)
+
     @pytest.mark.parametrize("m", [0, -2])
     def test_sampled_mode_rejects_non_positive_sample_count(self, m):
         with pytest.raises(ValueError, match="M must be a positive"):
