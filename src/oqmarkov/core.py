@@ -122,6 +122,12 @@ def ket(index: int, dim: int) -> np.ndarray:
     return v
 
 
+def is_unitary(u: np.ndarray, d: int) -> bool:
+    """Whether u is a d x d matrix with every entry of U^dag U - I within 1e-10."""
+    u = np.asarray(u)
+    return u.shape == (d, d) and bool(np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10)
+
+
 def hermitian_basis(d: int) -> list[np.ndarray]:
     """Generalized Gell-Mann basis of d x d Hermitian operators: the
     identity, then the symmetric and antisymmetric pair for every j < k,

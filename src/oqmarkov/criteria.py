@@ -8,10 +8,11 @@ at least one witness exceeds the tolerance it was tested against, and every
 the underlying quantified-over-all-times definitions; the grid descriptor
 in the report records exactly what was sampled.
 
-`qrf`, `gqrf`, `composability`, `fdd` and `nib` on a product bath sample
-times only: at each time tuple they contract one process difference, the
-Gram matrix of a propagation tree's bath leaves minus a Kronecker product
-of replaced-bath maps, with their insertions.
+`qrf`, `gqrf`, `composability` and `nib` on a product bath sample times
+only: at each time tuple they contract one process difference, the Gram
+matrix of a propagation tree's bath leaves minus a Kronecker product of
+replaced-bath maps, with their insertions. Every time tuple must start at
+the model's initial time and never decrease.
 
 Every map from a joint model's initial bath comes from `generalized_map`,
 which builds each (t1, t2) map, like each difference, once per `run_criteria`
@@ -38,7 +39,7 @@ from .core import (DensityOperator, ID2, PAULIS, SX, SY, SZ, branch_negativity,
                    hermitian_basis, ket, negativity, purity, support_eigh,
                    trace_norms, vn_entropy, random_pure)
 from .models import (DENSE_JOINT_LIMIT, JointModel, MapFamilyModel, _start_stack,
-                     assemble_map, dd_apply, evolve)
+                     assemble_map, check_pulses, check_times, dd_apply, evolve)
 from .superop import (SuperOperator, compose, intermediate_map, is_cptp,
                       vec)
 
@@ -113,12 +114,20 @@ def _listed(values, name: str, least: int = 1) -> list:
 _RUN_MAPS = contextvars.ContextVar("run_maps", default=(None, None))
 
 
+def _from_t0(model: JointModel, times) -> tuple:
+    """times, after checking that they start at the model's initial time
+    and do not decrease."""
+    times = tuple(times)
+    if abs(times[0] - model.t0) > 1e-12:
+        raise ValueError(f"maps are defined from the model's initial time {model.t0}")
+    check_times(model, times)
+    return times
+
+
 def tomograph(model: JointModel, t0: float, t: float) -> SuperOperator:
     """Dynamical map from t0 to t, reconstructed by evolving the matrix-unit
     basis tensored with the initial bath state and tracing the bath out."""
-    if abs(t0 - model.t0) > 1e-12:
-        raise ValueError(f"maps are defined from the model's initial time {model.t0}")
-    return generalized_map(model, t0, t)
+    return generalized_map(model, *_from_t0(model, (t0, t)))
 
 
 @contextlib.contextmanager
@@ -326,9 +335,7 @@ def multitime_correlation(model: JointModel, c_ops, times, rho_s0) -> complex:
     with C_j X = B_j X A_j inserted at times[j], c_ops = [(A_j, B_j)]: the
     weighted sum of <bra|ket> over the start branches, the ket evolved with
     the B_j and the bra with the A_j^dag (no dense joint matrix)."""
-    times = _case_times(c_ops, times)
-    if abs(times[0] - model.t0) > 1e-12:
-        raise ValueError("times[0] must be the model's initial time")
+    times = _from_t0(model, _case_times(c_ops, times))
     weights, starts = _start_stack(model, rho_s0, 1e-14)
     bras = evolve(model, starts, times, [np.asarray(a, dtype=complex).conj().T
                                          for a, _ in c_ops])
@@ -454,12 +461,7 @@ def _process_difference(model: JointModel, times) -> np.ndarray:
     built once per map store: [leaf, leaf'] is the joint minus the chained
     <p_n'|.|p_n> of |q0'><q0| with X -> |q_k'><p_k'| X |p_k><q_k| at each t_k
     (Pollock et al., arXiv:1512.00589; Milz & Modi, arXiv:2012.01894)."""
-    times = tuple(times)
-    if abs(times[0] - model.t0) > 1e-12:
-        raise ValueError(f"maps are defined from the model's initial time {model.t0}")
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError(f"times {list(times)} must be non-decreasing from the "
-                         f"model's initial time {model.t0}")
+    times = _from_t0(model, times)
     return _stored(model, ("difference", times),
                    lambda: _leaf_gram(model, times) - _map_kron(model, times))
 
@@ -492,19 +494,14 @@ def _regression_slices(model: JointModel, times, rho_s0):
         yield lo, first @ y[lo:lo + per_slice] @ last.T
 
 
-def _pulsed_difference(model: JointModel, times, pulses) -> np.ndarray:
-    """The joint minus the replaced-bath chain from times[0] to tn with
-    X -> U_k X U_k^dag at each t_k, U_k = pulses[k - 1], as a Liouville
-    matrix: the process difference with weights U_k^dag[p, q] on the bra's
-    leg k and U_k[q', p'] on the ket's, read out through U_n."""
-    d, n, u = model.dim_s, len(times) - 1, pulses[-1]
-    # axes q0, p1, q1, ..., p_n of the bra, then of the ket; a, a' read out
-    args = [_process_difference(model, times).reshape((d,) * 4 * n), list(range(4 * n))]
-    for k, p in enumerate(pulses[:-1]):
-        args += [p.conj(), [2 * k + 2, 2 * k + 1], p, [2 * n + 2 * k + 2, 2 * n + 2 * k + 1]]
-    args += [u.conj(), [4 * n, 2 * n - 1], u, [4 * n + 1, 4 * n - 1], [4 * n, 4 * n + 1, 0, 2 * n]]
-    # [a, a', q0, q0'] is <a'|.|a> of |q0'><q0|: Liouville entry [a' + d a, q0' + d q0]
-    return np.einsum(*args).reshape(d * d, d * d)
+def _composability_difference(model: JointModel, triple) -> np.ndarray:
+    """E(t0 -> t2) - G(t1, t2) E(t0 -> t1) as a Liouville matrix: the process
+    difference at the triple with the identity at t1 (p1 = q1 on both sides)."""
+    d = model.dim_s
+    # axes q0, p1, q1, p2 of the bra, then of the ket; [p2, p2', q0, q0'] is
+    # <p2'|.|p2> of |q0'><q0|, the Liouville entry [p2' + d p2, q0' + d q0]
+    x = _process_difference(model, triple).reshape((d,) * 8)
+    return np.einsum("ajjbckkd->bdac", x).reshape(d * d, d * d)
 
 
 def _largest(r: np.ndarray) -> float:
@@ -563,17 +560,16 @@ def check_gqrf(model: JointModel, time_sets=((0.5, 1.0, 1.5),), tol: float = 1e-
 def check_composability(model: JointModel, time_triples, tol: float = 1e-9) -> CriterionReport:
     """Resetting the bath to its initial state at the midpoint must
     reproduce the map: the process difference at (t0, t1, t2) with the
-    identity at t1 (p1 = q1 on both sides) must vanish. This code's argument
-    for qrf -> composability at the same times, by linearity: `qrf`'s
-    entries with the identity at t1 are this difference on rho_s0, read out
-    on a complete basis, so inputs that span the operators make it zero (up
-    to the expansion's factor under a tolerance)."""
+    identity at t1 must vanish. This code's argument for qrf ->
+    composability at the same times, by linearity: `qrf`'s entries with the
+    identity at t1 read this difference, on rho_s0, out on a complete basis,
+    so qrf on a spanning set of rho_s0 makes it zero (up to the
+    coefficients, under a tolerance)."""
     time_triples = _listed(time_triples, "time triples")
 
     def residuals():
         for t0, t1, t2 in time_triples:
-            res = difference_residual(
-                _pulsed_difference(model, (t0, t1, t2), [np.eye(model.dim_s)] * 2))
+            res = difference_residual(_composability_difference(model, (t0, t1, t2)))
             yield res["residual"], ((t0, t1, t2), res)
 
     worst, at, verdict = worst_case(residuals(), tol)
@@ -664,7 +660,7 @@ class _AffineResidual:
 
 
 def _check_nib_convex(model: JointModel, time_triple, tol: float) -> CriterionReport:
-    t0, t1, t2 = time_triple
+    t0, t1, t2 = _from_t0(model, time_triple)
     e2, e1 = tomograph(model, t0, t2), tomograph(model, t0, t1)
     base, ops, feasible = _nib_coordinates(model)
 
@@ -724,9 +720,7 @@ def check_nib(model: JointModel, time_triple=(0.0, 1.0, 2.0),
     triple, so their fails are not certified, and the report says so."""
     if model.env_kind in ("qubit", "register"):
         return _check_nib_convex(model, time_triple, tol)
-    t0, t1, t2 = time_triple
-    res = difference_residual(
-        _pulsed_difference(model, (t0, t1, t2), [np.eye(model.dim_s)] * 2))
+    res = difference_residual(_composability_difference(model, time_triple))
     witnesses = {"min_residual": res["residual"],
                  "max_entry": res["max_entry"],
                  "action_norm": res["action_norm"],
@@ -754,7 +748,7 @@ def check_nqib(model: JointModel, time_triple, breaking_channel,
     at t1 leaves the map to t2 unchanged. Only the supplied channel is
     tested; searching over all entanglement-breaking channels is out of
     scope, so a missing channel yields inconclusive."""
-    t0, t1, t2 = time_triple
+    t0, t1, t2 = _from_t0(model, time_triple)
     if breaking_channel is None:
         return CriterionReport("nqib", INCONCLUSIVE, {}, tol,
                                f"triple={list(time_triple)}",
@@ -882,37 +876,33 @@ def check_distinguishability(family, state_pairs=None, w_grid=None,
 # Dynamical-decoupling criteria
 # ---------------------------------------------------------------------------
 
-def _pulse_sequence(model: JointModel, idx: int, pulses, times):
-    """Sequence idx's pulses as arrays, after checking that each is a
-    d_s x d_s unitary and that the pulse times do not decrease from t0."""
-    d, pulses, times = model.dim_s, [np.asarray(p, dtype=complex) for p in pulses], list(times)
-    if len(pulses) != len(times):
-        raise ValueError(f"sequence {idx}: {len(pulses)} pulses for {len(times)} pulse times")
-    for k, (u, t, before) in enumerate(zip(pulses, times, [model.t0] + times)):
-        if u.shape != (d, d) or np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-10:
-            raise ValueError(f"sequence {idx}, pulse {k}: not a {d} x {d} unitary")
-        if t < before:
-            raise ValueError(f"sequence {idx}, pulse {k}: time {t} is before {before}")
-    return pulses, times
-
-
 def check_fdd(model: JointModel, pulse_sequences, tol: float = 1e-9) -> CriterionReport:
     """Pulse sequences must commute through the dynamics as a chain of
     replaced-bath maps interleaved with the pulses: each segment starts from
-    the bath in its initial state, so the first one is the map from t0: the
-    process difference at (t0, t1, ..., tn) with X -> U_k X U_k^dag at each
-    middle leg and the read-out must vanish (an empty sequence reads 0).
-    This code's argument for gqrf -> fdd at the same times, by linearity:
-    `gqrf`'s insertions X -> B X A, inputs B0 rho_s0 A0 (rho_s0 pure or full
-    rank) and read-outs Tr[An Bn .] on a complete basis span every map,
-    operator and functional, so every contraction of the difference
-    vanishes with them (up to the basis coefficients of the pulses, input
-    and read-out under a tolerance)."""
-    sequences = [_pulse_sequence(model, i, *seq)
+    the bath in its initial state, so the first one is the map from t0.
+    `dd_apply` propagates each sequence once and the chain reads the run's
+    maps, so the cost is linear in the pulse count; an empty sequence reads
+    0. This code's argument for gqrf -> fdd at the same times, by linearity:
+    `gqrf`'s insertions, inputs and read-outs on a complete basis span every
+    map, operator and functional, so this difference is a combination of
+    `gqrf`'s entries (up to the coefficients, under a tolerance)."""
+    from .superop import unitary_superop
+    sequences = [check_pulses(model, *seq, where=f"sequence {i}: ")
                  for i, seq in enumerate(_listed(pulse_sequences, "pulse sequences"))]
-    worst, seq_idx, verdict = worst_case(
-        ((difference_residual(_pulsed_difference(model, [model.t0] + ts, pulses))["residual"], i)
-         for i, (pulses, ts) in enumerate(sequences) if pulses), tol)
+
+    def residuals():
+        for seq_idx, (pulses, times) in enumerate(sequences):
+            if not pulses:
+                yield 0.0, seq_idx
+                continue
+            chain, tcur = None, model.t0
+            for pulse, tk in zip(pulses, times):
+                step = compose(unitary_superop(pulse), generalized_map(model, tcur, tk))
+                chain = step if chain is None else compose(step, chain)
+                tcur = tk
+            yield map_residual(dd_apply(model, pulses, times), chain)["residual"], seq_idx
+
+    worst, seq_idx, verdict = worst_case(residuals(), tol)
     witnesses = {"max_residual": worst,
                  "worst_sequence_index": float(-1 if seq_idx is None else seq_idx)}
     grid = f"{len(sequences)} pulse sequences"

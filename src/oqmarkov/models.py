@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SM, SP, SX, SZ, ket
+from .core import SM, SP, SX, SZ, is_unitary, ket
 from .superop import SuperOperator, LindbladSpec, vec
 
 DENSE_JOINT_LIMIT = 4096
@@ -463,7 +463,7 @@ class CollisionModel(JointModel):
                  ancilla_state: np.ndarray | None = None,
                  slot_times: Sequence[float] | None = None):
         u = np.asarray(pair_unitary, dtype=complex)
-        if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-10:
+        if u.ndim != 2 or not is_unitary(u, len(u)):
             raise ValueError("pair_unitary is not unitary")
         self.n_slots = int(n_slots)
         if self.n_slots < 1:
@@ -716,6 +716,31 @@ def bath_correlation(model: JointModel, a_e: np.ndarray, b_e: np.ndarray):
     return complex(g_plus), complex(g_minus)
 
 
+def check_times(model: JointModel, times: Sequence[float], what: str = "time") -> list[float]:
+    """times as floats, after checking that they do not decrease from the
+    model's initial time; the error names `what` and its index."""
+    times = [float(t) for t in times]
+    for k, (t, before) in enumerate(zip(times, [model.t0] + times)):
+        if t < before:
+            raise ValueError(f"{what} {k} at {t} is before {before}: times must be "
+                             f"non-decreasing from the model's initial time, "
+                             f"t0 <= times[0] <= times[1] <= ...")
+    return times
+
+
+def check_pulses(model: JointModel, pulses, times, where: str = ""):
+    """(pulses, times) as complex arrays and floats, after checking one
+    d_s x d_s unitary per pulse time and `check_times`; each error starts
+    with `where`."""
+    pulses, times, d = [np.asarray(p, dtype=complex) for p in pulses], list(times), model.dim_s
+    if len(pulses) != len(times):
+        raise ValueError(f"{where}{len(pulses)} pulses for {len(times)} pulse times")
+    for k, p in enumerate(pulses):
+        if not is_unitary(p, d):
+            raise ValueError(f"{where}pulse {k} is not a {d} x {d} unitary")
+    return pulses, check_times(model, times, f"{where}pulse")
+
+
 def dd_apply(model: JointModel, pulses: Sequence[np.ndarray],
              times: Sequence[float], t_end: float | None = None) -> SuperOperator:
     """Map produced by free joint evolution interleaved with instantaneous
@@ -724,19 +749,13 @@ def dd_apply(model: JointModel, pulses: Sequence[np.ndarray],
     With an empty pulse list this reduces to the ordinary dynamical map up
     to t_end.
     """
-    times = list(times)
-    if len(pulses) != len(times):
-        raise ValueError("one pulse per pulse time required")
-    for p in pulses:
-        p = np.asarray(p)
-        if np.max(np.abs(p.conj().T @ p - np.eye(p.shape[0]))) > 1e-10:
-            raise ValueError("pulse is not unitary")
-    if t_end is None:
-        t_end = times[-1] if times else model.t0
+    pulses, times = check_pulses(model, pulses, times)
     sched = [model.t0] + times
-    if any(b < a for a, b in zip(sched, sched[1:] + [t_end])):
-        raise ValueError("need t0 <= times[0] <= ... <= times[-1] <= t_end")
-    ops = [None] + list(pulses)
+    if t_end is None:
+        t_end = sched[-1]
+    if t_end < sched[-1]:
+        raise ValueError(f"t_end {t_end} is before {sched[-1]}")
+    ops = [None] + pulses
     if t_end > sched[-1] + 1e-15:
         sched.append(t_end)
         ops.append(None)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import numpy as np
 
-from .core import DensityOperator, Operator
+from .core import DensityOperator, Operator, is_unitary
 from .criteria import tomograph
 from .superop import LindbladSpec
 
@@ -374,7 +374,7 @@ def _slot_basis(chooser, slot: int, d: int) -> np.ndarray:
             raise ValueError("conjugate basis preset is for qubit ancillas")
         return _CONJUGATE
     b = np.asarray(chooser(slot) if callable(chooser) else chooser, dtype=complex)
-    if b.shape != (d, d) or np.max(np.abs(b.conj().T @ b - np.eye(d))) > 1e-10:
+    if not is_unitary(b, d):
         raise ValueError(f"measurement basis is not a {d} x {d} unitary")
     return b
 
@@ -480,7 +480,7 @@ def static_unravel(model, times, psi0=None,
 
     b = _CONJUGATE if isinstance(basis, str) and basis == "conjugate" \
         else np.asarray(basis, dtype=complex)
-    if b.shape != (r, r) or np.max(np.abs(b.conj().T @ b - np.eye(r))) > 1e-10:
+    if not is_unitary(b, r):
         raise ValueError("basis must be a unitary on the register")
 
     def measure(psi, records, k):

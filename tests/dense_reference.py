@@ -12,10 +12,10 @@ of a matrix-unit propagation tree, and a Kronecker product of the
 replaced-bath maps), whose entries agree with these per-case loops to
 rounding. The package's tree drops every zero row and multiplies only the
 leaves that are live; `reference_leaf_gram` grows every leaf and multiplies
-them all. `composability`, `fdd` and `nib` on a product bath contract the
-same difference with the identity or the pulses;
-`reference_composability_difference` and `reference_fdd_difference` form
-their maps by composing replaced-bath maps, as the checkers did before.
+them all. `composability` and `nib` on a product bath contract the same
+difference with the identity at t1; `reference_composability_difference`
+composes the replaced-bath maps instead, as the checkers did before.
+`reference_fdd_difference` is `check_fdd`'s pulse chain, written out.
 `check_fa` decides its clauses in the span of the bath rows;
 `reference_fa` forms the dense joint state instead. The exact unravellings
 grow all branches at once on one enumerator, with one stacked propagation

@@ -361,32 +361,30 @@ def _random_joint(rng, register: bool, d: int, size: int):
     return collision(size, random_unitary(d * d, rng), ancilla_state=ancilla), float(size)
 
 
-class TestPulsedDifference:
-    """`composability`, `fdd` and `nib` on a product bath contract the
-    process difference with the identity or with their pulses. The
-    contraction must equal the maps they composed before
-    (`reference_composability_difference`, `reference_fdd_difference`), and
-    a tuple that `qrf` or `gqrf` read in the same store must propagate
-    nothing."""
+class TestComposabilityDifference:
+    """`composability` and `nib` on a product bath contract the process
+    difference with the identity at t1. The contraction must equal the maps
+    they composed before (`reference_composability_difference`), and a
+    triple that `qrf` or `gqrf` read in the same store must propagate
+    nothing. `fdd` keeps its chain of replaced-bath maps, which is linear in
+    the pulse count, and must read `reference_fdd_difference`."""
 
     @staticmethod
     def _assert_matches(model, times, pulses):
-        t0, t1, t2 = model.t0, times[0], times[-1]
-        got = criteria._pulsed_difference(model, (t0, t1, t2), [np.eye(model.dim_s)] * 2)
-        want = reference_composability_difference(model, (t0, t1, t2))
+        triple = (model.t0, times[0], times[-1])
+        got = criteria._composability_difference(model, triple)
+        want = reference_composability_difference(model, triple)
         assert np.max(np.abs(got - want)) <= 1e-14, (times, "composability")
-        got = criteria._pulsed_difference(model, (t0,) + tuple(times), pulses)
-        want = reference_fdd_difference(model, pulses, times)
-        assert np.max(np.abs(got - want)) <= 1e-14, (times, "fdd")
+        got = check_fdd(model, [(pulses, times)]).witnesses["max_residual"]
+        want = criteria.difference_residual(reference_fdd_difference(model, pulses, times))
+        assert got == want["residual"], (times, "fdd")
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), register=st.booleans(), d=st.integers(2, 3),
            size=st.integers(1, 3), n=st.integers(1, 3))
     def test_contraction_is_the_chain(self, seed, register, d, size, n):
         """Random collisions (d = 2, 3; 1-3 slots) and static registers
-        (2-4 levels), with n = 1..3 random pulses at random times (a qutrit
-        takes at most 2)."""
-        assume(d == 2 or n < 3)
+        (2-4 levels), with n = 1..3 random pulses at random times."""
         rng = np.random.default_rng(seed)
         model, t_end = _random_joint(rng, register, d, size)
         times = [float(t) for t in np.sort(rng.uniform(0.0, t_end, n))]
@@ -400,9 +398,9 @@ class TestPulsedDifference:
         self._assert_matches(afl(), times, [random_unitary(2, rng) for _ in range(n)])
 
     def test_shared_tuples_propagate_nothing(self, monkeypatch):
-        """In one store after `qrf` and `gqrf`, collision's `composability`,
-        `fdd` and `nib` at their tuples make no `apply_propagator` call, and
-        each distinct tuple's Gram matrix is built once."""
+        """In one store after `qrf` and `gqrf`, collision's `composability`
+        and `nib` at their triples make no `apply_propagator` call, and each
+        distinct tuple's Gram matrix is built once."""
         import collections
         model = collision()
         calls, grams = [], collections.Counter()
@@ -416,21 +414,20 @@ class TestPulsedDifference:
             check_gqrf(model, time_sets=((1.0, 2.0, 3.0),))
             before = len(calls)
             check_composability(model, [(0.0, 1.0, 2.0), (0.0, 2.0, 4.0)])
-            check_fdd(model, [([SX, SX], [1.0, 2.0]), ([SX] * 3, [1.0, 2.0, 3.0])])
             check_nib(model, (0.0, 2.0, 4.0))
             assert len(calls) == before
         assert grams == {(0.0, 1.0, 2.0): 1, (0.0, 2.0, 4.0): 1, (0.0, 1.0, 2.0, 3.0): 1}
 
     @pytest.mark.parametrize("name", ["collision", "afl"])
     def test_no_map_is_composed(self, monkeypatch, name):
-        """`composability`, `fdd` and `nib` on a product or grid bath read
-        the contraction only: no `compose`, `tomograph` or `dd_apply`."""
+        """`composability` and `nib` on a product or grid bath read the
+        contraction only: no `compose`, `tomograph` or `dd_apply`."""
         def refuse(*args, **kwargs):
             raise AssertionError("a map was composed")
         for attr in ("compose", "tomograph", "dd_apply"):
             monkeypatch.setattr(criteria, attr, refuse)
         model = make_model(name)
-        for crit in ("composability", "fdd", "nib"):
+        for crit in ("composability", "nib"):
             run_criteria(model, criterion_settings(model, [crit]), seed=23)
 
 
@@ -452,6 +449,22 @@ class TestTimeOrder:
     def test_gqrf(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             check_gqrf(tam(), time_sets=((1.5, 1.0, 0.5),))
+
+    def test_nib(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            check_nib(tam(), (0.0, 2.0, 1.0), tol=1e-4)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            check_nib(collision(), (0.0, 2.0, 1.0))
+
+    def test_nqib(self):
+        model = nqib_qubit()
+        with pytest.raises(ValueError, match="non-decreasing"):
+            check_nqib(model, (0.0, 2 * math.pi, math.pi), model.breaking_channel(2 * math.pi))
+
+    def test_correlation(self):
+        c_ops = [(np.eye(2), np.eye(2)), (SX, SX), (SX, SX)]
+        with pytest.raises(ValueError, match="non-decreasing"):
+            multitime_correlation(tam(), c_ops, (0.0, 1.0, 0.5), np.eye(2) / 2)
 
     def test_equal_times(self):
         assert check_gqrf(tam(), time_sets=((0.5, 0.5, 1.0),)).verdict == "fail"
@@ -1187,18 +1200,32 @@ class TestFdd:
         rep = check_fdd(model, [([], [])], tol=1e-12)
         assert rep.verdict == "pass"
 
-    def test_empty_sequence_reads_zero_without_a_tensor(self, monkeypatch):
+    def test_empty_sequence_reads_zero_without_propagating(self):
+        model = tam()
+
+        def refuse(*args):
+            raise AssertionError("propagated")
+        model.apply_propagator = refuse
+        rep = check_fdd(model, [([], [])], tol=0.0)
+        assert rep.witnesses["max_residual"] == 0.0 and rep.verdict == "pass"
+
+    def test_long_sequence_builds_no_process_difference(self, monkeypatch):
+        """A 16-pulse CPMG train propagates once per sequence and reads the
+        run's replaced-bath maps: no d^(2n) process difference is formed."""
         def refuse(*args):
             raise AssertionError("process difference built")
         monkeypatch.setattr(criteria, "_process_difference", refuse)
-        rep = check_fdd(tam(), [([], [])], tol=0.0)
-        assert rep.witnesses["max_residual"] == 0.0 and rep.verdict == "pass"
+        times = [0.125 * (k + 1) for k in range(16)]
+        rep = check_fdd(static_dephasing(), [([SX] * 16, times)], tol=1e-7)
+        want = criteria.difference_residual(
+            reference_fdd_difference(static_dephasing(), [SX] * 16, times))
+        assert rep.witnesses["max_residual"] == want["residual"]
 
     @pytest.mark.parametrize("seqs, match", [
-        ([([SX], [1.0]), ([np.eye(3)], [1.0])], "sequence 1, pulse 0: not a 2 x 2 unitary"),
-        ([([SX, 2 * SX], [0.5, 1.0])], "sequence 0, pulse 1: not a 2 x 2 unitary"),
-        ([([SX, SX], [1.0, 0.5])], "sequence 0, pulse 1: time 0.5 is before 1.0"),
-        ([([SX], [-0.5])], "sequence 0, pulse 0: time -0.5 is before 0.0"),
+        ([([SX], [1.0]), ([np.eye(3)], [1.0])], "sequence 1: pulse 0 is not a 2 x 2 unitary"),
+        ([([SX, 2 * SX], [0.5, 1.0])], "sequence 0: pulse 1 is not a 2 x 2 unitary"),
+        ([([SX, SX], [1.0, 0.5])], "sequence 0: pulse 1 at 0.5 is before 1.0"),
+        ([([SX], [-0.5])], "sequence 0: pulse 0 at -0.5 is before 0.0"),
         ([([SX], [0.5, 1.0])], "sequence 0: 1 pulses for 2 pulse times"),
     ], ids=["qutrit-pulse", "not-unitary", "time-order", "before-t0", "count"])
     def test_pulses_checked_before_propagation(self, seqs, match):
