@@ -35,9 +35,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (DensityOperator, ID2, PAULIS, SX, SY, SZ, branch_negativity,
+from .core import (DensityOperator, ID2, SX, SY, SZ, branch_negativity,
                    hermitian_basis, ket, negativity, purity, support_eigh,
-                   trace_norms, vn_entropy, random_pure)
+                   trace_norms, vn_entropy, random_pure, random_unitary)
 from .models import (DENSE_JOINT_LIMIT, JointModel, MapFamilyModel, _start_stack,
                      assemble_map, check_pulses, check_times, dd_apply, evolve)
 from .superop import (SuperOperator, compose, intermediate_map, is_cptp,
@@ -437,8 +437,6 @@ def _leaf_gram(model: JointModel, times) -> np.ndarray:
         fc = f.conj()
         for lo in range(0, de, step):
             gram += p * _blas_product(fc[:, lo:lo + step], f[:, lo:lo + step].T)
-    if len(live) == size:
-        return gram
     full = np.zeros((size, size), dtype=complex)
     full[live[:, None], live] = gram[:len(live), :len(live)]
     return full
@@ -691,7 +689,8 @@ def _check_nib_convex(model: JointModel, time_triple, tol: float) -> CriterionRe
         if fy < fx:
             x, fx, cut = y, fy, res.lower_bound(y)
     sigma = base + sum(c * op for c, op in zip(x, ops))
-    best_res = map_residual(e2, compose(replacement_map(model, t1, t2, sigma), e1))
+    # R(x) is affine in x: the witnesses read its difference at the minimiser
+    best_res = difference_residual(res.r0 - np.tensordot(x, res.dirs, 1))
     lower = max(0.0, min(cut, best_res["residual"]))
     verdict = PASS if best_res["residual"] <= tol else FAIL
     witnesses = {"min_residual": best_res["residual"],
@@ -911,14 +910,13 @@ def check_fdd(model: JointModel, pulse_sequences, tol: float = 1e-9) -> Criterio
 
 def dd_effectiveness(model: JointModel, pulses, times, reference=None) -> dict:
     """Purity gained by a pulse sequence relative to free evolution, for a
-    reference pure input state."""
-    if reference is None:
-        reference = _default_rho0(model.dim_s)
-    t_end = times[-1]
-    hahn = dd_apply(model, pulses, times)
-    free = dd_apply(model, [], [], t_end=t_end)
-    p_hahn = purity(hahn(reference))
-    p_free = purity(free(reference))
+    reference pure input state; the free evolution runs to the last pulse
+    time, so a sequence without one is a ValueError."""
+    if len(times) == 0:
+        raise ValueError("no pulse times: the free evolution runs to the last one")
+    reference = _default_rho0(model.dim_s) if reference is None else reference
+    p_hahn = purity(dd_apply(model, pulses, times)(reference))
+    p_free = purity(dd_apply(model, [], [], t_end=times[-1])(reference))
     return {"purity_hahn": p_hahn, "purity_free": p_free,
             "purity_gain": p_hahn - p_free}
 
@@ -997,8 +995,7 @@ _ENV_BASED = ("fa", "qrf", "gqrf", "composability", "nib", "nqib", "fdd")
 # on a model with `slots`
 _TIME_FIELDS = ("times", "time_pairs", "time_sets", "triples", "triple", "sequences")
 
-_X = PAULIS["X"]
-_ECHO = ((_X, _X), (0.5, 1.0))      # pulses and pulse times of a Hahn echo
+_ECHO = (("shift", "shift"), (0.5, 1.0))      # pulses and pulse times of a Hahn echo
 
 # The context each preset's verdicts are reached in: times, tolerances and
 # operator sets only. Every map a checker reads comes from the model's own
@@ -1006,9 +1003,9 @@ _ECHO = ((_X, _X), (0.5, 1.0))      # pulses and pulse times of a Hahn echo
 # model: the map-family grid, a `tol` for every criterion without its own
 # (declared or not), `slots` where times (and durations) are slot numbers
 # read through `model.slot_times`, and the hierarchy report's `extras`. Per
-# criterion: its times, tolerance, and operator or pulse sets ("random": a
-# Haar unitary drawn from the run's seed). Times without `slots` are offsets
-# from the model's initial time; durations (`pairs`) are durations.
+# criterion: its times, tolerance, and operator or pulse sets (pulses named
+# as `_sequence` reads them). Times without `slots` are offsets from the
+# model's initial time; durations (`pairs`) are durations.
 MODEL_SETTINGS = {
     "collision": dict(
         slots=True, tol=1e-9, grid=(0, 1, 2, 3, 4, 5, 6),
@@ -1020,7 +1017,7 @@ MODEL_SETTINGS = {
         nqib=dict(triple=(0, 2, 4)),
         divisibility={}, distinguishability={},
         semigroup=dict(pairs=((1, 1), (1, 2), (2, 3))),
-        fdd=dict(sequences=((("random",) * 3, (1, 2, 3)), ((_X, _X), (1, 2))))),
+        fdd=dict(sequences=((("random",) * 3, (1, 2, 3)), (("shift", "shift"), (1, 2))))),
     "afl": dict(
         tol=1e-5,    # no lower: the quadrature error of the discretized bath
         grid=np.arange(0.0, 2.01, 0.25),
@@ -1032,7 +1029,7 @@ MODEL_SETTINGS = {
         divisibility={}, distinguishability={},
         semigroup=dict(pairs=((0.2, 0.3), (0.5, 0.5), (0.5, 1.0))),
         fdd=dict(sequences=(_ECHO,)),
-        extras=lambda model: {"echo_effect": dd_effectiveness(model, *_ECHO)}),
+        extras=lambda model: {"echo_effect": dd_effectiveness(model, *_sequence(model, _ECHO))}),
     "tam": dict(
         grid=(0.0, 0.5, 1.0, 1.5, 2.0),
         fa=dict(times=(0.5, 1.0), tol=1e-7),
@@ -1065,7 +1062,7 @@ MODEL_SETTINGS = {
         divisibility=dict(tol=1e-7), distinguishability={},
         fdd=dict(sequences=(_ECHO,), tol=1e-7),
         pu=dict(times=(0.5, 1.0), tol=1e-12),
-        extras=lambda model: {"spin_echo": dd_effectiveness(model, *_ECHO)}),
+        extras=lambda model: {"spin_echo": dd_effectiveness(model, *_sequence(model, _ECHO))}),
     "eternal": dict(
         tol=1e-9, grid=np.arange(0.0, 3.01, 0.5),
         divisibility={}, distinguishability={},
@@ -1078,6 +1075,16 @@ _WINDOW_TOL = dict(fa=1e-7, qrf=1e-8, gqrf=1e-8, composability=1e-8, nib=1e-6,
                    distinguishability=1e-9, fdd=1e-7)
 
 
+def _sequence(model, sequence, rng=None) -> tuple:
+    """A declared pulse sequence (pulses, times), every named pulse a
+    dim_s x dim_s unitary: "shift" the cyclic shift |j> -> |j + 1 mod d>
+    (X for a qubit), "random" a Haar unitary drawn from rng."""
+    d, (pulses, times) = model.dim_s, sequence
+    named = {"shift": lambda: np.roll(np.eye(d, dtype=complex), 1, axis=0),
+             "random": lambda: random_unitary(d, rng)}
+    return [named[p]() if isinstance(p, str) else p for p in pulses], list(times)
+
+
 def _window(t0: float, t1: float, t2: float) -> dict:
     """Settings of every criterion on the single window t0 < t1 < t2."""
     return dict(fa=dict(times=(t1, t2)),
@@ -1087,7 +1094,7 @@ def _window(t0: float, t1: float, t2: float) -> dict:
                 nib=dict(triple=(t0, t1, t2)),
                 nqib=dict(triple=(t0, t1, t2)),
                 semigroup=dict(pairs=((0.5, 0.5), (0.5, 1.0), (1.0, 1.0))),
-                fdd=dict(sequences=(((_X, _X), ((t0 + t2) / 2, t2)),)))
+                fdd=dict(sequences=((("shift", "shift"), ((t0 + t2) / 2, t2)),)))
 
 
 def _model_times(value, t0: float, slot_times):
@@ -1187,11 +1194,8 @@ def run_criterion(name: str, model, settings: dict, seed: int) -> CriterionRepor
     if name == "distinguishability":
         return check_distinguishability(map_family(model, s["grid"]), seed=seed, tol=tol)
     if name == "fdd":
-        from .core import random_unitary
         rng = np.random.default_rng(seed)
-        seqs = [([random_unitary(model.dim_s, rng) if isinstance(p, str) else p
-                  for p in pulses], list(ts)) for pulses, ts in s["sequences"]]
-        return check_fdd(model, seqs, tol)
+        return check_fdd(model, [_sequence(model, seq, rng) for seq in s["sequences"]], tol)
     if name == "pu":
         return _check_pu(model, s["times"], tol)
     raise KeyError(name)

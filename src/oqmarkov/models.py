@@ -147,28 +147,19 @@ def assemble_map(model: JointModel, branches, times: Sequence[float], ops: Seque
     effect F defaults to the identity, the plain partial trace.
 
     The start columns |i> (x) e_b of every branch are evolved in one stack
-    and contracted in one stacked product, unless the joint dimension
-    exceeds DENSE_JOINT_LIMIT: a stack of vectors that long takes
-    temporaries past glibc's mmap and trim thresholds (128 KiB), each handed
-    back to the kernel and faulted in again, so such columns go one at a
-    time, each conjugated once. The branches are summed in their order, so
-    both ways give the same bits. No branches give the zero map."""
+    and contracted in one stacked product, and the branches are summed in
+    their order. No branches give the zero map."""
     ds, de = model.dim_s, model.dim_e
     ft = None if effect is None else np.asarray(effect, dtype=complex).T
     blocks = np.zeros((ds,) * 4, dtype=complex)     # [i, j]: the image of |i><j|
+    if not branches:        # the zero map, with no empty stack propagated
+        return SuperOperator(blocks.reshape(ds * ds, ds * ds), ds)
     # row (b, i) is kron(|i>, e_b), as one broadcast product
     phis = np.array([phi for _, phi in branches]).reshape(len(branches), 1, 1, de)
     starts = (np.eye(ds, dtype=complex)[None, :, :, None] * phis).reshape(-1, ds * de)
-    if branches and ds * de <= DENSE_JOINT_LIMIT:
-        mats = evolve(model, starts, times, ops).reshape(-1, ds, ds, de)
-        left = mats if ft is None else mats @ ft
-        prods = left[:, :, None] @ mats.conj()[:, None].swapaxes(-1, -2)
-    else:
-        mats = [evolve(model, s, times, ops).reshape(ds, de) for s in starts]
-        left = mats if ft is None else [u @ ft for u in mats]
-        bras = [u.conj().T for u in mats]
-        prods = [np.array([[left[b + i] @ bras[b + j] for j in range(ds)]
-                           for i in range(ds)]) for b in range(0, len(mats), ds)]
+    mats = evolve(model, starts, times, ops).reshape(-1, ds, ds, de)
+    left = mats if ft is None else mats @ ft
+    prods = left[:, :, None] @ mats.conj()[:, None].swapaxes(-1, -2)
     for (p, _), prod in zip(branches, prods):
         blocks += p * prod
     # column i + ds j of the map is vec of block [i, j]

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import DensityOperator, Operator, is_unitary
 from .criteria import tomograph
+from .models import check_times
 from .superop import LindbladSpec
 
 MAX_STEP_PROB = 0.1
@@ -468,7 +469,7 @@ def static_unravel(model, times, psi0=None,
     """
     ds, r = model.dim_s, model.dim_e
     psi0 = np.ones(ds, dtype=complex) / np.sqrt(ds) if psi0 is None else _unit_start(psi0, ds)
-    times = np.asarray(times, dtype=float)
+    times = np.asarray(check_times(model, times), dtype=float)
     full_times = np.concatenate([[model.t0], times])
     live = np.flatnonzero(model.probs > 1e-14)
     if basis is None or isinstance(basis, str) and basis == "register":

@@ -984,7 +984,8 @@ class TestNibConvex:
         with pytest.raises(FloatingPointError):
             res.lower_bound(np.zeros(3))
 
-    def test_register_search_beats_population_grid(self):
+    @staticmethod
+    def _searched_register():
         # three register levels with unrelated Hamiltonians: the seeds leave a
         # gap, so Nelder-Mead runs on the population simplex
         rng = np.random.default_rng(5)
@@ -992,8 +993,10 @@ class TestNibConvex:
         for _ in range(3):
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             hams.append((a + a.conj().T) / 2)
-        model = static_dephasing([0.2, 0.3, 0.5], hams)
-        t1, t2 = 0.8, 1.7
+        return static_dephasing([0.2, 0.3, 0.5], hams), 0.8, 1.7
+
+    def test_register_search_beats_population_grid(self):
+        model, t1, t2 = self._searched_register()
         rep = check_nib(model, (0.0, t1, t2), tol=1e-6)
         w = rep.witnesses
         assert rep.verdict == "fail" and "Nelder-Mead" in rep.grid
@@ -1007,6 +1010,31 @@ class TestNibConvex:
                 value = _nib_residual(model, t1, t2, np.diag(p).astype(complex))
                 assert value >= w["lower_bound"] - 1e-12
                 assert value >= w["min_residual"] - 1e-9
+
+    def test_witnesses_read_from_the_searched_residual(self, monkeypatch):
+        """After the search no replacement map is built: the witnesses are
+        the affine residual's difference at the minimiser, and equal the
+        rebuilt map's to 1e-14."""
+        import scipy.optimize
+        model, t1, t2 = self._searched_register()
+        minimize, replace = scipy.optimize.minimize, criteria.replacement_map
+        searched, late = [], []
+
+        def counted(*args):
+            if searched:
+                late.append(args)
+            return replace(*args)
+        monkeypatch.setattr(scipy.optimize, "minimize",
+                            lambda *a, **k: searched.append(1) or minimize(*a, **k))
+        monkeypatch.setattr(criteria, "replacement_map", counted)
+        rep = check_nib(model, (0.0, t1, t2), tol=1e-6)
+        assert "Nelder-Mead" in rep.grid and searched and not late
+        sigma = np.diag(rep.witnesses["best_sigma_diag"]).astype(complex)
+        rebuilt = map_residual(tomograph(model, 0.0, t2),
+                               compose(replace(model, t1, t2, sigma), tomograph(model, 0.0, t1)))
+        for key in ("max_entry", "action_norm"):
+            assert abs(rep.witnesses[key] - rebuilt[key]) <= 1e-14
+        assert abs(rep.witnesses["min_residual"] - rebuilt["residual"]) <= 1e-14
 
 
 class TestNonQubitSystems:
@@ -1221,6 +1249,23 @@ class TestFdd:
             reference_fdd_difference(static_dephasing(), [SX] * 16, times))
         assert rep.witnesses["max_residual"] == want["residual"]
 
+    @pytest.mark.parametrize("times", [(None, None, None), (None, 1.0, 2.0)],
+                             ids=["preset", "window"])
+    def test_echo_follows_dim_s(self, times):
+        """The named echo pulse is the d-level cyclic shift: a qutrit
+        collision runs `fdd` at its preset settings and on a window."""
+        model = collision(pair_unitary=partial_swap(math.pi / 4, d=3))
+        s = criterion_settings(model, ["fdd"], times=times)["fdd"]
+        assert criteria.run_criterion("fdd", model, s, 23).verdict == "pass"
+        (shift,), _ = criteria._sequence(model, (("shift",), (1.0,)))
+        assert all(np.array_equal(shift @ ket(j, 3), ket((j + 1) % 3, 3)) for j in range(3))
+        (qubit,), _ = criteria._sequence(tam(), (("shift",), (1.0,)))
+        assert qubit.tobytes() == SX.tobytes()
+
+    def test_effectiveness_needs_a_pulse_time(self):
+        with pytest.raises(ValueError, match="no pulse times"):
+            dd_effectiveness(tam(), [], [])
+
     @pytest.mark.parametrize("seqs, match", [
         ([([SX], [1.0]), ([np.eye(3)], [1.0])], "sequence 1: pulse 0 is not a 2 x 2 unitary"),
         ([([SX, 2 * SX], [0.5, 1.0])], "sequence 0: pulse 1 is not a 2 x 2 unitary"),
@@ -1364,7 +1409,9 @@ class TestMapStore:
 
     def test_direct_regression_calls_keep_one_store(self, monkeypatch):
         """A direct `qrf` or `gqrf` call builds each replaced-bath map once
-        for its own duration: at afl's declared settings it makes as many
+        for its own duration, all its start columns in one propagation: at
+        afl's declared settings `qrf` propagates its three trees (6 calls
+        each) and 5 maps, `gqrf` its tree (14 calls) and 3 maps, as many
         propagations as inside a run, with the same report."""
         model = afl()
         builds, _ = self._count_builds(monkeypatch, model)
@@ -1374,9 +1421,9 @@ class TestMapStore:
                             lambda *args: calls.append(1) or propagate(*args))
         s = criterion_settings(model, ["qrf", "gqrf"])
         qrf = check_qrf(model, time_pairs=s["qrf"]["time_pairs"], tol=s["qrf"]["tol"])
-        assert len(calls) == 28
+        assert len(calls) == 23
         gqrf = check_gqrf(model, time_sets=s["gqrf"]["time_sets"], tol=s["gqrf"]["tol"])
-        assert len(calls) == 28 + 20
+        assert len(calls) == 23 + 17
         assert max(builds.values()) == 2        # once per call
         run = run_criteria(model, s, 23)
         assert qrf.to_dict() == run["qrf"].to_dict()

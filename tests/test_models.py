@@ -215,8 +215,8 @@ class TestStackContract:
 
 
 class TestReferenceMap:
-    """`assemble_map` (start columns in one stack, or one at a time above
-    the dense joint limit) against the per-column loop it replaced."""
+    """`assemble_map` (every start column in one stack, at every joint
+    dimension) against the per-column loop it replaced."""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=_MODEL_KINDS, seed=st.integers(0, 2 ** 32 - 1),
@@ -260,10 +260,17 @@ class TestReferenceMap:
             args = (model, model.env_branches(), (0.0, 2.0), (None, None), effect)
             assert assemble_map(*args).mat.tobytes() == reference_map(*args).mat.tobytes()
 
-    def test_afl_columns_one_at_a_time(self):
-        model = _preset("afl")
+    def test_afl_columns_in_one_call(self, monkeypatch):
+        """afl's 8002-entry joint vectors, above the dense joint limit, go in
+        one stack too: one propagation per step of the schedule."""
+        model, calls = afl(), []
+        propagate = model.apply_propagator
+        monkeypatch.setattr(model, "apply_propagator",
+                            lambda *args: calls.append(1) or propagate(*args))
         for times, ops in [((0.2, 0.7), (None, None)), ((0.0, 0.5, 1.0), (None, SX, None))]:
+            before = len(calls)
             got = assemble_map(model, model.env_branches(), times, ops)
+            assert len(calls) - before == len(times) - 1
             want = reference_map(model, model.env_branches(), times, ops)
             assert got.mat.tobytes() == want.mat.tobytes()
 

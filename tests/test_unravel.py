@@ -397,6 +397,16 @@ class TestStaticUnravel:
         with pytest.raises(ValueError, match="unitary on the register"):
             static_unravel(static_dephasing(), [0.5], basis=np.eye(3))
 
+    def test_decreasing_times_rejected(self):
+        """A conjugate-basis unravelling would propagate back from 1.0 to 0.5."""
+        with pytest.raises(ValueError, match="time 1 at 0.5 is before 1.0"):
+            static_unravel(static_dephasing(), times=[1.0, 0.5], basis="conjugate")
+
+    def test_time_before_t0_rejected(self):
+        """A register-basis branch at t = -1 would precede the initial time."""
+        with pytest.raises(ValueError, match="time 0 at -1.0 is before 0.0"):
+            static_unravel(static_dephasing(), times=[-1.0])
+
 
 class TestStartState:
     """Every sampler normalises a given psi0 and rejects a zero, non-finite
